@@ -84,48 +84,56 @@ def detect_events(series: TrafficSeries, feature: int = 0) -> EventLog:
     """
     if not 0 <= feature < series.n_features:
         raise ValueError(f"feature index {feature} out of range")
-    n = series.n_vertices
-    up_events: list[np.ndarray] = []
-    down_events: list[np.ndarray] = []
-    divider = np.zeros(n)
-    flagged: list[int] = []
-    for i in range(n):
-        x = series.data[:, i, feature]
-        obs = series.mask[:, i, feature]
-        vals = x[obs]
-        if vals.size:
-            divider[i] = 0.5 * (vals.max() + vals.min())
-        if vals.size < 2:
-            flagged.append(i)
-            up_events.append(np.empty(0, dtype=np.int64))
-            down_events.append(np.empty(0, dtype=np.int64))
-            continue
-        d = divider[i]
-        pair = obs[:-1] & obs[1:]
-        up = pair & (x[:-1] < d) & (x[1:] >= d)
-        down = pair & (x[:-1] > d) & (x[1:] <= d)
-        up_events.append(np.nonzero(up)[0].astype(np.int64) + 1)
-        down_events.append(np.nonzero(down)[0].astype(np.int64) + 1)
+    x = series.data[:, :, feature]
+    obs = series.mask[:, :, feature]
+    seen = obs.sum(axis=0)
+    top = x.max(axis=0, where=obs, initial=-np.inf)
+    bottom = x.min(axis=0, where=obs, initial=np.inf)
+    divider = np.zeros(series.n_vertices)
+    some = seen > 0
+    divider[some] = 0.5 * (top[some] + bottom[some])
+    # vertices with fewer than two readings have no observed pair, so no events
+    pair = obs[:-1] & obs[1:]
+    up = pair & (x[:-1] < divider) & (x[1:] >= divider)
+    down = pair & (x[:-1] > divider) & (x[1:] <= divider)
     return EventLog(
-        up_events=up_events, down_events=down_events, divider=divider, flagged=flagged
+        up_events=_per_vertex_steps(up),
+        down_events=_per_vertex_steps(down),
+        divider=divider,
+        flagged=np.flatnonzero(seen < 2).tolist(),
     )
 
 
+def _per_vertex_steps(crossed: np.ndarray) -> list[np.ndarray]:
+    """Sorted timesteps t of each column's crossings, crossed[t - 1] being set."""
+    vertex, step = np.nonzero(crossed.T)  # vertex-major, steps ascending
+    bounds = np.cumsum(np.bincount(vertex, minlength=crossed.shape[1]))[:-1]
+    return np.split(step.astype(np.int64) + 1, bounds)
+
+
 def _co_occurrence(events: list[np.ndarray], t_p: int, t_q: int) -> np.ndarray:
-    """score[i, j] = fraction of i's events with a j event in [t-t_p, t+t_q]."""
+    """score[i, j] = fraction of i's events with a j event in [t-t_p, t+t_q].
+
+    Over the distinct event times, a cumulative count of each vertex's
+    events marks the times whose window holds a j event; summing those marks
+    over i's events gives integer counts, so the scores are exact.
+    """
     n = len(events)
     score = np.zeros((n, n))
-    for i in range(n):
-        ev_i = events[i]
-        if ev_i.size == 0:
-            continue
-        for j in range(n):
-            ev_j = events[j]
-            if ev_j.size == 0:
-                continue
-            lo = np.searchsorted(ev_j, ev_i - t_p, side="left")
-            hi = np.searchsorted(ev_j, ev_i + t_q, side="right")
-            score[i, j] = np.count_nonzero(lo < hi) / ev_i.size
+    sizes = [ev.size for ev in events]
+    if sum(sizes):
+        times = np.unique(np.concatenate(events))
+        at = [np.searchsorted(times, ev) for ev in events]
+        # counts[k, j]: j's events among times[:k]
+        counts = np.zeros((times.size + 1, n), dtype=np.int32)
+        counts[np.concatenate(at) + 1, np.repeat(np.arange(n), sizes)] = 1
+        np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
+        lo = np.searchsorted(times, times - t_p, side="left")
+        hi = np.searchsorted(times, times + t_q, side="right")
+        near = counts[hi] > counts[lo]  # near[k, j]: a j event in times[k]'s window
+        for i, k in enumerate(at):
+            if k.size:
+                score[i] = near[k].sum(axis=0) / k.size
     np.clip(score, 0.0, 1.0, out=score)
     np.fill_diagonal(score, 1.0)
     return score

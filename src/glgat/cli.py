@@ -198,7 +198,7 @@ def cmd_build_adjacency(args) -> int:
     meta = {
         "labels": list(matrices),
         "divider": log.divider.tolist(),
-        "flagged_vertices": [int(v) for v in np.flatnonzero(log.flagged)],
+        "flagged_vertices": log.flagged,
         "t_p": args.tp,
         "t_q": args.tq,
         "n_vertices": graph.n_vertices,

@@ -10,6 +10,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -124,7 +125,8 @@ class WindowedSample:
     ``input`` is (P, N, 2K+1): the K normalized features (0 where missing),
     one time-of-day channel, then K mask channels as floats. ``target`` is
     (Q, N, K) in raw scale with ``target_mask`` marking observed entries and
-    ``target_times`` the epoch timestamps of the Q target steps.
+    ``target_times`` the epoch timestamps of the Q target steps. All four
+    are read-only views into buffers shared by the windows of one split.
     """
 
     input: np.ndarray
@@ -161,6 +163,62 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     return int(dt.timestamp())
 
 
+def _scan_block(lines: list[str], first_line: int, n: int):
+    """Row by row and cell by cell: the stamps, readings and observed flags
+    of a block ``_parse_block`` rejected, or the DataError of its first bad
+    row or cell. Blank and whitespace-only cells are missing."""
+    stamps = np.empty(len(lines), dtype=np.int64)
+    values = np.zeros((len(lines), n))
+    observed = np.zeros((len(lines), n), dtype=bool)
+    for r, line in enumerate(lines):
+        t = first_line + r
+        row = line.split(",") if line else []
+        if len(row) != n + 1:
+            raise DataError(f"line {t}: expected {n + 1} columns, found {len(row)}")
+        stamps[r] = _parse_timestamp(row[0], t)
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell:
+                try:
+                    values[r, j] = float(cell)
+                except ValueError:
+                    raise DataError(f"line {t}: unparseable reading {cell!r}") from None
+                observed[r, j] = True
+    return stamps, values, observed
+
+
+def _parse_block(lines: list[str], first_line: int, n: int):
+    """(stamps, readings, observed) of consecutive data rows, ``first_line``
+    being the file line number of ``lines[0]``.
+
+    The readings of the whole block go through one ``float`` map over its
+    non-empty cells. A block where that fails (a ragged row, a bad cell, or
+    a whitespace-only cell, which is missing) goes to ``_scan_block``.
+    """
+    try:
+        stamps = np.empty(len(lines), dtype=np.int64)
+        rests = []
+        for r, line in enumerate(lines):
+            if line.count(",") != n:
+                raise ValueError("ragged row")
+            stamp, _, rest = line.partition(",")
+            stamps[r] = _parse_timestamp(stamp, first_line + r)
+            rests.append(rest)
+        cells = ",".join(rests).split(",")
+        observed = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) > 0
+        values = np.zeros(len(cells))
+        values[observed] = np.fromiter(
+            map(float, filter(None, cells)), dtype=np.float64, count=int(observed.sum())
+        )
+    except ValueError:  # DataError too: the scan reports the block's first fault
+        return _scan_block(lines, first_line, n)
+    return stamps, values.reshape(len(lines), n), observed.reshape(len(lines), n)
+
+
+# Data rows parsed per block; bounds the cell strings alive at once.
+_BLOCK_ROWS = 1024
+
+
 def load_series(
     series_file,
     locations_file,
@@ -170,40 +228,37 @@ def load_series(
     """Read a timestamped readings CSV plus sensor locations (and edges).
 
     The series CSV has an ISO-8601 timestamp first column and one column per
-    sensor id; its column order defines vertex indexing. The locations CSV
-    has columns sensor_id, x, y and must cover exactly the same ids. The
+    sensor id; its column order defines vertex indexing. Data rows are split
+    on commas (reading cells are not unquoted). The locations CSV has
+    columns sensor_id, x, y and must cover exactly the same ids. The
     optional edges CSV has columns from_id, to_id. Empty cells are missing;
     readings equal to 0 are missing too unless ``zero_is_missing`` is off.
     """
-    with open(series_file, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError("series file needs a header row and at least one data row")
-    header = [c.strip() for c in rows[0]]
-    sensor_ids = header[1:]
-    if len(sensor_ids) != len(set(sensor_ids)) or not sensor_ids:
-        raise DataError("series header must list unique sensor ids after the timestamp")
-    n = len(sensor_ids)
-
-    timestamps = np.empty(len(rows) - 1, dtype=np.int64)
-    values = np.zeros((len(rows) - 1, n, 1), dtype=np.float64)
-    mask = np.zeros((len(rows) - 1, n, 1), dtype=bool)
-    for t, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise DataError(f"line {t}: expected {n + 1} columns, found {len(row)}")
-        timestamps[t - 2] = _parse_timestamp(row[0], t)
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(f"line {t}: unparseable reading {cell!r}") from None
-            if zero_is_missing and v == 0.0:
-                continue
-            values[t - 2, j, 0] = v
-            mask[t - 2, j, 0] = True
+    with open(series_file) as fh:  # universal newlines: LF, CRLF and CR
+        header_line = fh.readline()
+        chunks = iter(lambda: "".join(itertools.islice(fh, _BLOCK_ROWS)), "")
+        chunk = next(chunks, None)
+        if chunk is None:
+            raise DataError("series file needs a header row and at least one data row")
+        header = [c.strip() for c in next(csv.reader([header_line]), [])]
+        sensor_ids = header[1:]
+        if len(sensor_ids) != len(set(sensor_ids)) or not sensor_ids:
+            raise DataError("series header must list unique sensor ids after the timestamp")
+        n = len(sensor_ids)
+        blocks, first_line = [], 2
+        for chunk in itertools.chain([chunk], chunks):
+            lines = chunk.split("\n")
+            if chunk.endswith("\n"):
+                lines.pop()
+            blocks.append(_parse_block(lines, first_line, n))
+            first_line += len(lines)
+    timestamps = np.concatenate([b[0] for b in blocks])
+    values = np.concatenate([b[1] for b in blocks])[:, :, None]
+    mask = np.concatenate([b[2] for b in blocks])[:, :, None]
+    del blocks
+    if zero_is_missing:
+        mask &= values != 0.0
+    values[~mask] = 0.0  # also turns a missing -0.0 into 0.0
 
     with open(locations_file, newline="") as fh:
         loc_reader = csv.DictReader(fh)
@@ -316,23 +371,26 @@ def _window_split(
     q: int,
 ) -> list[WindowedSample]:
     length, n, k = data.shape
-    normalized = stats.normalize(data)
-    normalized[~mask] = 0.0  # zero-fill missing inputs after scaling
-    maskf = mask.astype(np.float64)
-    tod_channel = np.broadcast_to(tod[:, None, None], (length, n, 1))
-    channels = np.concatenate([normalized, tod_channel, maskf], axis=2)
+    channels = np.empty((length, n, input_channels(k)))
+    features = channels[:, :, :k]
+    features[:] = stats.normalize(data)
+    features[~mask] = 0.0  # zero-fill missing inputs after scaling
+    channels[:, :, k] = tod[:, None]
+    channels[:, :, k + 1 :] = mask
+    # one read-only buffer per field and split; every window holds views
+    target, target_mask, target_times = data.copy(), mask.copy(), times.copy()
+    for buffer in (channels, target, target_mask, target_times):
+        buffer.flags.writeable = False
 
-    samples = []
-    for w in range(length - (p + q) + 1):
-        samples.append(
-            WindowedSample(
-                input=np.ascontiguousarray(channels[w : w + p]),
-                target=data[w + p : w + p + q].copy(),
-                target_mask=mask[w + p : w + p + q].copy(),
-                target_times=times[w + p : w + p + q].copy(),
-            )
+    return [
+        WindowedSample(
+            input=channels[w : w + p],
+            target=target[w + p : w + p + q],
+            target_mask=target_mask[w + p : w + p + q],
+            target_times=target_times[w + p : w + p + q],
         )
-    return samples
+        for w in range(length - (p + q) + 1)
+    ]
 
 
 def split_and_window(

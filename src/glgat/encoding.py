@@ -77,12 +77,16 @@ def build_pairwise_encoding(graph, smoothing: float = 0.1) -> PairwiseEncoding:
     if scale == 0.0:
         raise GeometryError("all coordinates coincide; pairwise geometry is degenerate")
 
+    # math.atan2 per pair: np.arctan2 can differ by an ulp and flip a sector
+    xi, yi = np.repeat(coords, n, axis=0).T.tolist()  # pair i * n + j
+    xj, yj = np.tile(coords, (n, 1)).T.tolist()
+    sector = np.fromiter(map(direction_class, xi, yi, xj, yj), dtype=np.intp, count=n * n)
     tensor = np.zeros((n, n, DEFAULT_H_PE))
-    for i in range(n):
-        for j in range(n):
-            tensor[i, j, :N_DIRECTION_CLASSES] = encode_direction(
-                coords[i, 0], coords[i, 1], coords[j, 0], coords[j, 1], smoothing
-            )
+    onehot = tensor[:, :, :N_DIRECTION_CLASSES]
+    onehot[:] = smoothing / (N_DIRECTION_CLASSES - 1)
+    np.put_along_axis(onehot, sector.reshape(n, n, 1), 1.0 - smoothing, axis=2)
+    coincident = (diff == 0.0).all(axis=2)
+    onehot[coincident] = 1.0 / N_DIRECTION_CLASSES
     tensor[:, :, N_DIRECTION_CLASSES] = l1 / scale
     tensor[:, :, N_DIRECTION_CLASSES + 1] = l2 / scale
     return PairwiseEncoding(tensor=tensor, h_pe=DEFAULT_H_PE)

@@ -5,9 +5,13 @@ vectorized routines (searchsorted, einsum, masked softmax) that the package
 itself uses, so agreement between the two routes is meaningful.
 """
 
+import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
+
+from glgat.data import DataError
 
 
 def scan_events(values, observed, divider):
@@ -53,6 +57,56 @@ def event_adjacency_brute(events, t_p, t_q):
             a[i, j] = min(1.0, max(0.0, a[i, j]))
         a[i, i] = 1.0
     return a
+
+
+def load_series_rows_scalar(series_file, zero_is_missing=True):
+    """(timestamps, data, mask) of a readings CSV, parsed row by row and
+    cell by cell through ``csv.reader``: the reference for the block parser
+    of ``load_series``, with the same ``DataError`` messages."""
+    with open(series_file, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise DataError("series file needs a header row and at least one data row")
+    n = len(rows[0]) - 1
+    timestamps = np.empty(len(rows) - 1, dtype=np.int64)
+    data = np.zeros((len(rows) - 1, n, 1))
+    mask = np.zeros((len(rows) - 1, n, 1), dtype=bool)
+    for t, row in enumerate(rows[1:], start=2):
+        if len(row) != n + 1:
+            raise DataError(f"line {t}: expected {n + 1} columns, found {len(row)}")
+        try:
+            stamp = datetime.fromisoformat(row[0].strip())
+        except ValueError:
+            raise DataError(f"line {t}: unparseable timestamp {row[0]!r}") from None
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        timestamps[t - 2] = int(stamp.timestamp())
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(f"line {t}: unparseable reading {cell!r}") from None
+            if zero_is_missing and v == 0.0:
+                continue
+            data[t - 2, j, 0] = v
+            mask[t - 2, j, 0] = True
+    return timestamps, data, mask
+
+
+def masked_softmax_scalar(scores, weights):
+    """One row of exp(s) * w / sum(exp(s) * w), computed in log space:
+    log(w_j) + s_j minus the log-sum-exp over the positive-weight entries.
+    Zero-weight entries give exactly 0."""
+    logs = [math.log(w) + s for s, w in zip(scores, weights) if w > 0.0]
+    top = max(logs)
+    log_total = top + math.log(sum(math.exp(v - top) for v in logs))
+    return [
+        math.exp(math.log(w) + s - log_total) if w > 0.0 else 0.0
+        for s, w in zip(scores, weights)
+    ]
 
 
 def gelu_scalar(v):

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from glgat import autodiff as ad
 from glgat.gradcheck import check_gradients
+from oracles import masked_softmax_scalar
 
 H = 1e-5
 REL = 1e-6
@@ -138,6 +139,21 @@ def test_masked_softmax_rows_sum_to_one_and_respect_zeros():
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(out[:, 0, 1:] == 0.0)
     assert np.all(out[:, 0, 0] == 1.0)
+
+
+def test_masked_softmax_ignores_a_zero_weight_score_far_above_the_row():
+    rng = np.random.default_rng(8)
+    scores = rng.standard_normal((2, 4, 6))
+    weights = rng.uniform(0.1, 1.0, (4, 6))
+    weights[:, 1] = 0.0
+    # exp(-1000) underflows a shift by the full row max; exp(-730) is subnormal
+    scores[..., 1] = scores.max() + np.array([1000.0, 730.0])[:, None]
+    out = ad.masked_softmax(ad.constant(scores), weights).data
+    assert np.all(np.isfinite(out))
+    for pre in np.ndindex(*out.shape[:-1]):
+        expected = masked_softmax_scalar(scores[pre], weights[pre[1:]])
+        np.testing.assert_allclose(out[pre], expected, rtol=1e-13, atol=0.0)
+    assert np.all(out[..., 1] == 0.0)
 
 
 def test_masked_softmax_rejects_degenerate_row():

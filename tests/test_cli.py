@@ -102,6 +102,23 @@ def test_build_adjacency_matches_library(tmp_path, dataset):
     assert meta["t_p"] == 4 and meta["t_q"] == 1
 
 
+def test_build_adjacency_flags_an_empty_sensor_column(tmp_path, dataset):
+    lines = (dataset / "series.csv").read_text().splitlines()
+    empty = 2  # vertex index of the blanked column
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        row[1 + empty] = ""
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "adj"
+    assert cli.main(["build-adjacency", "--series", str(series),
+                     "--locations", str(dataset / "locations.csv"),
+                     "--out", str(out)]) == 0
+    meta = json.loads((out / "adjacency_meta.json").read_text())
+    assert meta["flagged_vertices"] == [empty]
+    assert meta["divider"][empty] == 0.0
+
+
 def test_build_adjacency_unit_diagonals(tmp_path, dataset):
     out = tmp_path / "adj"
     assert cli.main(["build-adjacency", "--series", str(dataset / "series.csv"),

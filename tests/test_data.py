@@ -4,6 +4,7 @@ normalization anchoring, and the synthetic road-network generator."""
 import numpy as np
 import pytest
 
+from glgat import data as gdata
 from glgat.data import (
     DataError,
     SensorGraph,
@@ -15,6 +16,7 @@ from glgat.data import (
     split_and_window,
     split_sizes,
 )
+from oracles import load_series_rows_scalar
 
 
 def write(path, text):
@@ -123,6 +125,97 @@ def test_load_unparseable_rows(tmp_path):
         load_series(series_f2, loc_f)
 
 
+# Cells the block parser must read exactly as the per-cell reference does.
+CELL_KINDS = ("57.25", "", "   ", "\t", "0.0", "0", "-0.0", " 61.5 ", "1e1", "58.123456789012345")
+
+
+def random_series_csv(path, rng, n, t, newline):
+    rows = ["timestamp," + ",".join(f"s{j}" for j in range(n))]
+    for r in range(t):
+        cells = [
+            CELL_KINDS[k] if k < len(CELL_KINDS) else repr(float(rng.uniform(1.0, 90.0)))
+            for k in rng.integers(0, 2 * len(CELL_KINDS), size=n)
+        ]
+        rows.append(f"2024-03-01 {r // 60:02d}:{r % 60:02d}:00+00:00," + ",".join(cells))
+    path.write_bytes((newline.join(rows) + newline).encode())
+    return path
+
+
+def locations_for(path, n):
+    return write(path, "sensor_id,x,y\n" + "".join(f"s{j},{j}.0,0.0\n" for j in range(n)))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("block_rows", [1, 4, 7, 1024])
+def test_block_parser_matches_per_cell_reference(tmp_path, monkeypatch, newline, block_rows):
+    monkeypatch.setattr(gdata, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    n = 5
+    loc_f = locations_for(tmp_path / "loc.csv", n)
+    # T just below, at and above multiples of the block size
+    for t in (1, 3, 4, 7, 8, 29):
+        series_f = random_series_csv(tmp_path / f"s{t}.csv", rng, n, t, newline)
+        for zero_is_missing in (True, False):
+            _, series = load_series(series_f, loc_f, zero_is_missing=zero_is_missing)
+            stamps, data, mask = load_series_rows_scalar(series_f, zero_is_missing)
+            assert series.timestamps.tobytes() == stamps.tobytes()
+            assert series.data.tobytes() == data.tobytes()
+            assert series.mask.tobytes() == mask.tobytes()
+
+
+def expect_same_error(series_f, loc_f):
+    with pytest.raises(DataError) as reference:
+        load_series_rows_scalar(series_f)
+    with pytest.raises(DataError) as got:
+        load_series(series_f, loc_f)
+    assert str(got.value) == str(reference.value)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1024])
+def test_bad_rows_raise_with_the_reference_line_number(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(gdata, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(9)
+    n = 4
+    loc_f = locations_for(tmp_path / "loc.csv", n)
+    good = random_series_csv(tmp_path / "good.csv", rng, n, 9, "\n").read_text().split("\n")
+    faults = {
+        "ragged_short": lambda line: line.rsplit(",", 1)[0],
+        "ragged_long": lambda line: line + ",5.0",
+        "blank_line": lambda line: "",
+        "bad_reading": lambda line: line.rsplit(",", 1)[0] + ",fast",
+        "malformed_number": lambda line: line.rsplit(",", 1)[0] + ",12..5",
+        "bad_timestamp": lambda line: "yesterday," + line.split(",", 1)[1],
+    }
+    seen = set()
+    for name, fault in faults.items():
+        for line_no in (2, 6, 10):  # first row, a middle row, the last row
+            lines = list(good)
+            lines[line_no - 1] = fault(lines[line_no - 1])
+            if line_no != 10:  # a second fault further down must not be the one reported
+                lines[9] = lines[9] + ",extra"
+            series_f = write(tmp_path / f"{name}{line_no}.csv", "\n".join(lines))
+            message = expect_same_error(series_f, loc_f)
+            assert message.startswith(f"line {line_no}:"), message
+            seen.add(message.split(": ", 1)[1].split(" ")[0])
+    assert seen == {"expected", "unparseable"}
+
+
+def test_literal_nan_reading_is_rejected(tmp_path):
+    series_f, loc_f, _ = toy_files(
+        tmp_path, "timestamp,s1,s2,s3\n2024-01-01T00:00:00,55.0,nan,58.0\n"
+    )
+    with pytest.raises(DataError, match="finite"):
+        load_series(series_f, loc_f)
+
+
+def test_header_only_and_empty_files(tmp_path):
+    _, loc_f, _ = toy_files(tmp_path)
+    for text in ("", "timestamp,s1,s2,s3\n", "timestamp,s1,s2,s3"):
+        series_f = write(tmp_path / "short.csv", text)
+        assert "header row" in expect_same_error(series_f, loc_f)
+
+
 def test_graph_rejects_self_loop_and_bad_endpoint():
     with pytest.raises(DataError):
         SensorGraph(2, np.zeros((2, 2)), [(0, 0)])
@@ -173,6 +266,32 @@ def test_targets_immediately_follow_inputs():
     np.testing.assert_array_equal(s.target[:, :, 0], data[3 + 5 : 3 + 9, :, 0])
     denorm = splits.stats.denormalize(s.input[:, :, :1])
     np.testing.assert_allclose(denorm[:, :, 0], data[3 : 3 + 5, :, 0], atol=1e-9)
+
+
+def test_window_fields_are_read_only_views():
+    rng = np.random.default_rng(5)
+    splits = split_and_window(make_series(rng.uniform(20, 80, (120, 3, 1))), p=4, q=3)
+    for part in (splits.train, splits.val, splits.test):
+        first, last = part[0], part[-1]
+        for name in ("input", "target", "target_mask", "target_times"):
+            field_first, field_last = getattr(first, name), getattr(last, name)
+            assert np.shares_memory(field_first.base, field_last)  # one buffer per split
+            with pytest.raises(ValueError, match="read-only"):
+                field_first[0] = 1
+
+
+def test_targets_survive_mutating_the_series():
+    rng = np.random.default_rng(6)
+    series = make_series(rng.uniform(20, 80, (120, 3, 1)))
+    splits = split_and_window(series, p=4, q=3)
+    before = [(s.target.copy(), s.target_mask.copy(), s.target_times.copy()) for s in splits.test]
+    series.data[:] = -1.0
+    series.mask[:] = False
+    series.timestamps[:] = 0
+    for s, (target, mask, times) in zip(splits.test, before):
+        assert np.array_equal(s.target, target)
+        assert np.array_equal(s.target_mask, mask)
+        assert np.array_equal(s.target_times, times)
 
 
 def test_constant_series_normalizes_to_zero():

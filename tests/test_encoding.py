@@ -134,3 +134,25 @@ def test_vertex_encoding_width_zero():
     assert enc.table.shape == (4, 0)
     with pytest.raises(ValueError):
         init_vertex_encoding(4, -1, seed=0)
+
+
+def test_pairwise_encoding_matches_per_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    layouts = [
+        rng.uniform(-50.0, 50.0, (23, 2)),
+        rng.integers(-3, 4, (30, 2)).astype(float),  # exact angles and coincident points
+        np.repeat(rng.uniform(0.0, 1.0, (6, 2)), 2, axis=0),
+        # rays along the sector edges: bearings within an ulp of a boundary
+        np.array([(0.0, 0.0)] + [
+            (r * np.cos(a), r * np.sin(a))
+            for a in (2 * np.arange(8) + 1) * np.pi / 8.0
+            for r in np.linspace(0.5, 20.0, 16)
+        ]),
+    ]
+    for coords in layouts:
+        n = len(coords)
+        got = build_pairwise_encoding(graph_of(coords), smoothing=0.2).tensor
+        for i in range(n):
+            for j in range(n):
+                expected = encode_direction(*coords[i], *coords[j], smoothing=0.2)
+                assert got[i, j, :8].tobytes() == expected.tobytes(), (i, j)
