@@ -1,23 +1,30 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small, eager, single-threaded engine: each operation computes its result
-immediately and records its inputs plus a backward rule on the result node.
+A small, eager engine: each operation computes its result immediately and
+records its inputs plus a backward rule on the result node.
 ``DiffTensor.backward`` materializes the recorded graph as a ``Tape``
 (topological order, inputs before consumers) and replays it in reverse,
 visiting every node exactly once.
 
-All arrays are row-major float64. Every operation checks that its output is
-finite and raises ``NonFiniteError`` instead of letting NaN or Inf propagate,
-so a finite graph stays finite until something genuinely overflows.
+All arrays are row-major float64. Every arithmetic operation checks that its
+output is finite and raises ``NonFiniteError`` instead of letting NaN or Inf
+propagate, so a finite graph stays finite until something genuinely
+overflows. Operations that only rearrange their input skip the scan, as do
+GELU and the masked softmax, whose outputs are bounded by construction.
+Inside ``no_grad()`` nothing is recorded and nothing is scanned; the caller
+checks the result it keeps.
 
-There is no shared global state: a graph belongs to whichever thread built
-it, and independent graphs over shared read-only leaves may run concurrently.
+The only module state is the per-thread switch of ``no_grad()``, restored
+when its block exits. A graph belongs to whichever thread built it, and
+independent graphs over shared read-only leaves may run concurrently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 
 import numpy as np
 from scipy.special import erf
@@ -39,9 +46,31 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _require_finite(data: np.ndarray, op: str) -> None:
-    if not np.isfinite(data).all():  # the method skips np.all's dispatch, ~2 us a node
-        raise NonFiniteError(f"{op}: result contains NaN or Inf")
+_recording = threading.local()  # per-thread state of no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Evaluate without building a graph, for values no gradient is taken of.
+
+    Results inside the block are plain constants: no parents, no backward
+    rules, no per-operation finiteness scan. Values are bit for bit those of
+    a recorded evaluation; a caller that keeps one checks it with
+    ``require_finite``.
+    """
+    previous = getattr(_recording, "off", False)
+    _recording.off = True
+    try:
+        yield
+    finally:
+        _recording.off = previous
+
+
+def require_finite(data: np.ndarray, what: str) -> None:
+    """Raise ``NonFiniteError`` naming ``what`` if ``data`` holds NaN or Inf."""
+    # the ufunc reduce skips the Python-level dispatch of ndarray.all
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
+        raise NonFiniteError(f"{what}: result contains NaN or Inf")
 
 
 class DiffTensor:
@@ -56,7 +85,7 @@ class DiffTensor:
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.ascontiguousarray(values, dtype=np.float64)
-        _require_finite(data, "tensor")
+        require_finite(data, "tensor")
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -200,15 +229,19 @@ def _wrap(x) -> DiffTensor:
     return DiffTensor(np.asarray(x, dtype=np.float64))
 
 
-def _make(data, parents, backward, op: str) -> DiffTensor:
+def _make(data, parents, backward, op: str, check_finite: bool = True) -> DiffTensor:
     data = np.ascontiguousarray(data, dtype=np.float64)
-    _require_finite(data, op)
+    if getattr(_recording, "off", False):
+        parents = ()
+    elif check_finite:
+        require_finite(data, op)
+    live = tuple([p for p in parents if p.requires_grad])
     out = DiffTensor.__new__(DiffTensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = bool(live)
     out.grad = None
-    out._parents = tuple(p for p in parents if p.requires_grad)
-    out._backward = backward if out.requires_grad else None
+    out._parents = live
+    out._backward = backward if live else None
     out._op = op
     return out
 
@@ -310,25 +343,68 @@ def matmul(a, b) -> DiffTensor:
     return _make(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
 
+def affine(x, w, b) -> DiffTensor:
+    """Affine map over the last axis: x @ w^T + b for ``w`` of shape (H, K).
+
+    One node with the arithmetic of ``matmul(x, transpose_last(w)) + b``:
+    the same contiguous w^T copy in the product and the same gradient
+    expressions, so results match the three-node form bit for bit.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"affine: input {x.shape} incompatible with weights {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"affine: bias shape {b.shape}, expected ({w.shape[0]},)")
+    wt = np.ascontiguousarray(w.data.T)
+    data = np.matmul(x.data, wt)
+    data += b.data
+
+    def backward(g):
+        out = []
+        if x.requires_grad:
+            out.append((x, _sum_to_shape(np.matmul(g, wt.T), x.shape)))
+        if w.requires_grad:
+            gwt = _sum_to_shape(np.matmul(np.swapaxes(x.data, -1, -2), g), wt.shape)
+            out.append((w, gwt.T))
+        if b.requires_grad:
+            out.append((b, _sum_to_shape(g, b.shape)))
+        return out
+
+    return _make(data, (x, w, b), backward, "affine")
+
+
+def permute(a, axes) -> DiffTensor:
+    """Reorder the axes of ``a`` as ``np.transpose(a, axes)`` does."""
+    a = _wrap(a)
+    axes = tuple(axes)
+    try:
+        data = a.data.transpose(axes)
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        raise ShapeError(f"permute: {exc}") from None
+    inverse = [0] * a.ndim
+    for position, axis in enumerate(axes):
+        inverse[axis % a.ndim] = position
+    inverse = tuple(inverse)
+
+    def backward(g):
+        return [(a, np.transpose(g, inverse))]
+
+    return _make(data, (a,), backward, "permute", check_finite=False)
+
+
 def transpose_last(a) -> DiffTensor:
     """Swap the last two axes."""
     a = _wrap(a)
     if a.ndim < 2:
         raise ShapeError("transpose_last: operand must have at least 2 dimensions")
-
-    def backward(g):
-        return [(a, np.swapaxes(g, -1, -2))]
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), backward, "transpose_last")
+    return swap_axes(a, -1, -2)
 
 
 def swap_axes(a, axis1: int, axis2: int) -> DiffTensor:
     a = _wrap(a)
-
-    def backward(g):
-        return [(a, np.swapaxes(g, axis1, axis2))]
-
-    return _make(np.swapaxes(a.data, axis1, axis2), (a,), backward, "swap_axes")
+    axes = list(range(a.ndim))
+    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
+    return permute(a, axes)
 
 
 def reshape(a, shape) -> DiffTensor:
@@ -341,7 +417,7 @@ def reshape(a, shape) -> DiffTensor:
     def backward(g):
         return [(a, g.reshape(a.shape))]
 
-    return _make(a.data.reshape(shape), (a,), backward, "reshape")
+    return _make(a.data.reshape(shape), (a,), backward, "reshape", check_finite=False)
 
 
 def broadcast_to(a, shape) -> DiffTensor:
@@ -352,7 +428,9 @@ def broadcast_to(a, shape) -> DiffTensor:
     def backward(g):
         return [(a, _sum_to_shape(g, a.shape))]
 
-    return _make(np.broadcast_to(a.data, shape), (a,), backward, "broadcast_to")
+    return _make(
+        np.broadcast_to(a.data, shape), (a,), backward, "broadcast_to", check_finite=False
+    )
 
 
 def slice_tensor(a, idx) -> DiffTensor:
@@ -368,7 +446,7 @@ def slice_tensor(a, idx) -> DiffTensor:
         full[idx] += g
         return [(a, full)]
 
-    return _make(view, (a,), backward, "slice")
+    return _make(view, (a,), backward, "slice", check_finite=False)
 
 
 def concat(tensors, axis: int = -1) -> DiffTensor:
@@ -394,7 +472,7 @@ def concat(tensors, axis: int = -1) -> DiffTensor:
             offset += w
         return out
 
-    return _make(data, ts, backward, "concat")
+    return _make(data, ts, backward, "concat", check_finite=False)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> DiffTensor:
@@ -413,6 +491,27 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> DiffTensor:
     return _make(data, (a,), backward, "reduce_sum")
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), computed in place in that operand order."""
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in place."""
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
 def gelu(x) -> DiffTensor:
     """Exact Gaussian-error-linear unit, x * Phi(x) with the erf form.
 
@@ -421,13 +520,13 @@ def gelu(x) -> DiffTensor:
     full float64 precision.
     """
     x = _wrap(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    cdf = _gelu_cdf(x.data)
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return [(x, g * (cdf + x.data * pdf))]
+        return [(x, _gelu_grad(g, x.data, cdf))]
 
-    return _make(x.data * cdf, (x,), backward, "gelu")
+    # |gelu(x)| <= |x|, so finite inputs give finite outputs
+    return _make(x.data * cdf, (x,), backward, "gelu", check_finite=False)
 
 
 def huber(x) -> DiffTensor:
@@ -442,10 +541,82 @@ def huber(x) -> DiffTensor:
     return _make(data, (x,), backward, "huber")
 
 
+# Rows up to this long take their maximum column by column (see _row_max).
+_SHORT_ROW = 32
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis, keeping it as a length-1 axis.
+
+    A maximum is exact in any order, so short rows take a running
+    ``np.maximum`` over the columns: numpy's reduce pays a fixed cost per
+    row, several times the arithmetic on rows of a few dozen entries.
+    """
+    if a.shape[-1] > _SHORT_ROW or a.shape[-1] == 0:
+        return a.max(axis=-1, keepdims=True)
+    top = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j : j + 1], out=top)
+    return top
+
+
 # A weighted row sum at least this large has its largest live term at or
 # above 1e-280 for rows shorter than 1e30, so every term that can change
 # the sum in double precision is a normal number.
 _FAINT_ROW_SUM = 1e-250
+
+
+def _check_weights(weights, scores: DiffTensor, op: str) -> np.ndarray:
+    weights = np.asarray(weights, dtype=np.float64)
+    if scores.ndim < 2 or weights.ndim < 2:
+        raise ShapeError(f"{op}: scores and weights must have >= 2 dimensions")
+    if weights.shape[-2:] != scores.shape[-2:]:
+        raise ShapeError(
+            f"{op}: weights rows {weights.shape[-2:]} do not match "
+            f"score rows {scores.shape[-2:]}"
+        )
+    try:
+        if np.broadcast_shapes(weights.shape, scores.shape) != scores.shape:
+            raise ValueError
+    except ValueError:
+        raise ShapeError(
+            f"{op}: weights shape {weights.shape} does not broadcast "
+            f"to scores shape {scores.shape}"
+        ) from None
+    if not (np.all(weights >= 0.0) and np.all(weights <= 1.0)):  # NaN fails too
+        raise ValueError(f"{op}: weights must lie in [0, 1]")
+    row_sums = weights.reshape(-1, weights.shape[-1]).sum(axis=-1)
+    if np.any(row_sums <= 0.0):
+        bad = int(np.argmax(row_sums <= 0.0))
+        raise DegenerateRowError(f"{op}: weight row {bad} sums to zero")
+    return weights
+
+
+def _softmax_rows(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The forward of ``masked_softmax`` on checked arrays; a fresh array."""
+    top = _row_max(scores)
+    weighted = scores - top
+    np.exp(weighted, out=weighted)
+    weighted *= weights
+    total = weighted.sum(axis=-1, keepdims=True)
+    faint = total < _FAINT_ROW_SUM
+    if faint.any():
+        live_top = np.max(scores, axis=-1, keepdims=True, where=weights > 0.0, initial=-np.inf)
+        shifted = scores - np.where(faint, live_top, top)
+        # zero-weight scores above the live maximum must not overflow exp
+        weighted = np.exp(np.minimum(shifted, 0.0)) * weights
+        total = weighted.sum(axis=-1, keepdims=True)
+    weighted /= total
+    return weighted
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out * (g - sum(g * out)) over the last axis, in place."""
+    d = g * out
+    inner = d.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=d)
+    d *= out
+    return d
 
 
 def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
@@ -464,48 +635,31 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     Gimelshein (arXiv:1805.02867).
     """
     scores = _wrap(scores)
-    weights = np.asarray(weights, dtype=np.float64)
-    if scores.ndim < 2 or weights.ndim < 2:
-        raise ShapeError("masked_softmax: scores and weights must have >= 2 dimensions")
-    if weights.shape[-2:] != scores.shape[-2:]:
-        raise ShapeError(
-            f"masked_softmax: weights rows {weights.shape[-2:]} do not match "
-            f"score rows {scores.shape[-2:]}"
-        )
-    try:
-        if np.broadcast_shapes(weights.shape, scores.shape) != scores.shape:
-            raise ValueError
-    except ValueError:
-        raise ShapeError(
-            f"masked_softmax: weights shape {weights.shape} does not broadcast "
-            f"to scores shape {scores.shape}"
-        ) from None
-    if np.any(weights < 0.0) or np.any(weights > 1.0):
-        raise ValueError("masked_softmax: weights must lie in [0, 1]")
-    row_sums = weights.reshape(-1, weights.shape[-1]).sum(axis=-1)
-    if np.any(row_sums <= 0.0):
-        bad = int(np.argmax(row_sums <= 0.0))
-        raise DegenerateRowError(f"masked_softmax: weight row {bad} sums to zero")
-
-    top = scores.data.max(axis=-1, keepdims=True)
-    weighted = np.exp(scores.data - top) * weights
-    total = weighted.sum(axis=-1, keepdims=True)
-    faint = total < _FAINT_ROW_SUM
-    if faint.any():
-        live_top = np.max(
-            scores.data, axis=-1, keepdims=True, where=weights > 0.0, initial=-np.inf
-        )
-        shifted = scores.data - np.where(faint, live_top, top)
-        # zero-weight scores above the live maximum must not overflow exp
-        weighted = np.exp(np.minimum(shifted, 0.0)) * weights
-        total = weighted.sum(axis=-1, keepdims=True)
-    out_data = weighted / total
+    weights = _check_weights(weights, scores, "masked_softmax")
+    out_data = _softmax_rows(scores.data, weights)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return [(scores, out_data * (g - inner))]
+        return [(scores, _softmax_grad(g, out_data))]
 
-    return _make(out_data, (scores,), backward, "masked_softmax")
+    # every output lies in [0, 1]: no live row sums to less than its largest term
+    return _make(out_data, (scores,), backward, "masked_softmax", check_finite=False)
+
+
+def attention_weights(scores, weights: np.ndarray) -> DiffTensor:
+    """``masked_softmax(gelu(scores), weights)`` as one node.
+
+    The arithmetic is that of the two operations, bit for bit; the fused
+    node keeps no GELU output alive for the backward pass.
+    """
+    scores = _wrap(scores)
+    weights = _check_weights(weights, scores, "attention_weights")
+    cdf = _gelu_cdf(scores.data)
+    out_data = _softmax_rows(scores.data * cdf, weights)
+
+    def backward(g):
+        return [(scores, _gelu_grad(_softmax_grad(g, out_data), scores.data, cdf))]
+
+    return _make(out_data, (scores,), backward, "attention_weights", check_finite=False)
 
 
 def bank_apply(bank, x) -> DiffTensor:

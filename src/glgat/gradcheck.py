@@ -10,11 +10,12 @@ the relative error is within ``rel_tol``, or, for near-zero gradients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DiffTensor
+from .autodiff import DiffTensor, NonFiniteError, no_grad
 
 
 @dataclass
@@ -49,6 +50,15 @@ class GradCheckReport:
             f"max abs err {self.max_abs_err:.3e}, "
             f"{len(self.failures)} failures"
         )
+
+
+def _value(fn) -> float:
+    """fn() without building a graph: the perturbed evaluations take no gradient."""
+    with no_grad():
+        value = fn().item()
+    if not math.isfinite(value):
+        raise NonFiniteError(f"gradcheck: fn returned {value} at a perturbed point")
+    return value
 
 
 def check_gradients(
@@ -114,9 +124,9 @@ def check_gradients(
             fi = int(fi)
             original = flat[fi]
             flat[fi] = original + h
-            f_plus = fn().item()
+            f_plus = _value(fn)
             flat[fi] = original - h
-            f_minus = fn().item()
+            f_minus = _value(fn)
             flat[fi] = original
 
             numeric = (f_plus - f_minus) / (2.0 * h)

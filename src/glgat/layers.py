@@ -152,10 +152,6 @@ def init_glgat_layer(
     )
 
 
-def _affine(x: ad.DiffTensor, w: ad.DiffTensor, b: ad.DiffTensor) -> ad.DiffTensor:
-    return ad.matmul(x, ad.transpose_last(w)) + b
-
-
 def _with_encoding(x: ad.DiffTensor, enc: ad.DiffTensor | None) -> ad.DiffTensor:
     if enc is None or enc.shape[-1] == 0:
         return x
@@ -180,23 +176,23 @@ def gat_forward(
     attention-mixed values, shape (..., N, K').
     """
     xe = _with_encoding(x_in, enc)
-    q = _affine(xe, params.w_q, params.b_q)
-    k = _affine(xe, params.w_k, params.b_k)
-    v = _affine(x_in, params.w_v, params.b_v)
-    scores = ad.gelu(ad.matmul(q, ad.transpose_last(k)))
-    coef = ad.masked_softmax(scores, adj)
-    out = _affine(ad.matmul(coef, v), params.w_ff, params.b_ff)
+    q = ad.affine(xe, params.w_q, params.b_q)
+    k = ad.affine(xe, params.w_k, params.b_k)
+    v = ad.affine(x_in, params.w_v, params.b_v)
+    coef = ad.attention_weights(ad.matmul(q, ad.transpose_last(k)), adj)
+    out = ad.affine(ad.matmul(coef, v), params.w_ff, params.b_ff)
     if return_coefficients:
         return out, coef
     return out
 
 
-def _split_heads(t: ad.DiffTensor, dims: LayerDims) -> ad.DiffTensor:
-    """(..., N, H') -> (..., H_adj, H_head, N, H)."""
-    n = t.shape[-2]
+def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.DiffTensor:
+    """(..., N, H') -> (..., H_adj, H_head, N, H), or (..., H_adj, H_head, H, N)
+    with ``keys``, the transposed layout the score product takes."""
     r = ad.reshape(t, t.shape[:-1] + (dims.h_adj, dims.h_head, dims.h))
-    r = ad.swap_axes(r, -4, -2)  # (..., H_head, H_adj, N, H)
-    return ad.swap_axes(r, -4, -3)  # (..., H_adj, H_head, N, H)
+    d = t.ndim - 2  # axes of r: (*lead, N, H_adj, H_head, H) with N at d
+    tail = (d + 1, d + 2, d + 3, d) if keys else (d + 1, d + 2, d, d + 3)
+    return ad.permute(r, (*range(d), *tail))
 
 
 def glgat_forward(
@@ -240,26 +236,29 @@ def glgat_forward(
             )
 
     xe = _with_encoding(x_in, enc)
-    q_global = _affine(xe, params.w_q_global, params.b_q_global)
+    q_global = ad.affine(xe, params.w_q_global, params.b_q_global)
     q_local = ad.bank_apply(params.w_q_local, xe) + params.b_q_local
-    q = _affine(ad.concat([q_global, q_local], axis=-1), params.w_q_compress, params.b_q_compress)
+    q = ad.affine(
+        ad.concat([q_global, q_local], axis=-1), params.w_q_compress, params.b_q_compress
+    )
 
-    k = _split_heads(_affine(xe, params.w_k, params.b_k), dims)
-    v = _split_heads(_affine(x_in, params.w_v, params.b_v), dims)
+    k_t = _split_heads(ad.affine(xe, params.w_k, params.b_k), dims, keys=True)
+    v = _split_heads(ad.affine(x_in, params.w_v, params.b_v), dims)
 
     q_at = _split_heads(q[..., : dims.h_prime], dims)
-    scores = ad.matmul(q_at, ad.transpose_last(k))  # (..., H_adj, H_head, N, N)
+    scores = ad.matmul(q_at, k_t)  # (..., H_adj, H_head, N, N)
     if dims.h_pe:
         q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, dims.h_pe))
         q_pe = ad.swap_axes(q_pe, -3, -2)  # (..., H_adj, N, H_PE)
         pe_scores = ad.pairwise_scores(q_pe, pe_table)  # (..., H_adj, N, N)
         scores = scores + ad.reshape(pe_scores, pe_scores.shape[:-2] + (1, n, n))
 
-    coef = ad.masked_softmax(ad.gelu(scores), stacked.reshape(dims.h_adj, 1, n, n))
+    coef = ad.attention_weights(scores, stacked.reshape(dims.h_adj, 1, n, n))
     hidden = ad.matmul(coef, v)  # (..., H_adj, H_head, N, H)
-    hidden = ad.swap_axes(ad.swap_axes(hidden, -4, -2), -3, -2)  # (..., N, H_adj, H_head, H)
+    d = hidden.ndim - 4
+    hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)
     flat = ad.reshape(hidden, hidden.shape[:-4] + (n, dims.h_prime))
-    out = _affine(flat, params.w_ff, params.b_ff)
+    out = ad.affine(flat, params.w_ff, params.b_ff)
     if return_coefficients:
         return out, coef
     return out

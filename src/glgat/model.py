@@ -279,7 +279,7 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
     h = ad.reshape(h, h.shape[:-2] + (cfg.flatten_width,))  # time-flatten
     for block in model.blocks[2:]:
         h = _block_forward(model, block, h)
-    pred = ad.matmul(h, ad.transpose_last(model.head_w)) + model.head_b
+    pred = ad.affine(h, model.head_w, model.head_b)
     # back to raw scale: targets and metrics live in physical units
     return ad.scale(pred, float(model.stats.std[0])) + float(model.stats.mean[0])
 

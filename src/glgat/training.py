@@ -127,13 +127,29 @@ def adam_step(
     for name in names:
         p = params[name]
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p.data)
+        # in place, in the operand order of
+        # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        d = g - m
+        d *= 1.0 - state.beta1
+        m += d
+        d = g * g
+        d -= v
+        d *= 1.0 - state.beta2
+        v += d
+        step = m / correction1
+        step *= state.lr
+        d = v / correction2
+        np.sqrt(d, out=d)
+        d += state.eps
+        step /= d
+        p.data -= step
 
 
 # ----------------------------------------------------------------- metrics
@@ -285,11 +301,14 @@ def stack_targets(samples: list[WindowedSample], feature: int = 0):
 
 def predict(model: GlgatModel, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks."""
-    chunks = [
-        model_forward(model, inputs[i : i + batch_size]).data
-        for i in range(0, len(inputs), batch_size)
-    ]
-    return np.concatenate(chunks, axis=0)
+    with ad.no_grad():
+        chunks = [
+            model_forward(model, inputs[i : i + batch_size]).data
+            for i in range(0, len(inputs), batch_size)
+        ]
+    preds = np.concatenate(chunks, axis=0)
+    ad.require_finite(preds, "predict")
+    return preds
 
 
 @dataclass

@@ -168,6 +168,116 @@ def test_masked_softmax_rejects_out_of_range_weights():
         ad.masked_softmax(ad.constant(np.zeros((2, 2))), np.full((2, 2), 1.5))
 
 
+def test_masked_softmax_rejects_nan_weights():
+    weights = np.ones((2, 2))
+    weights[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        ad.masked_softmax(ad.constant(np.zeros((2, 2))), weights)
+
+
+def test_row_max_matches_numpy_max():
+    rng = np.random.default_rng(3)
+    for width in (1, 2, 15, 32, 33, 207):
+        a = rng.standard_normal((4, 3, width))
+        assert np.array_equal(ad._row_max(a), a.max(axis=-1, keepdims=True))
+
+
+def _grads_after_backward(out, tensors, seed):
+    for t in tensors:
+        t.zero_grad()
+    out.backward(seed)
+    return [t.grad.tobytes() for t in tensors]
+
+
+def test_affine_matches_matmul_transpose_add_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x = rand_param(rng, 2, 3, 4, 5)
+    w = rand_param(rng, 6, 5)
+    b = rand_param(rng, 6)
+    seed = rng.standard_normal((2, 3, 4, 6))
+    fused = ad.affine(x, w, b)
+    composed = ad.matmul(x, ad.transpose_last(w)) + b
+    assert fused.data.tobytes() == composed.data.tobytes()
+    assert _grads_after_backward(fused, (x, w, b), seed) == _grads_after_backward(
+        composed, (x, w, b), seed
+    )
+    with pytest.raises(ad.ShapeError):
+        ad.affine(x, w, rand_param(rng, 5))
+
+
+def test_attention_weights_match_gelu_then_masked_softmax_bit_for_bit():
+    rng = np.random.default_rng(5)
+    scores = ad.parameter(3.0 * rng.standard_normal((4, 2, 3, 6, 6)))
+    weights = rng.uniform(0.0, 1.0, (2, 1, 6, 6))
+    weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
+    weights[..., 0] = 1.0
+    seed = rng.standard_normal(scores.shape)
+    fused = ad.attention_weights(scores, weights)
+    composed = ad.masked_softmax(ad.gelu(scores), weights)
+    assert fused.data.tobytes() == composed.data.tobytes()
+    assert _grads_after_backward(fused, (scores,), seed) == _grads_after_backward(
+        composed, (scores,), seed
+    )
+
+
+def test_permute_matches_numpy_transpose():
+    rng = np.random.default_rng(6)
+    x = ad.constant(rng.standard_normal((2, 3, 4, 5)))
+    axes = (2, 0, 3, 1)
+    y = ad.permute(x, axes)
+    assert np.array_equal(y.data, np.transpose(x.data, axes))
+    assert y.data.flags.c_contiguous
+    with pytest.raises(ad.ShapeError):
+        ad.permute(x, (0, 0, 1, 2))
+
+
+def test_non_finite_leaf_is_caught_by_the_next_arithmetic_op():
+    # rearranging ops skip the scan; the first op that computes reports it
+    x = ad.parameter(np.ones((2, 3)))
+    x.data[0, 1] = np.nan
+    y = ad.swap_axes(ad.reshape(x, (3, 2)), 0, 1)
+    with pytest.raises(ad.NonFiniteError, match="mul"):
+        ad.mul(y, 2.0)
+
+
+def test_no_grad_records_nothing_and_matches_recorded_values():
+    rng = np.random.default_rng(7)
+    x = rand_param(rng, 3, 4)
+    w = rand_param(rng, 2, 4)
+    b = rand_param(rng, 2)
+    recorded = ad.reduce_sum(ad.gelu(ad.affine(x, w, b)))
+    with ad.no_grad():
+        plain = ad.reduce_sum(ad.gelu(ad.affine(x, w, b)))
+        with ad.no_grad():
+            pass
+        after_nested = ad.add(x, x)
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    assert not plain.requires_grad and plain._parents == ()
+    assert not after_nested.requires_grad
+    assert ad.add(x, x).requires_grad  # recording resumes after the block
+
+
+def test_no_grad_skips_the_scan_and_require_finite_reports():
+    big = ad.constant(np.full(3, 1e308))
+    with np.errstate(over="ignore"), ad.no_grad():
+        out = ad.add(big, big)
+    with pytest.raises(ad.NonFiniteError, match="kept"):
+        ad.require_finite(out.data, "kept")
+
+
+def test_check_gradients_rejects_a_non_finite_perturbed_value():
+    x = ad.parameter(np.array([1.0]))
+    calls = []
+
+    def fn():  # finite for the analytic pass, overflowing afterwards
+        calls.append(None)
+        factor = 1.0 if len(calls) == 1 else 1e308
+        return ad.reduce_sum(ad.scale(x * x, factor) * ad.constant([10.0]))
+
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="gradcheck"):
+        check_gradients(fn, {"x": x})
+
+
 # ------------------------------------------------------------ gradients
 
 
@@ -263,6 +373,35 @@ def test_grad_masked_softmax():
     sel = ad.constant(rng.standard_normal((2, 5, 5)))
     fd_check(
         lambda: ad.reduce_sum(ad.masked_softmax(scores, weights) * sel),
+        {"scores": scores},
+    )
+
+
+def test_grad_affine():
+    rng = np.random.default_rng(23)
+    x = rand_param(rng, 3, 4, 5)
+    w = rand_param(rng, 2, 5)
+    b = rand_param(rng, 2)
+    sel = ad.constant(rng.standard_normal((3, 4, 2)))
+    fd_check(lambda: ad.reduce_sum(ad.affine(x, w, b) * sel), {"x": x, "w": w, "b": b})
+
+
+def test_grad_permute():
+    rng = np.random.default_rng(24)
+    x = rand_param(rng, 2, 3, 4)
+    sel = ad.constant(rng.standard_normal((4, 2, 3)))
+    fd_check(lambda: ad.reduce_sum(ad.permute(x, (2, 0, 1)) * sel), {"x": x})
+
+
+def test_grad_attention_weights():
+    rng = np.random.default_rng(25)
+    scores = rand_param(rng, 2, 5, 5)
+    weights = rng.uniform(0.2, 1.0, (5, 5))
+    weights[rng.uniform(size=(5, 5)) < 0.25] = 0.0
+    np.fill_diagonal(weights, 1.0)
+    sel = ad.constant(rng.standard_normal((2, 5, 5)))
+    fd_check(
+        lambda: ad.reduce_sum(ad.attention_weights(scores, weights) * sel),
         {"scores": scores},
     )
 

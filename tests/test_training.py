@@ -417,6 +417,22 @@ def test_best_snapshot_restored(setup):
     ) + 1e-12
 
 
+def test_predict_matches_a_recorded_forward_bit_for_bit(setup):
+    _, _, splits, _ = setup
+    model = fresh_model(setup)
+    x = gtrain.stack_inputs(splits.val[:6])
+    recorded = gmodel.model_forward(model, x).data
+    assert gtrain.predict(model, x).tobytes() == recorded.tobytes()
+
+
+def test_predict_rejects_non_finite_forecasts(setup):
+    _, _, splits, _ = setup
+    model = fresh_model(setup)
+    model.head_b.data[0] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="predict"):
+        gtrain.predict(model, gtrain.stack_inputs(splits.val[:2]))
+
+
 def test_overfits_two_windows(setup):
     """Enough optimization signal to memorize a two-window training set."""
     _, _, splits, _ = setup
