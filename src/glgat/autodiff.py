@@ -541,25 +541,6 @@ def huber(x) -> DiffTensor:
     return _make(data, (x,), backward, "huber")
 
 
-# Rows up to this long take their maximum column by column (see _row_max).
-_SHORT_ROW = 32
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """Maximum over the last axis, keeping it as a length-1 axis.
-
-    A maximum is exact in any order, so short rows take a running
-    ``np.maximum`` over the columns: numpy's reduce pays a fixed cost per
-    row, several times the arithmetic on rows of a few dozen entries.
-    """
-    if a.shape[-1] > _SHORT_ROW or a.shape[-1] == 0:
-        return a.max(axis=-1, keepdims=True)
-    top = a[..., :1].copy()
-    for j in range(1, a.shape[-1]):
-        np.maximum(top, a[..., j : j + 1], out=top)
-    return top
-
-
 # A weighted row sum at least this large has its largest live term at or
 # above 1e-280 for rows shorter than 1e30, so every term that can change
 # the sum in double precision is a normal number.
@@ -594,7 +575,7 @@ def _check_weights(weights, scores: DiffTensor, op: str) -> np.ndarray:
 
 def _softmax_rows(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The forward of ``masked_softmax`` on checked arrays; a fresh array."""
-    top = _row_max(scores)
+    top = scores.max(axis=-1, keepdims=True)
     weighted = scores - top
     np.exp(weighted, out=weighted)
     weighted *= weights

@@ -164,15 +164,16 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
 
 
 def _scan_block(lines: list[str], first_line: int, n: int):
-    """Row by row and cell by cell: the stamps, readings and observed flags
-    of a block ``_parse_block`` rejected, or the DataError of its first bad
-    row or cell. Blank and whitespace-only cells are missing."""
-    stamps = np.empty(len(lines), dtype=np.int64)
-    values = np.zeros((len(lines), n))
-    observed = np.zeros((len(lines), n), dtype=bool)
-    for r, line in enumerate(lines):
+    """Row by row and cell by cell through ``csv.reader``: the stamps,
+    readings and observed flags of a block ``_parse_block`` rejected, or
+    the DataError of its first bad row or cell. Blank and whitespace-only
+    cells are missing; quoted cells are unquoted."""
+    rows = list(csv.reader(lines))
+    stamps = np.empty(len(rows), dtype=np.int64)
+    values = np.zeros((len(rows), n))
+    observed = np.zeros((len(rows), n), dtype=bool)
+    for r, row in enumerate(rows):
         t = first_line + r
-        row = line.split(",") if line else []
         if len(row) != n + 1:
             raise DataError(f"line {t}: expected {n + 1} columns, found {len(row)}")
         stamps[r] = _parse_timestamp(row[0], t)
@@ -192,8 +193,9 @@ def _parse_block(lines: list[str], first_line: int, n: int):
     being the file line number of ``lines[0]``.
 
     The readings of the whole block go through one ``float`` map over its
-    non-empty cells. A block where that fails (a ragged row, a bad cell, or
-    a whitespace-only cell, which is missing) goes to ``_scan_block``.
+    non-empty cells. A block where that fails (a ragged row, a bad cell, a
+    whitespace-only cell, which is missing, or a quoted cell, as no float or
+    timestamp holds a quote) goes to ``_scan_block``.
     """
     try:
         stamps = np.empty(len(lines), dtype=np.int64)
@@ -228,9 +230,8 @@ def load_series(
     """Read a timestamped readings CSV plus sensor locations (and edges).
 
     The series CSV has an ISO-8601 timestamp first column and one column per
-    sensor id; its column order defines vertex indexing. Data rows are split
-    on commas (reading cells are not unquoted). The locations CSV has
-    columns sensor_id, x, y and must cover exactly the same ids. The
+    sensor id; its column order defines vertex indexing. The locations CSV
+    has columns sensor_id, x, y and must cover exactly the same ids. The
     optional edges CSV has columns from_id, to_id. Empty cells are missing;
     readings equal to 0 are missing too unless ``zero_is_missing`` is off.
     """
@@ -251,7 +252,7 @@ def load_series(
             if chunk.endswith("\n"):
                 lines.pop()
             blocks.append(_parse_block(lines, first_line, n))
-            first_line += len(lines)
+            first_line += len(blocks[-1][0])  # csv rows, as a quoted newline joins lines
     timestamps = np.concatenate([b[0] for b in blocks])
     values = np.concatenate([b[1] for b in blocks])[:, :, None]
     mask = np.concatenate([b[2] for b in blocks])[:, :, None]

@@ -79,7 +79,11 @@ def check_gradients(
         Zero-argument callable that evaluates the scalar loss from the
         current contents of ``tensors`` and returns a scalar DiffTensor.
         It must rebuild the graph on every call so perturbed values are
-        picked up.
+        picked up. The perturbed calls run under ``no_grad()``, so only
+        their final value is checked for NaN or Inf: an intermediate Inf
+        that a later operation turns finite is not reported there. The
+        unperturbed call that supplies the analytic gradient is recorded
+        and checks every operation.
     tensors:
         Named leaf tensors with ``requires_grad=True`` to check.
     h:

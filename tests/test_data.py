@@ -126,7 +126,10 @@ def test_load_unparseable_rows(tmp_path):
 
 
 # Cells the block parser must read exactly as the per-cell reference does.
-CELL_KINDS = ("57.25", "", "   ", "\t", "0.0", "0", "-0.0", " 61.5 ", "1e1", "58.123456789012345")
+CELL_KINDS = (
+    "57.25", "", "   ", "\t", "0.0", "0", "-0.0", " 61.5 ", "1e1", "58.123456789012345",
+    '"57.5"', '" 61.5 "', '""', '"0"',
+)
 
 
 def random_series_csv(path, rng, n, t, newline):
@@ -136,7 +139,10 @@ def random_series_csv(path, rng, n, t, newline):
             CELL_KINDS[k] if k < len(CELL_KINDS) else repr(float(rng.uniform(1.0, 90.0)))
             for k in rng.integers(0, 2 * len(CELL_KINDS), size=n)
         ]
-        rows.append(f"2024-03-01 {r // 60:02d}:{r % 60:02d}:00+00:00," + ",".join(cells))
+        stamp = f"2024-03-01 {r // 60:02d}:{r % 60:02d}:00+00:00"
+        if r % 5 == 3:
+            stamp = f'"{stamp}"'
+        rows.append(stamp + "," + ",".join(cells))
     path.write_bytes((newline.join(rows) + newline).encode())
     return path
 
@@ -184,6 +190,7 @@ def test_bad_rows_raise_with_the_reference_line_number(tmp_path, monkeypatch, bl
         "ragged_long": lambda line: line + ",5.0",
         "blank_line": lambda line: "",
         "bad_reading": lambda line: line.rsplit(",", 1)[0] + ",fast",
+        "quoted_comma": lambda line: line.rsplit(",", 1)[0] + ',"1,5"',
         "malformed_number": lambda line: line.rsplit(",", 1)[0] + ",12..5",
         "bad_timestamp": lambda line: "yesterday," + line.split(",", 1)[1],
     }
@@ -199,6 +206,17 @@ def test_bad_rows_raise_with_the_reference_line_number(tmp_path, monkeypatch, bl
             assert message.startswith(f"line {line_no}:"), message
             seen.add(message.split(": ", 1)[1].split(" ")[0])
     assert seen == {"expected", "unparseable"}
+
+
+def test_rows_after_a_quoted_newline_keep_the_reference_line_number(tmp_path, monkeypatch):
+    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 2)  # the next block starts after the quoted cell
+    loc_f = locations_for(tmp_path / "loc.csv", 2)
+    series_f = write(
+        tmp_path / "s.csv",
+        'timestamp,s0,s1\n2024-01-01T00:00:00,1.0,"5\n"\n'
+        "2024-01-01T00:05:00,2.0,3.0\n2024-01-01T00:10:00,2.0,oops\n",
+    )
+    assert expect_same_error(series_f, loc_f) == "line 4: unparseable reading 'oops'"
 
 
 def test_literal_nan_reading_is_rejected(tmp_path):
