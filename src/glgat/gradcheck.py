@@ -40,7 +40,6 @@ class GradCheckReport:
     max_rel_err: float
     max_abs_err: float
     failures: list[EntryCheck] = field(default_factory=list)
-    entries: list[EntryCheck] = field(default_factory=list)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -112,7 +111,7 @@ def check_gradients(
         analytic[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
         t.zero_grad()
 
-    entries: list[EntryCheck] = []
+    checked = 0
     failures: list[EntryCheck] = []
     max_rel = 0.0
     max_abs = 0.0
@@ -145,26 +144,26 @@ def check_gradients(
             else:
                 ok = False
 
-            rec = EntryCheck(
-                tensor=name,
-                index=tuple(int(i) for i in np.unravel_index(fi, t.shape)),
-                analytic=ana,
-                numeric=numeric,
-                abs_err=abs_err,
-                rel_err=rel_err,
-                ok=ok,
-            )
-            entries.append(rec)
+            checked += 1
             max_rel = max(max_rel, rel_err)
             max_abs = max(max_abs, abs_err)
             if not ok:
-                failures.append(rec)
+                failures.append(
+                    EntryCheck(
+                        tensor=name,
+                        index=tuple(int(i) for i in np.unravel_index(fi, t.shape)),
+                        analytic=ana,
+                        numeric=numeric,
+                        abs_err=abs_err,
+                        rel_err=rel_err,
+                        ok=ok,
+                    )
+                )
 
     return GradCheckReport(
         passed=not failures,
-        checked=len(entries),
+        checked=checked,
         max_rel_err=max_rel,
         max_abs_err=max_abs,
         failures=failures,
-        entries=entries,
     )

@@ -14,8 +14,10 @@ the model configuration, so ablation runs differ only in configuration.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .layers import (
     init_glgat_layer,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 VARIANTS = ("full", "ablation1", "ablation2", "ablation3")
 N_GROUPS = 12
 
@@ -285,6 +287,50 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
 
 
 # ----------------------------------------------------------- checkpoints
+#
+# One sorted, compact JSON object. Every array, including the stats, is
+# {"shape": [...], "data": base64 of its C-order little-endian float64
+# bytes}, so values round-trip bit for bit and no float goes through text.
+
+
+def _encode_array(arr: np.ndarray) -> dict:
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(entry, name: str) -> np.ndarray:
+    """A writable float64 copy of one encoded array; ConfigError if malformed."""
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise ConfigError(f"checkpoint array {name!r} is not a shape/data entry")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
+    if not isinstance(data, str):
+        raise ConfigError(f"checkpoint array {name!r} has non-string data")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ConfigError(f"checkpoint array {name!r} is not valid base64: {exc}") from None
+    if len(raw) != math.prod(shape) * 8:
+        raise ConfigError(
+            f"checkpoint array {name!r} holds {len(raw)} bytes, "
+            f"shape {tuple(shape)} needs {math.prod(shape) * 8}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _config_from(raw) -> StackConfig:
+    """StackConfig from a checkpoint's config object, every key checked."""
+    names = {f.name: f.type for f in fields(StackConfig)}  # types as strings
+    if not isinstance(raw, dict) or set(raw) != set(names):
+        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
+        raise ConfigError(f"checkpoint config must have keys {sorted(names)}, got {got}")
+    allowed = {"int": (int,), "float": (int, float), "str": (str,)}
+    for key, kind in names.items():
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, allowed[kind]):
+            raise ConfigError(f"checkpoint config {key!r} must be {kind}, got {value!r}")
+    return StackConfig(**raw)
 
 
 def save_checkpoint(model: GlgatModel, path) -> None:
@@ -292,47 +338,90 @@ def save_checkpoint(model: GlgatModel, path) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "stats": {"mean": model.stats.mean.tolist(), "std": model.stats.std.tolist()},
-        "adj": model.adj.tolist(),
-        "pe": None if model.pe is None else model.pe.tolist(),
+        "stats": {
+            "mean": _encode_array(model.stats.mean),
+            "std": _encode_array(model.stats.std),
+        },
+        "adj": _encode_array(model.adj),
+        "pe": None if model.pe is None else _encode_array(model.pe),
         "tensors": {
-            name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
-            for name, t in model.named_params().items()
+            name: _encode_array(t.data) for name, t in model.named_params().items()
         },
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_checkpoint(path) -> GlgatModel:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Rebuild a model from ``save_checkpoint``'s file.
+
+    Any file that is not a complete checkpoint of this format version
+    raises ConfigError; a file that cannot be read raises OSError.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"checkpoint is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError("checkpoint is not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version!r}")
-    config = StackConfig(**payload["config"])
-    stats = NormStats(
-        mean=np.asarray(payload["stats"]["mean"], dtype=np.float64),
-        std=np.asarray(payload["stats"]["std"], dtype=np.float64),
-    )
-    adj = np.asarray(payload["adj"], dtype=np.float64)
-    pe_raw = payload["pe"]
-    pe = None if pe_raw is None else np.asarray(pe_raw, dtype=np.float64)
-
-    if config.uses_gat:
-        adjs = AdjacencySet(matrices=[adj], labels=["loaded"])
-    else:
-        adjs = AdjacencySet(
-            matrices=[adj[i] for i in range(adj.shape[0])],
-            labels=["loaded"] * adj.shape[0],
+        raise ConfigError(
+            f"unsupported checkpoint version {version!r} (this build reads "
+            f"version {CHECKPOINT_VERSION}; re-run train to write one)"
         )
+    keys = {"format_version", "config", "stats", "adj", "pe", "tensors"}
+    if set(payload) != keys:
+        raise ConfigError(f"checkpoint must have keys {sorted(keys)}, got {sorted(payload)}")
+    config = _config_from(payload["config"])
+    n = config.n
+
+    stats_raw = payload["stats"]
+    if not isinstance(stats_raw, dict) or set(stats_raw) != {"mean", "std"}:
+        raise ConfigError("checkpoint stats must hold exactly 'mean' and 'std'")
+    stats = NormStats(
+        mean=_decode_array(stats_raw["mean"], "stats.mean"),
+        std=_decode_array(stats_raw["std"], "stats.std"),
+    )
+    if stats.mean.ndim != 1 or stats.mean.size == 0 or stats.std.shape != stats.mean.shape:
+        raise ConfigError(
+            f"checkpoint stats have shapes {stats.mean.shape} and {stats.std.shape}, "
+            "expected two equal non-empty vectors"
+        )
+
+    adj = _decode_array(payload["adj"], "adj")
+    want_adj = (n, n) if config.uses_gat else (config.h_adj, n, n)
+    if adj.shape != want_adj:
+        raise ConfigError(f"checkpoint adj has shape {adj.shape}, expected {want_adj}")
+    pe = None if payload["pe"] is None else _decode_array(payload["pe"], "pe")
+    want_pe = (n, n, config.h_pe) if config.pe_enabled else None
+    if (None if pe is None else pe.shape) != want_pe:
+        got = "none" if pe is None else f"shape {pe.shape}"
+        raise ConfigError(f"checkpoint pe has {got}, variant {config.variant!r} needs {want_pe}")
+
+    try:
+        matrices = [adj] if config.uses_gat else list(adj)
+        adjs = AdjacencySet(matrices=matrices, labels=["loaded"] * len(matrices))
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint adj is not an adjacency stack: {exc}") from None
     pe_obj = None if pe is None else PairwiseEncoding(tensor=pe, h_pe=pe.shape[-1])
     model = build_model(config, adjs, pe_obj, stats, seed=0)
-    for name, t in model.named_params().items():
-        entry = payload["tensors"].get(name)
-        if entry is None:
+
+    tensors = payload["tensors"]
+    if not isinstance(tensors, dict):
+        raise ConfigError("checkpoint tensors must be a JSON object")
+    params = model.named_params()
+    unknown = sorted(set(tensors) - set(params))
+    if unknown:
+        raise ConfigError(f"checkpoint has tensors this model lacks: {unknown}")
+    for name, t in params.items():
+        if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        arr = _decode_array(tensors[name], name)
         if arr.shape != t.shape:
             raise ConfigError(
                 f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.shape}"

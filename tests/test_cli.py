@@ -299,6 +299,27 @@ def test_evaluate_variant_label_follows_checkpoint(tmp_path, dataset, capsys):
     assert "variant=ablation3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", ["version 1", "truncated"])
+def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, capsys, damage):
+    text = (trained / "checkpoint.json").read_text()
+    if damage == "version 1":
+        payload = json.loads(text)
+        payload["format_version"] = 1
+        text = json.dumps(payload)
+    else:
+        text = text[: len(text) // 2]
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--checkpoint", str(bad),
+                   "--series", str(dataset / "series.csv"),
+                   "--locations", str(dataset / "locations.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- gradcheck
 
 

@@ -1,5 +1,6 @@
 """Stack assembly, grouping, variants, checkpoints, end-to-end gradients."""
 
+import base64
 import json
 
 import numpy as np
@@ -322,6 +323,109 @@ def test_checkpoint_version_and_contents_validated(tmp_path, tiny):
     missing.write_text(json.dumps(payload))
     with pytest.raises(gmodel.ConfigError):
         gmodel.load_checkpoint(missing)
+
+
+def encode(arr):
+    """An array entry as the checkpoint layout documents it."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def decode(entry):
+    raw = base64.b64decode(entry["data"])
+    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
+
+
+def test_checkpoint_layout_is_base64_little_endian_float64(tmp_path):
+    model = pipeline()[4]
+    w = model.named_params()["layer1.w_q_local"].data
+    w.flat[0] = -0.0
+    w.flat[1] = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
+    path = tmp_path / "model.json"
+    gmodel.save_checkpoint(model, path)
+
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2
+    entry = payload["tensors"]["layer1.w_q_local"]
+    assert entry["shape"] == list(w.shape)
+    assert decode(entry).tobytes() == w.astype("<f8").tobytes()
+    assert np.array_equal(decode(payload["adj"]), model.adj)
+    assert np.array_equal(decode(payload["stats"]["std"]), model.stats.std)
+
+    loaded = gmodel.load_checkpoint(path).named_params()["layer1.w_q_local"].data
+    assert loaded.tobytes() == w.tobytes()  # NaN payload and -0.0 survive
+    assert loaded.flags.writeable
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _set(*path, value):
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(payload) if callable(value) else value
+    return edit
+
+
+MALFORMED = {
+    "missing top-level key": _drop("stats"),
+    "unknown top-level key": _set("extra", value=1),
+    "unknown config key": _set("config", "bogus", value=1),
+    "missing config key": lambda p: p["config"].pop("h_pe"),
+    "config value of the wrong type": _set("config", "n", value="6"),
+    "fractional config integer": _set("config", "n", value=6.0),
+    "config not an object": _set("config", value=[6]),
+    "bad base64": _set("tensors", "head.b", "data", value="!!!!"),
+    "data shorter than its shape": _set(
+        "tensors", "head.b", value=lambda p: encode(decode(p["tensors"]["head.b"])[:-1])
+    ),
+    "data longer than its shape": _set(
+        "tensors", "head.b", "shape", value=lambda p: [len(decode(p["tensors"]["head.b"])) - 1]
+    ),
+    "negative shape": _set("tensors", "head.b", "shape", value=[-12]),
+    "array entry missing data": lambda p: p["tensors"]["head.b"].pop("data"),
+    "array entry as a plain list": _set("tensors", "head.b", value=[0.0] * 12),
+    "unknown tensor": _set("tensors", "bogus", value=encode(np.zeros(3))),
+    "tensors not an object": _set("tensors", value=[]),
+    "adj with one matrix too few": _set("adj", value=lambda p: encode(decode(p["adj"])[:1])),
+    "adj as one N x N matrix": _set("adj", value=lambda p: encode(decode(p["adj"])[0])),
+    "adj stack for the GAT variant": _set("config", "variant", value="ablation3"),
+    "adj entries outside [0, 1]": _set("adj", value=lambda p: encode(decode(p["adj"]) * 2.0)),
+    "pe absent where the variant needs it": _set("pe", value=None),
+    "pe present where the variant has none": _set("config", "variant", value="ablation2"),
+    "pe of the wrong width": _set("pe", value=lambda p: encode(decode(p["pe"])[..., :3])),
+    "pe not N x N": _set("pe", value=lambda p: encode(decode(p["pe"])[1:])),
+    "stats without std": lambda p: p["stats"].pop("std"),
+    "stats of unequal shapes": _set(
+        "stats", "std", value=lambda p: encode(np.append(decode(p["stats"]["std"]), 1.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_checkpoint_malformed_contents_rejected(tmp_path, tiny, edit):
+    path = tmp_path / "model.json"
+    gmodel.save_checkpoint(tiny[4], path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(gmodel.ConfigError):
+        gmodel.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "[]", "{", "\udcff"], ids=["empty", "not an object", "truncated", "not utf-8"]
+)
+def test_checkpoint_unparseable_file_rejected(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe" if text == "\udcff" else text.encode())
+    with pytest.raises(gmodel.ConfigError):
+        gmodel.load_checkpoint(path)
 
 
 # ----------------------------------------------------- end-to-end grads
