@@ -321,7 +321,7 @@ def _decode_array(entry, name: str) -> np.ndarray:
 
 def _config_from(raw) -> StackConfig:
     """StackConfig from a checkpoint's config object, every key checked."""
-    names = {f.name: f.type for f in fields(StackConfig)}  # types as strings
+    names = {f.name: f.type for f in fields(StackConfig)}  # annotations are strings here
     if not isinstance(raw, dict) or set(raw) != set(names):
         got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
         raise ConfigError(f"checkpoint config must have keys {sorted(names)}, got {got}")
