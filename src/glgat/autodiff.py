@@ -14,6 +14,11 @@ GELU and the masked softmax, whose outputs are bounded by construction.
 Inside ``no_grad()`` nothing is recorded and nothing is scanned; the caller
 checks the result it keeps.
 
+``attend`` takes attention from the scores to the mixed values in one node,
+over blocks of at most ``_BLOCK_BYTES`` of scores that stay in cache through
+the elementwise passes; inside ``no_grad()`` it never holds a whole score
+tensor.
+
 The only module state is the per-thread switch of ``no_grad()``, restored
 when its block exits. A graph belongs to whichever thread built it, and
 independent graphs over shared read-only leaves may run concurrently.
@@ -491,9 +496,9 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> DiffTensor:
     return _make(data, (a,), backward, "reduce_sum")
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), computed in place in that operand order."""
-    cdf = x / _SQRT2
+    cdf = np.divide(x, _SQRT2, out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -547,23 +552,29 @@ def huber(x) -> DiffTensor:
 _FAINT_ROW_SUM = 1e-250
 
 
-def _check_weights(weights, scores: DiffTensor, op: str) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if scores.ndim < 2 or weights.ndim < 2:
-        raise ShapeError(f"{op}: scores and weights must have >= 2 dimensions")
-    if weights.shape[-2:] != scores.shape[-2:]:
+@functools.lru_cache(maxsize=1024)
+def _check_fits(a_shape: tuple[int, ...], shape: tuple[int, ...], what: str, op: str) -> None:
+    """Raise ``ShapeError`` unless ``a_shape`` ends in the score rows of
+    ``shape`` and broadcasts to it."""
+    if len(shape) < 2 or len(a_shape) < 2:
+        raise ShapeError(f"{op}: scores and {what} must have >= 2 dimensions")
+    if a_shape[-2:] != shape[-2:]:
         raise ShapeError(
-            f"{op}: weights rows {weights.shape[-2:]} do not match "
-            f"score rows {scores.shape[-2:]}"
+            f"{op}: {what} rows {a_shape[-2:]} do not match score rows {shape[-2:]}"
         )
     try:
-        if np.broadcast_shapes(weights.shape, scores.shape) != scores.shape:
+        if np.broadcast_shapes(a_shape, shape) != shape:
             raise ValueError
     except ValueError:
         raise ShapeError(
-            f"{op}: weights shape {weights.shape} does not broadcast "
-            f"to scores shape {scores.shape}"
+            f"{op}: {what} shape {a_shape} does not broadcast to scores shape {shape}"
         ) from None
+
+
+def _check_weights(weights, shape: tuple[int, ...], op: str) -> np.ndarray:
+    """Validate a weight array against scores of ``shape``; the weights as float64."""
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_fits(weights.shape, shape, "weights", op)
     if not (np.all(weights >= 0.0) and np.all(weights <= 1.0)):  # NaN fails too
         raise ValueError(f"{op}: weights must lie in [0, 1]")
     row_sums = weights.reshape(-1, weights.shape[-1]).sum(axis=-1)
@@ -573,19 +584,24 @@ def _check_weights(weights, scores: DiffTensor, op: str) -> np.ndarray:
     return weights
 
 
-def _softmax_rows(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The forward of ``masked_softmax`` on checked arrays; a fresh array."""
+def _softmax_rows(
+    scores: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The forward of ``masked_softmax`` on checked arrays, into ``out`` or a
+    fresh array; ``out`` must not overlap ``scores``."""
     top = scores.max(axis=-1, keepdims=True)
-    weighted = scores - top
+    weighted = np.subtract(scores, top, out=out)
     np.exp(weighted, out=weighted)
     weighted *= weights
     total = weighted.sum(axis=-1, keepdims=True)
     faint = total < _FAINT_ROW_SUM
     if faint.any():
         live_top = np.max(scores, axis=-1, keepdims=True, where=weights > 0.0, initial=-np.inf)
-        shifted = scores - np.where(faint, live_top, top)
+        np.subtract(scores, np.where(faint, live_top, top), out=weighted)
         # zero-weight scores above the live maximum must not overflow exp
-        weighted = np.exp(np.minimum(shifted, 0.0)) * weights
+        np.minimum(weighted, 0.0, out=weighted)
+        np.exp(weighted, out=weighted)
+        weighted *= weights
         total = weighted.sum(axis=-1, keepdims=True)
     weighted /= total
     return weighted
@@ -616,7 +632,7 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     Gimelshein (arXiv:1805.02867).
     """
     scores = _wrap(scores)
-    weights = _check_weights(weights, scores, "masked_softmax")
+    weights = _check_weights(weights, scores.shape, "masked_softmax")
     out_data = _softmax_rows(scores.data, weights)
 
     def backward(g):
@@ -626,21 +642,118 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     return _make(out_data, (scores,), backward, "masked_softmax", check_finite=False)
 
 
-def attention_weights(scores, weights: np.ndarray) -> DiffTensor:
-    """``masked_softmax(gelu(scores), weights)`` as one node.
+# Score bytes per block of ``attend`` (three (N, N) slices at N=207); bounds
+# the scores alive at once without a graph and keeps each elementwise pass
+# over a block in cache.
+_BLOCK_BYTES = 1 << 20
 
-    The arithmetic is that of the two operations, bit for bit; the fused
-    node keeps no GELU output alive for the backward pass.
+
+def _score_blocks(lead: tuple[int, ...], slice_bytes: int):
+    """Split the leading axes of a score tensor into blocks of whole slices.
+
+    Each block is a run of consecutive slices in row-major order: a range
+    on one axis and every index of the axes after it, holding at most
+    ``_BLOCK_BYTES`` of scores, or one slice when a slice is larger.
+    Returns the leading shape of the largest block and, per block, its
+    basic index into ``lead`` and its index into a buffer of that shape.
     """
-    scores = _wrap(scores)
-    weights = _check_weights(weights, scores, "attention_weights")
-    cdf = _gelu_cdf(scores.data)
-    out_data = _softmax_rows(scores.data * cdf, weights)
+    per_block = max(1, _BLOCK_BYTES // slice_bytes)
+    cut, inner = len(lead), 1
+    while cut > 0 and inner * lead[cut - 1] <= per_block:
+        cut -= 1
+        inner *= lead[cut]
+    if cut == 0:
+        return lead, [((), ())]
+    axis, run = cut - 1, per_block // inner
+    blocks = [
+        (outer + (slice(r0, min(r0 + run, lead[axis])),), (slice(0, min(run, lead[axis] - r0)),))
+        for outer in np.ndindex(*lead[:axis])
+        for r0 in range(0, lead[axis], run)
+    ]
+    return (run,) + lead[cut:], blocks
+
+
+@functools.lru_cache(maxsize=1024)
+def _score_shape(q_shape, k_shape, v_shape) -> tuple[int, ...]:
+    """The (..., N, M) score shape of ``attend`` for operands of these shapes."""
+    if min(len(q_shape), len(k_shape), len(v_shape)) < 2:
+        raise ShapeError("attend: operands must have at least 2 dimensions")
+    if q_shape[-1] != k_shape[-2] or k_shape[-1] != v_shape[-2]:
+        raise ShapeError(f"attend: shapes {q_shape}, {k_shape}, {v_shape} do not chain")
+    try:
+        lead = np.broadcast_shapes(q_shape[:-2], k_shape[:-2], v_shape[:-2])
+    except ValueError:
+        raise ShapeError(
+            f"attend: leading axes of {q_shape}, {k_shape}, {v_shape} do not broadcast"
+        ) from None
+    return lead + (q_shape[-2], k_shape[-1])
+
+
+def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
+    """``masked_softmax(gelu(q @ k_t + bias), weights) @ v`` as one node.
+
+    ``q`` is (..., N, H), ``k_t`` (..., H, M) and ``v`` (..., M, H_v), with
+    leading axes that broadcast; ``bias`` (optional) and ``weights`` end in
+    (N, M) and broadcast to the (..., N, M) scores, and ``weights`` follows
+    the rules of ``masked_softmax``. The scores are computed block by block
+    over the flattened leading axes (see ``_score_blocks``), so under
+    ``no_grad()`` no whole score tensor is made: a call holds three blocks
+    of at most ``_BLOCK_BYTES`` each besides its inputs and output. A
+    recorded call keeps the scores, their GELU CDF and the coefficients
+    whole for the backward pass. Values and gradients are bit for bit those
+    of the composed ``matmul``, ``add``, ``gelu``, ``masked_softmax`` and
+    ``matmul``.
+    """
+    q, k_t, v = _wrap(q), _wrap(k_t), _wrap(v)
+    shape = _score_shape(q.shape, k_t.shape, v.shape)
+    lead = shape[:-2]
+    if bias is not None:
+        bias = _wrap(bias)
+        _check_fits(bias.shape, shape, "bias", "attend")
+    weights = _check_weights(weights, shape, "attend")
+
+    recording = not getattr(_recording, "off", False)
+    block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1])
+    block_shape = block_lead + shape[-2:]
+    if recording:  # kept whole for the backward pass
+        scores, cdf, coef = np.empty(shape), np.empty(shape), np.empty(shape)
+    else:  # reused per block; the coefficients overwrite the raw scores
+        scores, cdf = np.empty(block_shape), np.empty(block_shape)
+        coef = scores
+    gelu_out = np.empty(block_shape)
+    out = np.empty(lead + (shape[-2], v.shape[-1]))
+    qs, ks, vs, ws, bs = q.data, k_t.data, v.data, weights, None if bias is None else bias.data
+    if len(blocks) > 1:  # views over the full leading axes: one index selects a block
+        qs, ks, vs, ws = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (qs, ks, vs, ws))
+        bs = None if bias is None else np.broadcast_to(bs, shape)
+    for index, local in blocks:
+        at = index if recording else local
+        s = np.matmul(qs[index], ks[index], out=scores[at])
+        if bias is not None:
+            s += bs[index]
+        c = _gelu_cdf(s, out=cdf[at])
+        a = _softmax_rows(np.multiply(s, c, out=gelu_out[local]), ws[index], out=coef[at])
+        np.matmul(a, vs[index], out=out[index])
 
     def backward(g):
-        return [(scores, _gelu_grad(_softmax_grad(g, out_data), scores.data, cdf))]
+        grads = []
+        if v.requires_grad:
+            grads.append((v, _sum_to_shape(np.matmul(np.swapaxes(coef, -1, -2), g), v.shape)))
+        g = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        g = _gelu_grad(_softmax_grad(g, coef), scores, cdf)
+        if bias is not None and bias.requires_grad:
+            grads.append((bias, _sum_to_shape(g, bias.shape)))
+        if q.requires_grad:
+            grads.append((q, _sum_to_shape(np.matmul(g, np.swapaxes(k_t.data, -1, -2)), q.shape)))
+        if k_t.requires_grad:
+            gk = np.matmul(np.swapaxes(q.data, -1, -2), g)
+            grads.append((k_t, _sum_to_shape(gk, k_t.shape)))
+        return grads
 
-    return _make(out_data, (scores,), backward, "attention_weights", check_finite=False)
+    # parents in the order the composed graph reaches them, so the tape
+    # accumulates shared gradients in the same order
+    parents = (q, k_t, v) if bias is None else (q, k_t, bias, v)
+    return _make(out, parents, backward, "attend")
 
 
 def bank_apply(bank, x) -> DiffTensor:

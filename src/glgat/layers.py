@@ -179,11 +179,20 @@ def gat_forward(
     q = ad.affine(xe, params.w_q, params.b_q)
     k = ad.affine(xe, params.w_k, params.b_k)
     v = ad.affine(x_in, params.w_v, params.b_v)
-    coef = ad.attention_weights(ad.matmul(q, ad.transpose_last(k)), adj)
-    out = ad.affine(ad.matmul(coef, v), params.w_ff, params.b_ff)
+    k_t = ad.transpose_last(k)
+    out = ad.affine(ad.attend(q, k_t, v, adj), params.w_ff, params.b_ff)
     if return_coefficients:
-        return out, coef
+        return out, _coefficients(q, k_t, adj)
     return out
+
+
+def _coefficients(q, k_t, weights, bias=None) -> ad.DiffTensor:
+    """The attention coefficients of ``attend``, which returns only the
+    mixed values, recomputed by the separate operations."""
+    scores = ad.matmul(q, k_t)
+    if bias is not None:
+        scores = scores + bias
+    return ad.masked_softmax(ad.gelu(scores), weights)
 
 
 def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.DiffTensor:
@@ -246,19 +255,19 @@ def glgat_forward(
     v = _split_heads(ad.affine(x_in, params.w_v, params.b_v), dims)
 
     q_at = _split_heads(q[..., : dims.h_prime], dims)
-    scores = ad.matmul(q_at, k_t)  # (..., H_adj, H_head, N, N)
+    bias = None
     if dims.h_pe:
         q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, dims.h_pe))
         q_pe = ad.swap_axes(q_pe, -3, -2)  # (..., H_adj, N, H_PE)
         pe_scores = ad.pairwise_scores(q_pe, pe_table)  # (..., H_adj, N, N)
-        scores = scores + ad.reshape(pe_scores, pe_scores.shape[:-2] + (1, n, n))
+        bias = ad.reshape(pe_scores, pe_scores.shape[:-2] + (1, n, n))  # over heads
 
-    coef = ad.attention_weights(scores, stacked.reshape(dims.h_adj, 1, n, n))
-    hidden = ad.matmul(coef, v)  # (..., H_adj, H_head, N, H)
+    weights = stacked.reshape(dims.h_adj, 1, n, n)
+    hidden = ad.attend(q_at, k_t, v, weights, bias)  # (..., H_adj, H_head, N, H)
     d = hidden.ndim - 4
     hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)
     flat = ad.reshape(hidden, hidden.shape[:-4] + (n, dims.h_prime))
     out = ad.affine(flat, params.w_ff, params.b_ff)
     if return_coefficients:
-        return out, coef
+        return out, _coefficients(q_at, k_t, weights, bias)
     return out

@@ -44,6 +44,7 @@ def _verdict(ok: bool) -> str:
 # ------------------------------------------------------------ criterion 1
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_integrity():
     """Every parameter entry of a small full-variant stack passes a central
     finite-difference check of the smooth-L1 training loss."""
@@ -362,6 +363,7 @@ def full_variant_maes(planted):
     return maes, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_8_learning_signal_beats_historical_average(planted, full_variant_maes):
     maes, train_seconds = full_variant_maes
     elapsed = planted.prep_seconds + train_seconds
@@ -378,6 +380,7 @@ def test_criterion_8_learning_signal_beats_historical_average(planted, full_vari
     assert elapsed < 900.0, note
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_ordering(planted, full_variant_maes):
     """Soft criterion: the ordering is reported; a violation is a logged
     finding, not a test failure."""

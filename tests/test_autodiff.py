@@ -1,6 +1,8 @@
 """Tensor engine tests: values against hand-computed or independently
 derived oracles, gradients against central differences."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -198,19 +200,104 @@ def test_affine_matches_matmul_transpose_add_bit_for_bit():
         ad.affine(x, w, rand_param(rng, 5))
 
 
-def test_attention_weights_match_gelu_then_masked_softmax_bit_for_bit():
-    rng = np.random.default_rng(5)
-    scores = ad.parameter(3.0 * rng.standard_normal((4, 2, 3, 6, 6)))
-    weights = rng.uniform(0.0, 1.0, (2, 1, 6, 6))
+def _composed_attend(q, k_t, v, weights, bias=None):
+    scores = ad.matmul(q, k_t)
+    if bias is not None:
+        scores = scores + bias
+    return ad.matmul(ad.masked_softmax(ad.gelu(scores), weights), v)
+
+
+def _floor_operands(rng, batch=3, h_adj=2, h_head=4, n=6):
+    """attend() operands laid out as in a GLGAT floor: leading axes
+    (batch, H_adj, H_head), a bias shared by the heads and weights shared
+    by the batch and the heads."""
+    lead = (batch, h_adj, h_head)
+    q = rand_param(rng, *lead, n, 3)
+    k_t = rand_param(rng, *lead, 3, n)
+    v = rand_param(rng, *lead, n, 5)
+    bias = rand_param(rng, batch, h_adj, 1, n, n)
+    weights = rng.uniform(0.0, 1.0, (h_adj, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
-    seed = rng.standard_normal(scores.shape)
-    fused = ad.attention_weights(scores, weights)
-    composed = ad.masked_softmax(ad.gelu(scores), weights)
+    return q, k_t, v, weights, bias
+
+
+def _assert_attend_matches_composed(rng, q, k_t, v, weights, bias=None):
+    tensors = (q, k_t, v) if bias is None else (q, k_t, v, bias)
+    fused = ad.attend(q, k_t, v, weights, bias)
+    composed = _composed_attend(q, k_t, v, weights, bias)
     assert fused.data.tobytes() == composed.data.tobytes()
-    assert _grads_after_backward(fused, (scores,), seed) == _grads_after_backward(
-        composed, (scores,), seed
+    seed = rng.standard_normal(fused.shape)
+    assert _grads_after_backward(fused, tensors, seed) == _grads_after_backward(
+        composed, tensors, seed
     )
+    with ad.no_grad():
+        plain = ad.attend(q, k_t, v, weights, bias)
+    assert plain.data.tobytes() == composed.data.tobytes()
+
+
+def test_attend_matches_composed_ops_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(5)
+    with_bias = _floor_operands(rng)
+    q, k_t, v, weights, _ = _floor_operands(rng)
+    plain = (q, k_t, v, weights[0, 0])  # the single-matrix layer: no bias
+    slice_bytes = 8 * 6 * 6
+    # runs of 3 and 1 slices on the head axis: 12 blocks; then one block
+    assert len(ad._score_blocks((3, 2, 4), slice_bytes)[1]) == 1
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * slice_bytes)
+    assert len(ad._score_blocks((3, 2, 4), slice_bytes)[1]) == 12
+    _assert_attend_matches_composed(rng, *with_bias)
+    _assert_attend_matches_composed(rng, *plain)
+    monkeypatch.undo()
+    _assert_attend_matches_composed(rng, *with_bias)
+    _assert_attend_matches_composed(rng, *plain)
+
+
+def test_attend_faint_row_in_one_block_matches_composed_ops(monkeypatch):
+    # the F1 fallback runs for the one block that holds the faint row
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
+    rng = np.random.default_rng(9)
+    q, k_t, v, weights, _ = _floor_operands(rng)
+    bias = rand_param(rng, 3, 2, 4, 6, 6)  # one bias per slice
+    weights[1, 0, 2, 4] = 0.0
+    bias.data[1, 1, 2, 2, 4] = 1000.0 + np.abs(bias.data).max() + 20.0
+    _assert_attend_matches_composed(rng, q, k_t, v, weights, bias)
+    assert np.all(np.isfinite(ad.attend(q, k_t, v, weights, bias).data))
+
+
+def test_attend_batched_matches_per_window_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
+    rng = np.random.default_rng(11)
+    q, k_t, v, weights, bias = (
+        t if isinstance(t, np.ndarray) else t.data for t in _floor_operands(rng)
+    )
+    for mode in (contextlib.nullcontext, ad.no_grad):
+        with mode():
+            batched = ad.attend(q, k_t, v, weights, bias).data
+            for b in range(3):
+                single = ad.attend(q[b], k_t[b], v[b], weights, bias[b]).data
+                assert single.tobytes() == batched[b].tobytes()
+
+
+@pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
+def test_attend_rejects_bad_weights(mode):
+    rng = np.random.default_rng(12)
+    q, k_t, v = rand_param(rng, 2, 4, 3), rand_param(rng, 2, 3, 4), rand_param(rng, 2, 4, 2)
+    nan = np.ones((4, 4))
+    nan[2, 3] = np.nan
+    zero_row = np.ones((4, 4))
+    zero_row[1] = 0.0
+    with mode():
+        with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+            ad.attend(q, k_t, v, np.full((4, 4), 1.5))
+        with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+            ad.attend(q, k_t, v, nan)
+        with pytest.raises(ad.DegenerateRowError, match="row 1"):
+            ad.attend(q, k_t, v, zero_row)
+        with pytest.raises(ad.ShapeError):
+            ad.attend(q, k_t, v, np.ones((4, 4)), bias=np.zeros((4, 3)))
+        with pytest.raises(ad.ShapeError):
+            ad.attend(q, q, v, np.ones((4, 4)))
 
 
 def test_permute_matches_numpy_transpose():
@@ -386,16 +473,20 @@ def test_grad_permute():
     fd_check(lambda: ad.reduce_sum(ad.permute(x, (2, 0, 1)) * sel), {"x": x})
 
 
-def test_grad_attention_weights():
+def test_grad_attend(monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 5 * 5)  # two blocks
     rng = np.random.default_rng(25)
-    scores = rand_param(rng, 2, 5, 5)
+    q = rand_param(rng, 2, 3, 5, 3)
+    k_t = rand_param(rng, 2, 3, 3, 5)
+    v = rand_param(rng, 2, 3, 5, 4)
+    bias = rand_param(rng, 2, 1, 5, 5)
     weights = rng.uniform(0.2, 1.0, (5, 5))
     weights[rng.uniform(size=(5, 5)) < 0.25] = 0.0
     np.fill_diagonal(weights, 1.0)
-    sel = ad.constant(rng.standard_normal((2, 5, 5)))
+    sel = ad.constant(rng.standard_normal((2, 3, 5, 4)))
     fd_check(
-        lambda: ad.reduce_sum(ad.attention_weights(scores, weights) * sel),
-        {"scores": scores},
+        lambda: ad.reduce_sum(ad.attend(q, k_t, v, weights, bias) * sel),
+        {"q": q, "k_t": k_t, "v": v, "bias": bias},
     )
 
 

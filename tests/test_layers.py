@@ -1,5 +1,8 @@
 """Attention layers vs scalar-loop oracles, plus structural invariants."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,26 +301,53 @@ def test_local_bank_perturbation_only_touches_own_row():
         assert same == (i != target)
 
 
-def test_glgat_batched_input_matches_per_sample():
+def test_glgat_batched_input_matches_per_sample(monkeypatch):
+    # several score blocks per call; the batch is the row count of the
+    # bank_apply and pairwise_scores products, which round differently
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
     rng = np.random.default_rng(28)
     params, _, enc, adjs, pe = random_instance(rng, seed=70)
     xs = rng.standard_normal((3, 7, 6, 3))  # two leading batch axes
-    batched = glgat_forward(params, ad.constant(xs), enc, adjs, pe)
-    for a in range(3):
-        for b in range(7):
-            single = glgat_forward(params, ad.constant(xs[a, b]), enc, adjs, pe)
-            np.testing.assert_allclose(batched.data[a, b], single.data, atol=1e-12, rtol=0)
+    for mode in (contextlib.nullcontext, ad.no_grad):
+        with mode():
+            batched = glgat_forward(params, ad.constant(xs), enc, adjs, pe)
+            for a in range(3):
+                for b in range(7):
+                    single = glgat_forward(params, ad.constant(xs[a, b]), enc, adjs, pe)
+                    np.testing.assert_allclose(batched.data[a, b], single.data, atol=1e-12, rtol=0)
 
 
-def test_gat_batched_input_matches_per_sample():
+def test_gat_batched_input_matches_per_sample(monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 8 * 4 * 4)  # three score blocks
     rng = np.random.default_rng(29)
     params = init_gat_layer(k_in=3, k_out=4, h=5, h_e=0, seed=80)
-    adj = np.ones((4, 4))
+    adj = random_adjacency(rng, 4, 1)[0]
     xs = rng.standard_normal((6, 4, 3))
-    batched = gat_forward(params, ad.constant(xs), None, adj)
-    for s in range(6):
-        single = gat_forward(params, ad.constant(xs[s]), None, adj)
-        np.testing.assert_allclose(batched.data[s], single.data, atol=1e-12, rtol=0)
+    for mode in (contextlib.nullcontext, ad.no_grad):
+        with mode():
+            batched = gat_forward(params, ad.constant(xs), None, adj)
+            for s in range(6):
+                single = gat_forward(params, ad.constant(xs[s]), None, adj)
+                assert single.data.tobytes() == batched.data[s].tobytes()
+
+
+def test_no_grad_glgat_peaks_below_one_score_tensor():
+    # tracemalloc sees numpy's buffers; the blocked attention holds a few
+    # blocks of scores, never a whole (12, H_adj, H_head, N, N) tensor
+    dims = LayerDims(h=2, h_adj=2, h_head=4, h_pe=10)
+    n = 96
+    rng = np.random.default_rng(31)
+    params, _, enc, adjs, pe = random_instance(rng, n=n, k_in=3, k_out=4, h_e=4, dims=dims, seed=5)
+    x = ad.constant(rng.standard_normal((12, n, 3)))
+    score_bytes = 8 * 12 * dims.h_adj * dims.h_head * n * n
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            glgat_forward(params, x, enc, adjs, pe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < score_bytes, f"peak {peak} bytes, one score tensor {score_bytes}"
 
 
 def test_glgat_shape_validation():
