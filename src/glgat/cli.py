@@ -22,6 +22,8 @@ import csv
 import json
 import sys
 import time
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,49 +65,48 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# config-file keys accepted by `train`, their types, and their defaults
-TRAIN_SCHEMA = {
-    "series": str,
-    "locations": str,
-    "edges": str,
-    "out": str,
-    "variant": str,
-    "seed": int,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "patience": int,
-    "clip_norm": float,
-    "tp": int,
-    "tq": int,
-    "group_width": int,
-    "h_adj": int,
-    "h_head": int,
-    "h_temporal": int,
-    "h_deep": int,
-    "h_pe": int,
-    "h_e": int,
-    "smoothing": float,
+# `train` keys backed by a config field: key -> (owning dataclass, field
+# name, help text). Types and defaults are read from the fields, so a
+# default lives only in its dataclass. Flags are --key with - for _.
+TRAIN_FIELDS = {
+    "variant": (StackConfig, "variant", "model variant"),
+    "seed": (TrainConfig, "seed", "run seed"),
+    "lr": (TrainConfig, "lr", "Adam learning rate"),
+    "epochs": (TrainConfig, "max_epochs", "max training epochs"),
+    "batch_size": (TrainConfig, "batch_size", "batch size"),
+    "patience": (TrainConfig, "patience", "early-stopping patience"),
+    "clip_norm": (TrainConfig, "clip_norm", "global gradient-norm clip, 5 is the usual guard"),
+    "tp": (StackConfig, "t_p", "event window, steps before"),
+    "tq": (StackConfig, "t_q", "event window, steps after"),
+    "group_width": (StackConfig, "group_width", "group floor output width"),
+    "h_adj": (StackConfig, "h_adj", "adjacency matrices consumed"),
+    "h_head": (StackConfig, "h_head", "heads per adjacency"),
+    "h_temporal": (StackConfig, "h_temporal", "per-head width, group floors"),
+    "h_deep": (StackConfig, "h_deep", "per-head width, deep floors"),
+    "h_pe": (StackConfig, "h_pe", "pairwise-encoding channels"),
+    "h_e": (StackConfig, "h_e", "vertex-encoding width"),
+    "smoothing": (StackConfig, "smoothing", "direction label smoothing"),
 }
-TRAIN_DEFAULTS = {
-    "edges": None,
-    "variant": "full",
-    "seed": 0,
-    "lr": 1e-4,
-    "epochs": 200,
-    "batch_size": 16,
-    "patience": 10,
-    "clip_norm": None,
-    "tp": 6,
-    "tq": 0,
-    "group_width": 16,
-    "h_adj": 2,
-    "h_head": 4,
-    "h_temporal": 2,
-    "h_deep": 24,
-    "h_pe": 10,
-    "h_e": 8,
-    "smoothing": 0.1,
+# `train` keys naming input files and the output directory: key -> help text
+TRAIN_PATHS = {
+    "series": "readings CSV",
+    "locations": "sensor locations CSV",
+    "edges": "road edges CSV (optional)",
+    "out": "output directory",
+}
+
+
+def _field_spec(owner, name: str, help_text: str) -> tuple:
+    """(type, default, help) of a dataclass field; `float | None` gives float."""
+    hint = typing.get_type_hints(owner)[name]
+    kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    default = next(f.default for f in fields(owner) if f.name == name)
+    return kind, default, f"{help_text} (default {'off' if default is None else default})"
+
+
+# every `train` key -> (type, default, help), paths first, in flag order
+TRAIN_SCHEMA = {key: (str, None, help_text) for key, help_text in TRAIN_PATHS.items()} | {
+    key: _field_spec(*row) for key, row in TRAIN_FIELDS.items()
 }
 
 
@@ -124,7 +125,7 @@ def parse_config_file(path) -> dict:
             if key not in TRAIN_SCHEMA:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                values[key] = TRAIN_SCHEMA[key](text)
+                values[key] = TRAIN_SCHEMA[key][0](text)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{line_no}: bad value {text!r} for {key!r}"
@@ -134,7 +135,7 @@ def parse_config_file(path) -> dict:
 
 def resolve_train_config(args) -> dict:
     """Defaults, overridden by the config file, overridden by explicit flags."""
-    resolved = dict(TRAIN_DEFAULTS)
+    resolved = {key: default for key, (_, default, _) in TRAIN_SCHEMA.items()}
     if args.config is not None:
         resolved.update(parse_config_file(args.config))
     for key in TRAIN_SCHEMA:
@@ -145,6 +146,12 @@ def resolve_train_config(args) -> dict:
         if not resolved.get(required):
             raise ConfigError(f"missing required option --{required}")
     return resolved
+
+
+def _config(owner, resolved: dict, **extra):
+    """Build ``owner`` from the resolved values of the keys it owns."""
+    owned = {name: resolved[key] for key, (o, name, _) in TRAIN_FIELDS.items() if o is owner}
+    return owner(**owned, **extra)
 
 
 def echo_config(resolved: dict, path) -> None:
@@ -219,35 +226,11 @@ def cmd_train(args) -> int:
         resolved["series"], resolved["locations"], resolved.get("edges")
     )
     splits = split_and_window(series, p=12, q=12)
-    stack = StackConfig(
-        n=graph.n_vertices,
-        variant=resolved["variant"],
-        group_width=resolved["group_width"],
-        h_adj=resolved["h_adj"],
-        h_head=resolved["h_head"],
-        h_temporal=resolved["h_temporal"],
-        h_deep=resolved["h_deep"],
-        h_pe=resolved["h_pe"],
-        h_e=resolved["h_e"],
-        t_p=resolved["tp"],
-        t_q=resolved["tq"],
-        smoothing=resolved["smoothing"],
-    )
+    stack = _config(StackConfig, resolved, n=graph.n_vertices)
+    run = _config(TrainConfig, resolved)
     train_series = series.slice(0, splits.split_sizes[0])
-    model = prepare_model(stack, graph, train_series, splits.stats, resolved["seed"])
-    result = train(
-        model,
-        splits.train,
-        splits.val,
-        TrainConfig(
-            lr=resolved["lr"],
-            batch_size=resolved["batch_size"],
-            max_epochs=resolved["epochs"],
-            patience=resolved["patience"],
-            seed=resolved["seed"],
-            clip_norm=resolved["clip_norm"],
-        ),
-    )
+    model = prepare_model(stack, graph, train_series, splits.stats, run.seed)
+    result = train(model, splits.train, splits.val, run)
     save_checkpoint(model, out / "checkpoint.json")
     write_log(result.log_rows, out / "training_log.csv")
     print(
@@ -356,12 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True, help="readings CSV")
     p.add_argument("--locations", required=True, help="sensor locations CSV")
     p.add_argument("--edges", default=None, help="road edges CSV (optional)")
-    p.add_argument("--tp", type=int, default=6, help="steps before an event (default 6)")
-    p.add_argument("--tq", type=int, default=0, help="steps after an event (default 0)")
+    p.add_argument("--tp", type=int, default=StackConfig.t_p,
+                   help=f"steps before an event (default {StackConfig.t_p})")
+    p.add_argument("--tq", type=int, default=StackConfig.t_q,
+                   help=f"steps after an event (default {StackConfig.t_q})")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_build_adjacency)
 
-    defaults = ", ".join(f"{k}={v}" for k, v in TRAIN_DEFAULTS.items() if v is not None)
+    defaults = ", ".join(f"{k}={d}" for k, (_, d, _) in TRAIN_SCHEMA.items() if d is not None)
     p = sub.add_parser(
         "train",
         help="train a model",
@@ -375,27 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--series", help="readings CSV")
-    p.add_argument("--locations", help="sensor locations CSV")
-    p.add_argument("--edges", help="road edges CSV (optional)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--variant", choices=VARIANTS, help="model variant (default full)")
-    p.add_argument("--seed", type=int, help="run seed (default 0)")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 1e-4)")
-    p.add_argument("--epochs", type=int, help="max training epochs (default 200)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="batch size (default 16)")
-    p.add_argument("--patience", type=int, help="early-stopping patience (default 10)")
-    p.add_argument("--clip-norm", dest="clip_norm", type=float, help="global gradient-norm clip (default off; 5 is the usual guard)")
-    p.add_argument("--tp", type=int, help="event window, steps before (default 6)")
-    p.add_argument("--tq", type=int, help="event window, steps after (default 0)")
-    p.add_argument("--group-width", dest="group_width", type=int, help="group floor output width (default 16)")
-    p.add_argument("--h-adj", dest="h_adj", type=int, help="adjacency matrices consumed (default 2)")
-    p.add_argument("--h-head", dest="h_head", type=int, help="heads per adjacency (default 4)")
-    p.add_argument("--h-temporal", dest="h_temporal", type=int, help="per-head width, group floors (default 2)")
-    p.add_argument("--h-deep", dest="h_deep", type=int, help="per-head width, deep floors (default 24)")
-    p.add_argument("--h-pe", dest="h_pe", type=int, help="pairwise-encoding channels (default 10)")
-    p.add_argument("--h-e", dest="h_e", type=int, help="vertex-encoding width (default 8)")
-    p.add_argument("--smoothing", type=float, help="direction label smoothing (default 0.1)")
+    for key, (kind, _, help_text) in TRAIN_SCHEMA.items():
+        choices = VARIANTS if key == "variant" else None
+        p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=help_text)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint")

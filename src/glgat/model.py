@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class StackConfig:
             raise ConfigError("head configuration values must be positive")
         if self.h_pe < 0 or self.h_e < 0 or self.t_p < 0 or self.t_q < 0:
             raise ConfigError("h_pe, h_e, t_p, t_q must be non-negative")
+        if not 0.0 <= self.smoothing < 1.0:
+            raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 
     @property
     def uses_gat(self) -> bool:
@@ -108,13 +110,6 @@ class StackConfig:
     def dims_deep(self) -> LayerDims:
         h_pe = self.h_pe if self.pe_enabled else 0
         return LayerDims(self.h_deep, self.h_adj, self.h_head, h_pe)
-
-
-def configure_ablation(config: StackConfig, variant: str) -> StackConfig:
-    """Return the configuration rewired for the requested variant."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    return replace(config, variant=variant)
 
 
 def build_adjacency_set(

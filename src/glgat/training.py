@@ -321,7 +321,13 @@ class TrainConfig:
     clip_norm: float | None = None  # off by default; 5.0 is the guard value
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
+        # a clip_norm <= 0 would turn the Adam step into gradient ascent
+        bad_clip = self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf
+        if (
+            not 0.0 <= self.lr < math.inf
+            or bad_clip
+            or min(self.batch_size, self.max_epochs, self.patience) < 1
+        ):
             raise ValueError(f"invalid training configuration {self}")
 
 

@@ -235,6 +235,139 @@ def test_train_missing_file_is_data_error(tmp_path):
     assert rc == 3
 
 
+def test_train_rejects_negative_clip_norm(tmp_path, dataset):
+    out = tmp_path / "clip"
+    rc = cli.main(train_args(dataset, out, "--epochs", "1", "--clip-norm", "-1"))
+    assert rc == 2
+    assert not (out / "checkpoint.json").exists()
+
+
+class _Stop(Exception):
+    """Raised by the stubbed trainer once both configurations are captured."""
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Run `train` up to the trainer and record what it would have used."""
+    seen = {}
+
+    def fake_prepare(stack, graph, train_series, stats, seed):
+        seen["stack"], seen["model_seed"] = stack, seed
+        return None
+
+    def fake_train(model, train_samples, val_samples, config):
+        seen["train"] = config
+        raise _Stop
+
+    monkeypatch.setattr(cli, "prepare_model", fake_prepare)
+    monkeypatch.setattr(cli, "train", fake_train)
+    return seen
+
+
+# one non-default value per field-backed key: (owner, field, value)
+FIELD_KEYS = {
+    "variant": ("stack", "variant", "ablation1"),
+    "seed": ("train", "seed", 5),
+    "lr": ("train", "lr", 0.002),
+    "epochs": ("train", "max_epochs", 7),
+    "batch_size": ("train", "batch_size", 8),
+    "patience": ("train", "patience", 3),
+    "clip_norm": ("train", "clip_norm", 2.5),
+    "tp": ("stack", "t_p", 4),
+    "tq": ("stack", "t_q", 2),
+    "group_width": ("stack", "group_width", 5),
+    "h_adj": ("stack", "h_adj", 3),
+    "h_head": ("stack", "h_head", 3),
+    "h_temporal": ("stack", "h_temporal", 3),
+    "h_deep": ("stack", "h_deep", 7),
+    "h_pe": ("stack", "h_pe", 5),
+    "h_e": ("stack", "h_e", 6),
+    "smoothing": ("stack", "smoothing", 0.2),
+}
+STACK_DEFAULT = gmodel.StackConfig(n=6)
+TRAIN_DEFAULT = gtrain.TrainConfig()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", list(FIELD_KEYS))
+def test_train_key_reaches_its_config_field(tmp_path, dataset, captured, key, source):
+    owner, field, value = FIELD_KEYS[key]
+    default = STACK_DEFAULT if owner == "stack" else TRAIN_DEFAULT
+    assert getattr(default, field) != value
+    argv = ["train", "--series", str(dataset / "series.csv"),
+            "--locations", str(dataset / "locations.csv"), "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    with pytest.raises(_Stop):
+        cli.main(argv)
+    assert getattr(captured[owner], field) == value
+    # every other field keeps its default
+    for other, (o, f, _) in FIELD_KEYS.items():
+        if other != key:
+            expect = STACK_DEFAULT if o == "stack" else TRAIN_DEFAULT
+            assert getattr(captured[o], f) == getattr(expect, f), other
+    assert captured["model_seed"] == captured["train"].seed
+
+
+def test_train_echoes_defaults_without_overrides(tmp_path, dataset, captured):
+    out = tmp_path / "o"
+    series, locations = dataset / "series.csv", dataset / "locations.csv"
+    with pytest.raises(_Stop):
+        cli.main(["train", "--series", str(series), "--locations", str(locations),
+                  "--out", str(out)])
+    assert (out / "config_used.txt").read_text() == (
+        "batch_size = 16\n"
+        "epochs = 200\n"
+        "group_width = 16\n"
+        "h_adj = 2\n"
+        "h_deep = 24\n"
+        "h_e = 8\n"
+        "h_head = 4\n"
+        "h_pe = 10\n"
+        "h_temporal = 2\n"
+        f"locations = {locations}\n"
+        "lr = 0.0001\n"
+        f"out = {out}\n"
+        "patience = 10\n"
+        "seed = 0\n"
+        f"series = {series}\n"
+        "smoothing = 0.1\n"
+        "tp = 6\n"
+        "tq = 0\n"
+        "variant = full\n"
+    )
+
+
+def test_train_help_lists_flags_and_keys_in_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")
+    assert cli.main(["train", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "usage: glgat train [-h] [--config CONFIG] [--series SERIES] "
+        "[--locations LOCATIONS] [--edges EDGES] [--out OUT] "
+        "[--variant {full,ablation1,ablation2,ablation3}] [--seed SEED] [--lr LR] "
+        "[--epochs EPOCHS] [--batch-size BATCH_SIZE] [--patience PATIENCE] "
+        "[--clip-norm CLIP_NORM] [--tp TP] [--tq TQ] [--group-width GROUP_WIDTH] "
+        "[--h-adj H_ADJ] [--h-head H_HEAD] [--h-temporal H_TEMPORAL] "
+        "[--h-deep H_DEEP] [--h-pe H_PE] [--h-e H_E] [--smoothing SMOOTHING]"
+    )
+    epilog = lines[lines.index("config file: flat `key = value` lines accepting the keys"):]
+    assert epilog[1] == (
+        "  series, locations, edges, out, variant, seed, lr, epochs, batch_size, "
+        "patience, clip_norm, tp, tq, group_width, h_adj, h_head, h_temporal, "
+        "h_deep, h_pe, h_e, smoothing"
+    )
+    assert epilog[2] == (
+        "defaults: variant=full, seed=0, lr=0.0001, epochs=200, batch_size=16, "
+        "patience=10, tp=6, tq=0, group_width=16, h_adj=2, h_head=4, h_temporal=2, "
+        "h_deep=24, h_pe=10, h_e=8, smoothing=0.1"
+    )
+
+
 # --------------------------------------------------------------- evaluate
 
 

@@ -1,6 +1,7 @@
 """Stack assembly, grouping, variants, checkpoints, end-to-end gradients."""
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -168,11 +169,11 @@ def test_variant_adjacency_wiring(tiny):
     assert np.array_equal(full.matrices[1], a_down)
 
     conn = build_connectivity_adjacency(graph)
-    ab1 = gmodel.build_adjacency_set(gmodel.configure_ablation(cfg, "ablation1"), graph, train_series)
+    ab1 = gmodel.build_adjacency_set(dataclasses.replace(cfg, variant="ablation1"), graph, train_series)
     assert ab1.labels == ["connectivity", "connectivity"]
     assert all(np.array_equal(m, conn) for m in ab1.matrices)
 
-    ab3 = gmodel.build_adjacency_set(gmodel.configure_ablation(cfg, "ablation3"), graph, train_series)
+    ab3 = gmodel.build_adjacency_set(dataclasses.replace(cfg, variant="ablation3"), graph, train_series)
     assert len(ab3.matrices) == 1
     union = ab3.matrices[0]
     assert set(np.unique(union)) <= {0.0, 1.0}
@@ -180,7 +181,7 @@ def test_variant_adjacency_wiring(tiny):
 
 
 def test_ablation2_drops_pairwise_term(tiny):
-    cfg = gmodel.configure_ablation(tiny[0], "ablation2")
+    cfg = dataclasses.replace(tiny[0], variant="ablation2")
     assert not cfg.pe_enabled
     assert cfg.dims_temporal.h_q == cfg.dims_temporal.h_prime
     _, _, _, _, model = pipeline(variant="ablation2")
@@ -221,9 +222,13 @@ def test_config_validation():
         gmodel.StackConfig(n=0)
     with pytest.raises(gmodel.ConfigError):
         gmodel.StackConfig(n=6, t_p=-1)
+    for smoothing in (2.0, 1.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(gmodel.ConfigError):
+            gmodel.StackConfig(n=6, smoothing=smoothing)
+    assert gmodel.StackConfig(n=6, smoothing=0.0).smoothing == 0.0
     with pytest.raises(gmodel.ConfigError):
-        gmodel.configure_ablation(tiny_config(), "nope")
-    assert gmodel.configure_ablation(tiny_config(), "ablation2").variant == "ablation2"
+        dataclasses.replace(tiny_config(), variant="nope")
+    assert dataclasses.replace(tiny_config(), variant="ablation2").variant == "ablation2"
 
 
 # -------------------------------------------------------- denormalizing

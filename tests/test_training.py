@@ -519,8 +519,13 @@ def test_log_csv_round_trip(tmp_path, setup):
 
 
 def test_train_config_validation(setup):
-    with pytest.raises(ValueError):
-        gtrain.TrainConfig(lr=-1e-3)
+    for lr in (-1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            gtrain.TrainConfig(lr=lr)
+    for clip_norm in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gtrain.TrainConfig(clip_norm=clip_norm)
+    assert gtrain.TrainConfig(clip_norm=5.0).clip_norm == 5.0
     with pytest.raises(ValueError):
         gtrain.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
