@@ -19,8 +19,8 @@ over blocks of at most ``_BLOCK_BYTES`` of scores that stay in cache through
 the elementwise passes; inside ``no_grad()`` it never holds a whole score
 tensor.
 
-The only module state is the per-thread switch of ``no_grad()``, restored
-when its block exits. A graph belongs to whichever thread built it, and
+The only module state is per thread: the switch of ``no_grad()`` and the
+results held by ``reuse_scope()``, both restored when their block exits. A graph belongs to whichever thread built it, and
 independent graphs over shared read-only leaves may run concurrently.
 """
 
@@ -51,7 +51,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-_recording = threading.local()  # per-thread state of no_grad()
+_recording = threading.local()  # per-thread state of no_grad() and reuse_scope()
 
 
 @contextlib.contextmanager
@@ -69,6 +69,45 @@ def no_grad():
         yield
     finally:
         _recording.off = previous
+
+
+@contextlib.contextmanager
+def reuse_scope():
+    """Let ``reuse`` hand back earlier results for the length of the block.
+
+    Meant for evaluations that repeat one input with one tensor changed,
+    such as the perturbed calls of a gradient check. Each owner keeps only
+    its last key and result; all of them are dropped when the block exits.
+    """
+    previous = getattr(_recording, "reused", None)
+    _recording.reused = {}
+    try:
+        yield
+    finally:
+        _recording.reused = previous
+
+
+def reuse(owner, reads, compute) -> DiffTensor:
+    """``compute()``, or the result it gave for ``owner`` last time.
+
+    Inside ``reuse_scope()`` and ``no_grad()`` together, the earlier result is
+    returned when every array that ``reads()`` lists holds the same shape,
+    dtype and bytes as when it was computed; identity does not count, so an
+    in-place write or a swapped-in array forces a recompute. ``compute``
+    must depend on nothing but those arrays and ``owner``, which is kept
+    alive while its result is held. Anywhere else this is ``compute()``, and
+    ``reads`` is not called.
+    """
+    held = getattr(_recording, "reused", None)
+    if held is None or not getattr(_recording, "off", False):
+        return compute()
+    key = [(a.dtype.str, a.shape, a.tobytes()) for a in reads()]
+    last = held.get(id(owner))
+    if last is not None and last[1] == key:
+        return last[2]
+    out = compute()
+    held[id(owner)] = (owner, key, out)
+    return out
 
 
 def require_finite(data: np.ndarray, what: str) -> None:

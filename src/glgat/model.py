@@ -257,9 +257,24 @@ def group_timesteps(x: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(model: GlgatModel, block, x: ad.DiffTensor) -> ad.DiffTensor:
-    if model.config.uses_gat:
-        return gat_forward(block, x, model.enc, model.adj)
-    return glgat_forward(block, x, model.enc, model.adj, model.pe)
+    """One floor; inside ``ad.reuse_scope()`` its last output is reused while
+    its input, parameters, vertex encoding, adjacency and pairwise table
+    hold the same bytes."""
+
+    def floor():
+        if model.config.uses_gat:
+            return gat_forward(block, x, model.enc, model.adj)
+        return glgat_forward(block, x, model.enc, model.adj, model.pe)
+
+    def reads():
+        arrays = [x.data, model.adj, *(t.data for t in block.named().values())]
+        if model.enc is not None:
+            arrays.append(model.enc.data)
+        if model.pe is not None:
+            arrays.append(model.pe)
+        return arrays
+
+    return ad.reuse(block, reads, floor)
 
 
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:

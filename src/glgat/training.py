@@ -28,6 +28,7 @@ LOG_COLUMNS = (
     "val_mae_15min",
     "val_mae_30min",
     "val_mae_60min",
+    "stop_metric",
     "wall_time_s",
 )
 
@@ -358,7 +359,9 @@ def train(
 
     The model ends up holding the best-validation parameters (the final
     epochs are rolled back if they did not improve). When there are no
-    validation windows, the training loss drives stopping instead.
+    validation windows, the smooth-L1 loss of the parameters at the end of
+    each epoch over all training windows drives stopping instead. Either
+    way the value ranked is logged as ``stop_metric``.
     """
     if not train_samples:
         raise DataError("training requires at least one window")
@@ -407,7 +410,9 @@ def train(
             report = evaluate(predict(model, x_val), y_val, m_val)
             metric = report.mean_mae
         else:
-            metric = train_loss
+            with ad.no_grad():
+                fit = batch_smooth_l1(ad.constant(predict(model, x_train)), y_train, m_train)
+            metric = fit.item()
         rows.append(
             {
                 "epoch": epoch,
@@ -415,6 +420,7 @@ def train(
                 "val_mae_15min": report.horizons[3].mae if report else math.nan,
                 "val_mae_30min": report.horizons[6].mae if report else math.nan,
                 "val_mae_60min": report.horizons[12].mae if report else math.nan,
+                "stop_metric": metric,
                 "wall_time_s": time.perf_counter() - t0,
             }
         )

@@ -358,6 +358,16 @@ def test_check_gradients_rejects_a_non_finite_perturbed_value():
         check_gradients(fn, {"x": x})
 
 
+@pytest.mark.parametrize("entries", [0, -1])
+def test_check_gradients_rejects_fewer_than_one_entry_per_tensor(entries):
+    x = ad.parameter(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="max_entries_per_tensor must be at least 1"):
+        check_gradients(
+            lambda: ad.reduce_sum(x * x), {"x": x},
+            max_entries_per_tensor=entries, rng=np.random.default_rng(0),
+        )
+
+
 # ------------------------------------------------------------ gradients
 
 

@@ -461,6 +461,13 @@ def test_gradcheck_command_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entries", ["0", "-1"])
+def test_gradcheck_rejects_fewer_than_one_entry(capsys, entries):
+    assert cli.main(["gradcheck", "--entries", entries]) == 2
+    err = capsys.readouterr().err
+    assert "max_entries_per_tensor must be at least 1" in err
+
+
 # ------------------------------------------------------------------ misc
 
 

@@ -467,3 +467,141 @@ def test_end_to_end_gradients_match_finite_differences(tiny):
         rng=np.random.default_rng(77),
     )
     assert report.passed, report.summary()
+
+
+# ------------------------------------------- floor reuse in gradient checks
+
+
+def count_floors(monkeypatch) -> list:
+    """Record every floor the model actually runs."""
+    calls = []
+    for name in ("glgat_forward", "gat_forward"):
+        real = getattr(gmodel, name)
+
+        def counted(*args, _real=real, **kw):
+            calls.append(_real.__name__)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(gmodel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", gmodel.VARIANTS)
+def test_gradcheck_perturbed_values_equal_fresh_calls(monkeypatch, variant):
+    """Every perturbed value equals a fresh no-grad call bit for bit, while
+    the floors upstream of the perturbed tensor are not run again."""
+    _, _, _, splits, model = pipeline(variant=variant)
+    x = splits.train[0].input
+    params = model.named_params()
+    seen = []  # parameter contents and the value returned, per call of fn
+
+    def fn():
+        out = ad.reduce_sum(gmodel.model_forward(model, x))
+        seen.append(([t.data.copy() for t in params.values()], out.data.tobytes()))
+        return out
+
+    floors = count_floors(monkeypatch)
+    check_gradients(fn, params, max_entries_per_tensor=2, rng=np.random.default_rng(5))
+    assert len(seen) == 1 + 2 * sum(min(2, t.size) for t in params.values())
+    assert len(floors) < 0.7 * 5 * len(seen)
+
+    for contents, value in seen[1:]:
+        for t, data in zip(params.values(), contents):
+            t.data[...] = data
+        with ad.no_grad():
+            assert ad.reduce_sum(gmodel.model_forward(model, x)).data.tobytes() == value
+
+
+@pytest.mark.parametrize(
+    "target, rerun",
+    [("adjacency", 5), ("pairwise table", 5), ("input", 5), ("vertex encoding", 5), ("layer4.w_k", 3)],
+)
+def test_reuse_recomputes_after_an_in_place_write(monkeypatch, target, rerun):
+    _, _, _, splits, model = pipeline()
+    x = splits.train[0].input.copy()
+    arrays = {
+        "adjacency": model.adj,
+        "pairwise table": model.pe,
+        "input": x,
+        "vertex encoding": model.enc.data,
+        "layer4.w_k": model.blocks[2].w_k.data,
+    }
+    floors = count_floors(monkeypatch)
+    with ad.no_grad(), ad.reuse_scope():
+        first = gmodel.model_forward(model, x).data
+        assert gmodel.model_forward(model, x).data.tobytes() == first.tobytes()
+        assert len(floors) == 5  # the second call reused every floor
+        alias = arrays[target].reshape(-1)  # a view: the write goes through it
+        old = alias[1]
+        alias[1] = 0.5 * old + 0.25  # stays inside [0, 1] for the adjacency
+        assert alias[1] != old
+        changed = gmodel.model_forward(model, x).data
+        assert len(floors) == 5 + rerun
+    with ad.no_grad():
+        fresh = gmodel.model_forward(model, x).data
+    assert changed.tobytes() == fresh.tobytes()
+    assert changed.tobytes() != first.tobytes()
+
+
+def test_reuse_keys_on_bytes_not_identity(monkeypatch, tiny):
+    _, _, _, splits, model = tiny
+    x = splits.train[0].input
+    floors = count_floors(monkeypatch)
+    with ad.no_grad(), ad.reuse_scope():
+        first = gmodel.model_forward(model, x).data
+        model.adj = model.adj.copy()  # the same bytes in a new array
+        again = gmodel.model_forward(model, x).data
+    assert len(floors) == 5
+    assert again.tobytes() == first.tobytes()
+
+
+def test_reuse_only_inside_its_scope_and_no_grad(monkeypatch, tiny):
+    _, _, _, splits, model = tiny
+    x = splits.train[0].input
+    floors = count_floors(monkeypatch)
+    with ad.reuse_scope():  # recorded calls never reuse
+        gmodel.model_forward(model, x)
+        out = gmodel.model_forward(model, x)
+    assert out.requires_grad
+    with ad.no_grad():  # no scope, no reuse
+        gmodel.model_forward(model, x)
+        gmodel.model_forward(model, x)
+    assert len(floors) == 20
+
+
+def test_nothing_survives_a_gradient_check(monkeypatch):
+    _, _, _, splits, model = pipeline()
+    xs = np.stack([s.input for s in splits.val[:3]])
+    before = gmodel.model_forward(model, xs).data.tobytes()
+    fields_before = [dict(vars(o)) for o in (model, *model.blocks)]
+    params = model.named_params()
+    contents = {k: t.data.copy() for k, t in params.items()}
+
+    def fn():
+        return ad.reduce_sum(gmodel.model_forward(model, xs[:1]))
+
+    check_gradients(fn, params, max_entries_per_tensor=1, rng=np.random.default_rng(2))
+    assert getattr(ad._recording, "reused", None) is None
+    assert [dict(vars(o)) for o in (model, *model.blocks)] == fields_before
+    for k, t in params.items():
+        assert t.data.tobytes() == contents[k].tobytes(), k
+    with ad.no_grad():
+        assert gmodel.model_forward(model, xs).data.tobytes() == before
+
+    # a check that raises drops its held floors as well
+    calls = []
+
+    def failing():
+        calls.append(None)
+        if len(calls) > 3:
+            raise ad.NonFiniteError("stop")
+        return fn()
+
+    with pytest.raises(ad.NonFiniteError):
+        check_gradients(failing, params)
+    assert getattr(ad._recording, "reused", None) is None
+    floors = count_floors(monkeypatch)
+    with ad.no_grad():
+        gmodel.model_forward(model, xs[:1])
+        gmodel.model_forward(model, xs[:1])
+    assert len(floors) == 10

@@ -433,6 +433,26 @@ def test_predict_rejects_non_finite_forecasts(setup):
         gtrain.predict(model, gtrain.stack_inputs(splits.val[:2]))
 
 
+def test_restored_model_without_validation_has_the_best_logged_loss(setup):
+    """Without validation windows the kept snapshot is ranked by its own
+    loss over the training windows, so restoring it gives that loss."""
+    _, _, splits, _ = setup
+    model = fresh_model(setup)
+    samples = splits.train[:20]
+    res = gtrain.train(
+        model,
+        samples,
+        [],
+        gtrain.TrainConfig(lr=2e-2, batch_size=8, max_epochs=12, patience=3, seed=0),
+    )
+    assert res.best_epoch < res.epochs_run  # later epochs were rolled back
+    best = min(r["stop_metric"] for r in res.log_rows)
+    assert res.log_rows[res.best_epoch - 1]["stop_metric"] == best
+    x = gtrain.stack_inputs(samples)
+    y, msk = gtrain.stack_targets(samples)
+    assert gtrain.batch_smooth_l1(gmodel.model_forward(model, x), y, msk).item() == best
+
+
 def test_overfits_two_windows(setup):
     """Enough optimization signal to memorize a two-window training set."""
     _, _, splits, _ = setup
