@@ -20,8 +20,9 @@ the elementwise passes; inside ``no_grad()`` it never holds a whole score
 tensor.
 
 The only module state is per thread: the switch of ``no_grad()`` and the
-results held by ``reuse_scope()``, both restored when their block exits. A graph belongs to whichever thread built it, and
-independent graphs over shared read-only leaves may run concurrently.
+results held by ``reuse_scope()``, both restored when their block exits.
+A graph belongs to whichever thread built it, and independent graphs over
+shared read-only leaves may run concurrently.
 """
 
 from __future__ import annotations
