@@ -137,11 +137,13 @@ def check_gradients(
             for fi in flat_indices:
                 fi = int(fi)
                 original = flat[fi]
-                flat[fi] = original + h
-                f_plus = _value(fn)
-                flat[fi] = original - h
-                f_minus = _value(fn)
-                flat[fi] = original
+                try:
+                    flat[fi] = original + h
+                    f_plus = _value(fn)
+                    flat[fi] = original - h
+                    f_minus = _value(fn)
+                finally:  # a raising fn leaves no perturbed entry behind
+                    flat[fi] = original
 
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 ana = float(analytic[name].ravel()[fi])

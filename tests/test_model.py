@@ -600,6 +600,8 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
     with pytest.raises(ad.NonFiniteError):
         check_gradients(failing, params)
     assert getattr(ad._recording, "reused", None) is None
+    for k, t in params.items():
+        assert t.data.tobytes() == contents[k].tobytes(), k
     floors = count_floors(monkeypatch)
     with ad.no_grad():
         gmodel.model_forward(model, xs[:1])
