@@ -59,7 +59,7 @@ class AdjacencySet:
         for mat, label in zip(self.matrices, self.labels):
             if mat.shape != (n, n):
                 raise ValueError(f"matrix {label!r} is not {n} x {n}")
-            if np.any(mat < 0.0) or np.any(mat > 1.0):
+            if not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):  # NaN fails too
                 raise ValueError(f"matrix {label!r} has entries outside [0, 1]")
             if np.any(np.diagonal(mat) != 1.0):
                 raise ValueError(f"matrix {label!r} lacks a unit diagonal")

@@ -259,19 +259,14 @@ class Tape:
 
 
 def constant(values) -> DiffTensor:
-    """Leaf tensor excluded from gradient computation."""
+    """Leaf tensor excluded from gradient computation; a ``DiffTensor`` is
+    returned as it is."""
     return values if isinstance(values, DiffTensor) else DiffTensor(values)
 
 
 def parameter(values) -> DiffTensor:
     """Leaf tensor that receives gradients."""
     return DiffTensor(values, requires_grad=True)
-
-
-def _wrap(x) -> DiffTensor:
-    if isinstance(x, DiffTensor):
-        return x
-    return DiffTensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data, parents, backward, op: str, check_finite: bool = True) -> DiffTensor:
@@ -311,38 +306,36 @@ def _check_broadcast(a_shape, b_shape, op: str) -> None:
 
 
 def add(a, b) -> DiffTensor:
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast(a.shape, b.shape, "add")
-
-    def backward(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _sum_to_shape(g, a.shape)))
-        if b.requires_grad:
-            out.append((b, _sum_to_shape(g, b.shape)))
-        return out
-
-    return _make(a.data + b.data, (a, b), backward, "add")
+    """Elementwise sum with numpy broadcasting."""
+    return _add(a, b, "add")
 
 
 def sub(a, b) -> DiffTensor:
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast(a.shape, b.shape, "sub")
+    """Elementwise difference, ``add`` of ``-b``: the same rule, with the
+    gradient to ``b`` negated."""
+    return _add(a, b, "sub")
+
+
+def _add(a, b, op: str) -> DiffTensor:
+    a, b = constant(a), constant(b)
+    _check_broadcast(a.shape, b.shape, op)
+    negate = op == "sub"
 
     def backward(g):
         out = []
         if a.requires_grad:
             out.append((a, _sum_to_shape(g, a.shape)))
         if b.requires_grad:
-            out.append((b, _sum_to_shape(-g, b.shape)))
+            out.append((b, _sum_to_shape(-g if negate else g, b.shape)))
         return out
 
-    return _make(a.data - b.data, (a, b), backward, "sub")
+    data = a.data - b.data if negate else a.data + b.data
+    return _make(data, (a, b), backward, op)
 
 
 def mul(a, b) -> DiffTensor:
     """Elementwise product with numpy broadcasting."""
-    a, b = _wrap(a), _wrap(b)
+    a, b = constant(a), constant(b)
     _check_broadcast(a.shape, b.shape, "mul")
 
     def backward(g):
@@ -357,18 +350,13 @@ def mul(a, b) -> DiffTensor:
 
 
 def scale(a, c: float) -> DiffTensor:
-    a = _wrap(a)
-    c = float(c)
-
-    def backward(g):
-        return [(a, g * c)]
-
-    return _make(a.data * c, (a,), backward, "scale")
+    """``a`` times the constant ``c``, as ``mul``."""
+    return mul(a, float(c))
 
 
 def matmul(a, b) -> DiffTensor:
     """Matrix product over the last two axes, broadcasting leading axes."""
-    a, b = _wrap(a), _wrap(b)
+    a, b = constant(a), constant(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul: operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
@@ -395,7 +383,7 @@ def affine(x, w, b) -> DiffTensor:
     the same contiguous w^T copy in the product and the same gradient
     expressions, so results match the three-node form bit for bit.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    x, w, b = constant(x), constant(w), constant(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"affine: input {x.shape} incompatible with weights {w.shape}")
     if b.shape != (w.shape[0],):
@@ -420,7 +408,7 @@ def affine(x, w, b) -> DiffTensor:
 
 def permute(a, axes) -> DiffTensor:
     """Reorder the axes of ``a`` as ``np.transpose(a, axes)`` does."""
-    a = _wrap(a)
+    a = constant(a)
     axes = tuple(axes)
     try:
         data = a.data.transpose(axes)
@@ -439,14 +427,14 @@ def permute(a, axes) -> DiffTensor:
 
 def transpose_last(a) -> DiffTensor:
     """Swap the last two axes."""
-    a = _wrap(a)
+    a = constant(a)
     if a.ndim < 2:
         raise ShapeError("transpose_last: operand must have at least 2 dimensions")
     return swap_axes(a, -1, -2)
 
 
 def swap_axes(a, axis1: int, axis2: int) -> DiffTensor:
-    a = _wrap(a)
+    a = constant(a)
     axes = list(range(a.ndim))
     axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
     return permute(a, axes)
@@ -454,7 +442,7 @@ def swap_axes(a, axis1: int, axis2: int) -> DiffTensor:
 
 def reshape(a, shape) -> DiffTensor:
     """Row-major reshape; total element count is preserved."""
-    a = _wrap(a)
+    a = constant(a)
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
@@ -466,7 +454,7 @@ def reshape(a, shape) -> DiffTensor:
 
 
 def broadcast_to(a, shape) -> DiffTensor:
-    a = _wrap(a)
+    a = constant(a)
     shape = tuple(int(s) for s in shape)
     _check_broadcast(a.shape, shape, "broadcast_to")
 
@@ -480,7 +468,7 @@ def broadcast_to(a, shape) -> DiffTensor:
 
 def slice_tensor(a, idx) -> DiffTensor:
     """Basic indexing (ints, slices, Ellipsis); gradient scatters back."""
-    a = _wrap(a)
+    a = constant(a)
     try:
         view = a.data[idx]
     except IndexError as exc:
@@ -496,7 +484,7 @@ def slice_tensor(a, idx) -> DiffTensor:
 
 def concat(tensors, axis: int = -1) -> DiffTensor:
     """Concatenate along ``axis``; all other dimensions must match."""
-    ts = [_wrap(t) for t in tensors]
+    ts = [constant(t) for t in tensors]
     if not ts:
         raise ShapeError("concat: need at least one tensor")
     try:
@@ -521,7 +509,7 @@ def concat(tensors, axis: int = -1) -> DiffTensor:
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> DiffTensor:
-    a = _wrap(a)
+    a = constant(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -564,7 +552,7 @@ def gelu(x) -> DiffTensor:
     analytic derivative Phi(x) + x * phi(x) matches finite differences to
     full float64 precision.
     """
-    x = _wrap(x)
+    x = constant(x)
     cdf = _gelu_cdf(x.data)
 
     def backward(g):
@@ -576,7 +564,7 @@ def gelu(x) -> DiffTensor:
 
 def huber(x) -> DiffTensor:
     """Elementwise smooth-L1 kernel: 0.5 x^2 inside |x| < 1, |x| - 0.5 beyond."""
-    x = _wrap(x)
+    x = constant(x)
     a = np.abs(x.data)
     data = np.where(a < 1.0, 0.5 * x.data * x.data, a - 0.5)
 
@@ -671,7 +659,7 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     positive-weight scores instead, the live-entry normalizer of Milakov &
     Gimelshein (arXiv:1805.02867).
     """
-    scores = _wrap(scores)
+    scores = constant(scores)
     weights = _check_weights(weights, scores.shape, "masked_softmax")
     out_data = _softmax_rows(scores.data, weights)
 
@@ -744,11 +732,11 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     of the composed ``matmul``, ``add``, ``gelu``, ``masked_softmax`` and
     ``matmul``.
     """
-    q, k_t, v = _wrap(q), _wrap(k_t), _wrap(v)
+    q, k_t, v = constant(q), constant(k_t), constant(v)
     shape = _score_shape(q.shape, k_t.shape, v.shape)
     lead = shape[:-2]
     if bias is not None:
-        bias = _wrap(bias)
+        bias = constant(bias)
         _check_fits(bias.shape, shape, "bias", "attend")
     weights = _check_weights(weights, shape, "attend")
 
@@ -803,16 +791,35 @@ def bank_apply(bank, x) -> DiffTensor:
     is (..., N, H). Semantically identical to N independent (H, D) matrices,
     one owned by each row.
     """
-    bank, x = _wrap(bank), _wrap(x)
+    bank = constant(bank)
     if bank.ndim != 3:
         raise ShapeError("bank_apply: bank must have shape (N, H, D)")
-    if x.ndim < 2 or x.shape[-2] != bank.shape[0] or x.shape[-1] != bank.shape[2]:
-        raise ShapeError(
-            f"bank_apply: input shape {x.shape} incompatible with bank {bank.shape}"
-        )
+    return _bank_product(bank, x, "bank_apply")
+
+
+def pairwise_scores(q, table: np.ndarray) -> DiffTensor:
+    """Row-query dot products against a constant pairwise table.
+
+    out[..., i, j] = q[..., i, :] . table[i, j, :] for ``q`` of shape
+    (..., N, H) and ``table`` of shape (N, N, H): the bank product with
+    ``table`` as a constant bank, row i applying its own (N, H) matrix.
+    The table is taken as it is, without ``constant``'s finiteness scan.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 3 or table.shape[0] != table.shape[1]:
+        raise ShapeError("pairwise_scores: table must have shape (N, N, H)")
+    bank = _make(table, (), None, "pairwise_table", check_finite=False)
+    return _bank_product(bank, q, "pairwise_scores")
+
+
+def _bank_product(bank: DiffTensor, x, op: str) -> DiffTensor:
+    """``bank_apply`` with a checked (N, H, D) bank, recorded as ``op``."""
+    x = constant(x)
+    n, h, d = bank.shape
+    if x.ndim < 2 or x.shape[-2:] != (n, d):
+        raise ShapeError(f"{op}: input shape {x.shape} incompatible with {bank.shape}")
 
     # batched matmul over the row axis keeps this on BLAS
-    n, h, d = bank.shape
     lead = x.shape[:-2]
     xf = x.data.reshape(-1, n, d).transpose(1, 0, 2)  # (n, b, d)
 
@@ -829,34 +836,4 @@ def bank_apply(bank, x) -> DiffTensor:
 
     data = np.matmul(xf, bank.data.transpose(0, 2, 1))  # (n, b, h)
     data = np.ascontiguousarray(data.transpose(1, 0, 2).reshape(lead + (n, h)))
-    return _make(data, (bank, x), backward, "bank_apply")
-
-
-def pairwise_scores(q, table: np.ndarray) -> DiffTensor:
-    """Row-query dot products against a constant pairwise table.
-
-    out[..., i, j] = q[..., i, :] . table[i, j, :] for ``q`` of shape
-    (..., N, H) and ``table`` of shape (N, N, H).
-    """
-    q = _wrap(q)
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 3 or table.shape[0] != table.shape[1]:
-        raise ShapeError("pairwise_scores: table must have shape (N, N, H)")
-    if q.ndim < 2 or q.shape[-2] != table.shape[0] or q.shape[-1] != table.shape[2]:
-        raise ShapeError(
-            f"pairwise_scores: query shape {q.shape} incompatible with table {table.shape}"
-        )
-
-    # batched matmul over the query-row axis keeps this on BLAS
-    n, h = table.shape[0], table.shape[2]
-    lead = q.shape[:-2]
-
-    def backward(g):
-        gf = g.reshape(-1, n, n).transpose(1, 0, 2)  # (i, b, j)
-        gq = np.matmul(gf, table).transpose(1, 0, 2)  # (b, i, h)
-        return [(q, np.ascontiguousarray(gq.reshape(q.shape)))]
-
-    qf = q.data.reshape(-1, n, h).transpose(1, 0, 2)  # (i, b, h)
-    data = np.matmul(qf, table.transpose(0, 2, 1))  # (i, b, j)
-    data = np.ascontiguousarray(data.transpose(1, 0, 2).reshape(lead + (n, n)))
-    return _make(data, (q,), backward, "pairwise_scores")
+    return _make(data, (bank, x), backward, op)

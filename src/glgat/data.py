@@ -67,14 +67,12 @@ class TrafficSeries:
     """T x N x K observations with an observation mask and epoch timestamps.
 
     Masked-out entries hold exactly 0. Timestamps are integer epoch seconds,
-    strictly increasing with a constant step. ``norm_stats`` is attached by
-    ``split_and_window`` (it depends on the split, not on the raw series).
+    strictly increasing with a constant step.
     """
 
     data: np.ndarray  # (T, N, K) float64, raw scale
     mask: np.ndarray  # (T, N, K) bool
     timestamps: np.ndarray  # (T,) int64 epoch seconds
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -421,7 +419,6 @@ def split_and_window(
 
     if stats is None:
         stats = fit_norm_stats(series.data[:n_train], series.mask[:n_train])
-    series.norm_stats = stats
     tod = series.time_of_day()
 
     bounds = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]

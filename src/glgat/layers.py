@@ -15,13 +15,11 @@ them against scalar-loop references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .adjacency import AdjacencySet
-from .encoding import PairwiseEncoding
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class GatLayerParams:
     b_ff: ad.DiffTensor  # (K',)
 
     def named(self) -> dict[str, ad.DiffTensor]:
-        return {k: getattr(self, k) for k in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_ff", "b_ff")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -85,12 +83,7 @@ class GlgatLayerParams:
     b_ff: ad.DiffTensor  # (K',)
 
     def named(self) -> dict[str, ad.DiffTensor]:
-        keys = (
-            "w_q_global", "b_q_global", "w_q_local", "b_q_local",
-            "w_q_compress", "b_q_compress", "w_k", "b_k", "w_v", "b_v",
-            "w_ff", "b_ff",
-        )
-        return {k: getattr(self, k) for k in keys}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dims"}
 
     @property
     def n_vertices(self) -> int:
@@ -208,8 +201,8 @@ def glgat_forward(
     params: GlgatLayerParams,
     x_in: ad.DiffTensor,
     enc: ad.DiffTensor | None,
-    adjs,
-    pe,
+    adjs: np.ndarray,
+    pe: np.ndarray | None,
     return_coefficients: bool = False,
 ):
     """Multi-adjacency global-local attention over (..., N, K) inputs.
@@ -227,19 +220,17 @@ def glgat_forward(
     (..., H_adj, H_head, N_row, N_col) when ``return_coefficients``.
     """
     dims = params.dims
-    stacked = adjs.stacked if isinstance(adjs, AdjacencySet) else np.asarray(adjs)
-    pe_table = pe.tensor if isinstance(pe, PairwiseEncoding) else pe
     n = x_in.shape[-2]
-    if stacked.shape != (dims.h_adj, n, n):
+    if adjs.shape != (dims.h_adj, n, n):
         raise ad.ShapeError(
-            f"expected {dims.h_adj} adjacency matrices of size {n}, got {stacked.shape}"
+            f"expected {dims.h_adj} adjacency matrices of size {n}, got {adjs.shape}"
         )
     if params.n_vertices != n:
         raise ad.ShapeError(
             f"layer is bound to {params.n_vertices} vertices, input has {n}"
         )
     if dims.h_pe:
-        if pe_table is None or pe_table.shape != (n, n, dims.h_pe):
+        if pe is None or pe.shape != (n, n, dims.h_pe):
             raise ad.ShapeError(
                 f"pairwise encoding must have shape ({n}, {n}, {dims.h_pe})"
             )
@@ -259,10 +250,10 @@ def glgat_forward(
     if dims.h_pe:
         q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, dims.h_pe))
         q_pe = ad.swap_axes(q_pe, -3, -2)  # (..., H_adj, N, H_PE)
-        pe_scores = ad.pairwise_scores(q_pe, pe_table)  # (..., H_adj, N, N)
+        pe_scores = ad.pairwise_scores(q_pe, pe)  # (..., H_adj, N, N)
         bias = ad.reshape(pe_scores, pe_scores.shape[:-2] + (1, n, n))  # over heads
 
-    weights = stacked.reshape(dims.h_adj, 1, n, n)
+    weights = adjs.reshape(dims.h_adj, 1, n, n)
     hidden = ad.attend(q_at, k_t, v, weights, bias)  # (..., H_adj, H_head, N, H)
     d = hidden.ndim - 4
     hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)

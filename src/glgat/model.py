@@ -29,7 +29,7 @@ from .adjacency import (
     detect_events,
 )
 from .data import NormStats, SensorGraph, TrafficSeries
-from .encoding import PairwiseEncoding, build_pairwise_encoding, init_vertex_encoding
+from .encoding import DEFAULT_H_PE, PairwiseEncoding, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
     GatLayerParams,
     GlgatLayerParams,
@@ -69,7 +69,7 @@ class StackConfig:
     h_head: int = 4
     h_temporal: int = 2
     h_deep: int = 24
-    h_pe: int = 10
+    h_pe: int = DEFAULT_H_PE
     h_e: int = 8
     t_p: int = 6
     t_q: int = 0
@@ -86,6 +86,11 @@ class StackConfig:
             raise ConfigError("head configuration values must be positive")
         if self.h_pe < 0 or self.h_e < 0 or self.t_p < 0 or self.t_q < 0:
             raise ConfigError("h_pe, h_e, t_p, t_q must be non-negative")
+        if self.pe_enabled and self.h_pe != DEFAULT_H_PE:
+            raise ConfigError(
+                f"variant {self.variant!r} needs h_pe = {DEFAULT_H_PE} (the pairwise "
+                f"table's width) or 0, got {self.h_pe}"
+            )
         if not 0.0 <= self.smoothing < 1.0:
             raise ConfigError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 

@@ -268,7 +268,7 @@ def ha_table(train: TrafficSeries, feature: int = 0) -> np.ndarray:
 def historical_average(
     train: TrafficSeries, query_times: np.ndarray, feature: int = 0
 ) -> np.ndarray:
-    """Baseline forecast per (query timestamp, sensor); (len(q), N)."""
+    """Baseline forecast per (query timestamp, sensor); (*query_times.shape, N)."""
     table = ha_table(train, feature)
     step = int(train.timestamps[1] - train.timestamps[0])
     slots = (np.asarray(query_times, dtype=np.int64) % 86400) // step
@@ -277,13 +277,8 @@ def historical_average(
 
 def ha_predictions(train: TrafficSeries, samples: list[WindowedSample]) -> np.ndarray:
     """Baseline forecasts shaped like model output, (S, N, Q)."""
-    table = ha_table(train)
-    step = int(train.timestamps[1] - train.timestamps[0])
-    out = np.empty((len(samples), train.n_vertices, samples[0].target.shape[0]))
-    for i, s in enumerate(samples):
-        slots = (s.target_times % 86400) // step
-        out[i] = table[slots].T
-    return out
+    times = np.stack([s.target_times for s in samples])  # (S, Q)
+    return historical_average(train, times).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------- training

@@ -231,6 +231,8 @@ def test_adjacency_set_validation():
         AdjacencySet(matrices=[eye], labels=["a", "b"])
     with pytest.raises(ValueError):
         AdjacencySet(matrices=[eye * 2.0], labels=["a"])  # entry > 1
+    with pytest.raises(ValueError):
+        AdjacencySet(matrices=[np.array([[1.0, np.nan], [0.0, 1.0]])], labels=["a"])
     no_diag = np.array([[1.0, 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError):
         AdjacencySet(matrices=[no_diag], labels=["a"])

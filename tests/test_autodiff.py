@@ -1,7 +1,9 @@
 """Tensor engine tests: values against hand-computed or independently
 derived oracles, gradients against central differences."""
 
+import ast
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,40 @@ def test_affine_matches_matmul_transpose_add_bit_for_bit():
     )
     with pytest.raises(ad.ShapeError):
         ad.affine(x, w, rand_param(rng, 5))
+
+
+BROADCAST_PAIRS = [((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((3, 1), (2, 1, 5)), ((1,), (2, 3))]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", BROADCAST_PAIRS)
+def test_sub_matches_add_of_the_negation_bit_for_bit(a_shape, b_shape):
+    rng = np.random.default_rng(6)
+    a, b = rand_param(rng, *a_shape), rand_param(rng, *b_shape)
+    out, ref = ad.sub(a, b), ad.add(a, -b)
+    assert out.data.tobytes() == ref.data.tobytes()
+    seed = rng.standard_normal(out.shape)
+    assert _grads_after_backward(out, (a, b), seed) == _grads_after_backward(ref, (a, b), seed)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
+def test_scale_matches_mul_by_a_constant_bit_for_bit(shape):
+    rng = np.random.default_rng(7)
+    a = rand_param(rng, *shape)
+    out, ref = ad.scale(a, -2.5), ad.mul(a, ad.constant(np.full(shape, -2.5)))
+    assert out.data.tobytes() == ref.data.tobytes()
+    seed = rng.standard_normal(shape)
+    assert _grads_after_backward(out, (a,), seed) == _grads_after_backward(ref, (a,), seed)
+
+
+@pytest.mark.parametrize("n,lead", [(6, ()), (6, (2, 3)), (15, ()), (15, (4, 2))])
+def test_pairwise_scores_is_the_bank_product_bit_for_bit(n, lead):
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((n, n, 10))
+    q = rand_param(rng, *lead, n, 10)
+    out, ref = ad.pairwise_scores(q, table), ad.bank_apply(ad.constant(table), q)
+    assert out.data.tobytes() == ref.data.tobytes()
+    seed = rng.standard_normal(out.shape)
+    assert _grads_after_backward(out, (q,), seed) == _grads_after_backward(ref, (q,), seed)
 
 
 def _composed_attend(q, k_t, v, weights, bias=None):
@@ -612,6 +648,18 @@ def test_shape_errors():
         ad.bank_apply(ad.constant(np.zeros((2, 3))), a)
     with pytest.raises(ad.ShapeError):
         ad.pairwise_scores(a, np.zeros((2, 2, 4)))
+
+
+def test_every_benchmarked_op_is_a_callable_autodiff_attribute():
+    # perfbench/worker.py wraps each name in OPS with getattr in traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    ops = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["OPS"]
+    )
+    assert ops
+    assert [op for op in ops if not callable(getattr(ad, op, None))] == []
 
 
 def test_non_finite_construction_rejected():

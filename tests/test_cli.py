@@ -242,6 +242,16 @@ def test_train_rejects_negative_clip_norm(tmp_path, dataset):
     assert not (out / "checkpoint.json").exists()
 
 
+def test_train_rejects_h_pe_the_pairwise_table_lacks(tmp_path, dataset, monkeypatch):
+    def never(*args):
+        raise AssertionError("prepare_model reached with an invalid h_pe")
+
+    monkeypatch.setattr(cli, "prepare_model", never)
+    out = tmp_path / "pe"
+    assert cli.main(train_args(dataset, out, "--h-pe", "5")) == 2
+    assert not (out / "checkpoint.json").exists()
+
+
 class _Stop(Exception):
     """Raised by the stubbed trainer once both configurations are captured."""
 
@@ -280,7 +290,7 @@ FIELD_KEYS = {
     "h_head": ("stack", "h_head", 3),
     "h_temporal": ("stack", "h_temporal", 3),
     "h_deep": ("stack", "h_deep", 7),
-    "h_pe": ("stack", "h_pe", 5),
+    "h_pe": ("stack", "h_pe", 0),
     "h_e": ("stack", "h_e", 6),
     "smoothing": ("stack", "smoothing", 0.2),
 }

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from glgat import autodiff as ad
-from glgat.adjacency import AdjacencySet
-from glgat.encoding import PairwiseEncoding, init_vertex_encoding
+from glgat.encoding import init_vertex_encoding
 from glgat.gradcheck import check_gradients
 from glgat.layers import (
     GatLayerParams,
@@ -359,16 +358,6 @@ def test_glgat_shape_validation():
         glgat_forward(params, x, enc, adjs, pe[:, :, :4])  # wrong pe width
     with pytest.raises(ad.ShapeError):
         glgat_forward(params, ad.constant(x.data[:4]), enc, adjs, pe)  # wrong N
-
-
-def test_glgat_accepts_domain_wrappers():
-    rng = np.random.default_rng(31)
-    params, x, enc, adjs, pe = random_instance(rng, seed=95)
-    wrapped_adj = AdjacencySet(matrices=[adjs[0], adjs[1]], labels=["up", "down"])
-    wrapped_pe = PairwiseEncoding(tensor=pe, h_pe=10)
-    a = glgat_forward(params, x, enc, adjs, pe)
-    b = glgat_forward(params, x, enc, wrapped_adj, wrapped_pe)
-    assert a.data.tobytes() == b.data.tobytes()
 
 
 # ------------------------------------------------------------ gradients

@@ -11,6 +11,7 @@ from glgat import autodiff as ad
 from glgat import data as gdata
 from glgat import model as gmodel
 from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
+from glgat.encoding import DEFAULT_H_PE
 from glgat.gradcheck import check_gradients
 from glgat.layers import GatLayerParams, GlgatLayerParams, glgat_forward
 
@@ -222,6 +223,13 @@ def test_config_validation():
         gmodel.StackConfig(n=0)
     with pytest.raises(gmodel.ConfigError):
         gmodel.StackConfig(n=6, t_p=-1)
+    # the pairwise table has DEFAULT_H_PE channels; 0 turns the term off
+    assert gmodel.StackConfig(n=6).h_pe == DEFAULT_H_PE
+    for variant in ("full", "ablation1"):
+        with pytest.raises(gmodel.ConfigError):
+            gmodel.StackConfig(n=6, variant=variant, h_pe=5)
+        assert not gmodel.StackConfig(n=6, variant=variant, h_pe=0).pe_enabled
+    assert gmodel.StackConfig(n=6, variant="ablation2", h_pe=5).dims_deep.h_pe == 0
     for smoothing in (2.0, 1.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(gmodel.ConfigError):
             gmodel.StackConfig(n=6, smoothing=smoothing)
@@ -362,6 +370,12 @@ def test_checkpoint_layout_is_base64_little_endian_float64(tmp_path):
     assert loaded.flags.writeable
 
 
+def _with_one_nan(entry):
+    adj = decode(entry).copy()
+    adj.flat[1] = np.nan  # off the diagonal of the first matrix
+    return encode(adj)
+
+
 def _drop(key):
     def edit(payload):
         del payload[key]
@@ -401,6 +415,7 @@ MALFORMED = {
     "adj as one N x N matrix": _set("adj", value=lambda p: encode(decode(p["adj"])[0])),
     "adj stack for the GAT variant": _set("config", "variant", value="ablation3"),
     "adj entries outside [0, 1]": _set("adj", value=lambda p: encode(decode(p["adj"]) * 2.0)),
+    "adj with one NaN": _set("adj", value=lambda p: _with_one_nan(p["adj"])),
     "pe absent where the variant needs it": _set("pe", value=None),
     "pe present where the variant has none": _set("config", "variant", value="ablation2"),
     "pe of the wrong width": _set("pe", value=lambda p: encode(decode(p["pe"])[..., :3])),
