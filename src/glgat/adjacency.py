@@ -55,18 +55,14 @@ class AdjacencySet:
     def __post_init__(self):
         if not self.matrices or len(self.matrices) != len(self.labels):
             raise ValueError("need at least one matrix and one label per matrix")
-        n = self.matrices[0].shape[0]
+        square = self.matrices[0].shape[:1] * 2  # (N, N) from the first matrix
         for mat, label in zip(self.matrices, self.labels):
-            if mat.shape != (n, n):
-                raise ValueError(f"matrix {label!r} is not {n} x {n}")
+            if mat.ndim != 2 or mat.shape != square:
+                raise ValueError(f"matrix {label!r} has shape {mat.shape}, not N x N")
             if not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):  # NaN fails too
                 raise ValueError(f"matrix {label!r} has entries outside [0, 1]")
             if np.any(np.diagonal(mat) != 1.0):
                 raise ValueError(f"matrix {label!r} lacks a unit diagonal")
-
-    @property
-    def n_vertices(self) -> int:
-        return self.matrices[0].shape[0]
 
     @property
     def stacked(self) -> np.ndarray:

@@ -77,8 +77,9 @@ def reuse_scope():
     """Let ``reuse`` hand back earlier results for the length of the block.
 
     Meant for evaluations that repeat one input with one tensor changed,
-    such as the perturbed calls of a gradient check. Each owner keeps only
-    its last key and result; all of them are dropped when the block exits.
+    such as the perturbed calls of a gradient check. Each ``params`` object
+    keeps only its last call and result; all of them are dropped when the
+    block exits.
     """
     previous = getattr(_recording, "reused", None)
     _recording.reused = {}
@@ -88,26 +89,31 @@ def reuse_scope():
         _recording.reused = previous
 
 
-def reuse(owner, reads, compute) -> DiffTensor:
-    """``compute()``, or the result it gave for ``owner`` last time.
+def reuse(fn, params, *args) -> DiffTensor:
+    """``fn(params, *args)``, or the result that call gave last time.
 
-    Inside ``reuse_scope()`` and ``no_grad()`` together, the earlier result is
-    returned when every array that ``reads()`` lists holds the same shape,
-    dtype and bytes as when it was computed; identity does not count, so an
-    in-place write or a swapped-in array forces a recompute. ``compute``
-    must depend on nothing but those arrays and ``owner``, which is kept
-    alive while its result is held. Anywhere else this is ``compute()``, and
-    ``reads`` is not called.
+    Inside ``reuse_scope()`` and ``no_grad()`` together, the earlier result
+    for ``params`` is returned when ``fn`` is the same function and every
+    ``DiffTensor`` attribute of ``params`` and every array or tensor in
+    ``args`` holds the same shape, dtype and bytes as when it was computed;
+    other arguments must compare equal. Identity does not count, so an
+    in-place write or a swapped-in array forces a recompute. ``fn`` must
+    depend on nothing but its arguments; ``params`` is kept alive while its
+    result is held. Anywhere else this is ``fn(params, *args)``.
     """
     held = getattr(_recording, "reused", None)
     if held is None or not getattr(_recording, "off", False):
-        return compute()
-    key = [(a.dtype.str, a.shape, a.tobytes()) for a in reads()]
-    last = held.get(id(owner))
+        return fn(params, *args)
+    tensors = [v for v in vars(params).values() if isinstance(v, DiffTensor)]
+    key = [fn]
+    for a in (*tensors, *args):
+        a = a.data if isinstance(a, DiffTensor) else a
+        key.append((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a)
+    last = held.get(id(params))
     if last is not None and last[1] == key:
         return last[2]
-    out = compute()
-    held[id(owner)] = (owner, key, out)
+    out = fn(params, *args)
+    held[id(params)] = (params, key, out)
     return out
 
 

@@ -23,7 +23,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +218,8 @@ def cmd_build_adjacency(args) -> int:
 
 def cmd_train(args) -> int:
     resolved = resolve_train_config(args)
+    stack = _config(StackConfig, resolved, n=1)  # every field checked; n comes from the data
+    run = _config(TrainConfig, resolved)
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     echo_config(resolved, out / "config_used.txt")
@@ -226,8 +228,7 @@ def cmd_train(args) -> int:
         resolved["series"], resolved["locations"], resolved.get("edges")
     )
     splits = split_and_window(series, p=12, q=12)
-    stack = _config(StackConfig, resolved, n=graph.n_vertices)
-    run = _config(TrainConfig, resolved)
+    stack = replace(stack, n=graph.n_vertices)
     train_series = series.slice(0, splits.split_sizes[0])
     model = prepare_model(stack, graph, train_series, splits.stats, run.seed)
     result = train(model, splits.train, splits.val, run)

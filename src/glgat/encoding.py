@@ -8,7 +8,6 @@ from i to j plus the L1 and L2 distances, scaled into O(1) range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +17,6 @@ DEFAULT_H_PE = N_DIRECTION_CLASSES + 2  # direction classes + L1 + L2
 
 class GeometryError(ValueError):
     """Coordinates admit no direction or distance scale."""
-
-
-@dataclass(frozen=True)
-class PairwiseEncoding:
-    tensor: np.ndarray  # (N, N, h_pe)
-    h_pe: int
-
-    def __post_init__(self):
-        if self.tensor.shape[-1] != self.h_pe or self.tensor.ndim != 3:
-            raise ValueError("pairwise tensor must be N x N x h_pe")
-        if self.tensor.shape[0] != self.tensor.shape[1]:
-            raise ValueError("pairwise tensor must be square in its first two axes")
-
-
-@dataclass(frozen=True)
-class VertexEncoding:
-    """Learnable per-vertex table; width 0 disables the encoding entirely."""
-
-    table: np.ndarray  # (N, h_e)
-
-    @property
-    def h_e(self) -> int:
-        return self.table.shape[1]
 
 
 def direction_class(xi: float, yi: float, xj: float, yj: float) -> int:
@@ -61,7 +37,7 @@ def encode_direction(
     return out
 
 
-def build_pairwise_encoding(graph, smoothing: float = 0.1) -> PairwiseEncoding:
+def build_pairwise_encoding(graph, smoothing: float = 0.1) -> np.ndarray:
     """Assemble the (N, N, 10) direction + L1 + L2 tensor for a graph.
 
     Distances are divided by the maximum pairwise L2 distance so the
@@ -89,12 +65,13 @@ def build_pairwise_encoding(graph, smoothing: float = 0.1) -> PairwiseEncoding:
     onehot[coincident] = 1.0 / N_DIRECTION_CLASSES
     tensor[:, :, N_DIRECTION_CLASSES] = l1 / scale
     tensor[:, :, N_DIRECTION_CLASSES + 1] = l2 / scale
-    return PairwiseEncoding(tensor=tensor, h_pe=DEFAULT_H_PE)
+    return tensor
 
 
-def init_vertex_encoding(n: int, h_e: int, seed: int) -> VertexEncoding:
-    """Uniform [-0.05, 0.05] table, deterministic under seed."""
+def init_vertex_encoding(n: int, h_e: int, seed: int) -> np.ndarray:
+    """(n, h_e) uniform [-0.05, 0.05] table, deterministic under seed; width 0
+    disables the encoding entirely."""
     if h_e < 0:
         raise ValueError("encoding width must be non-negative")
     rng = np.random.default_rng(seed)
-    return VertexEncoding(table=rng.uniform(-0.05, 0.05, size=(n, h_e)))
+    return rng.uniform(-0.05, 0.05, size=(n, h_e))

@@ -81,12 +81,12 @@ def check_gradients(
         once for every perturbed value, so a closure that changes between
         calls is seen each time. The perturbed calls run under
         ``no_grad()`` and ``autodiff.reuse_scope()``: a model floor whose
-        input and every array it reads (parameters, vertex encoding,
-        adjacency, pairwise table) hold the same bytes as when it last ran
-        in this check returns that output again, so each perturbed value
-        equals a fresh ``no_grad()`` call of ``fn`` bit for bit. Only the
-        final value of a perturbed call is checked for NaN or Inf: an
-        intermediate Inf that a later operation turns finite is not
+        parameters and every array it is called with (input, vertex
+        encoding, adjacency, pairwise table) hold the same bytes as when
+        it last ran in this check returns that output again, so each
+        perturbed value equals a fresh ``no_grad()`` call of ``fn`` bit for
+        bit. Only the final value of a perturbed call is checked for NaN or
+        Inf: an intermediate Inf that a later operation turns finite is not
         reported there. The recorded call checks every operation.
     tensors:
         Named leaf tensors with ``requires_grad=True`` to check.

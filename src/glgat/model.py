@@ -29,7 +29,7 @@ from .adjacency import (
     detect_events,
 )
 from .data import NormStats, SensorGraph, TrafficSeries
-from .encoding import DEFAULT_H_PE, PairwiseEncoding, build_pairwise_encoding, init_vertex_encoding
+from .encoding import DEFAULT_H_PE, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
     GatLayerParams,
     GlgatLayerParams,
@@ -173,12 +173,27 @@ class GlgatModel:
 def build_model(
     config: StackConfig,
     adjs: AdjacencySet,
-    pe: PairwiseEncoding | None,
+    pe: np.ndarray | None,
     stats: NormStats,
     seed: int,
 ) -> GlgatModel:
-    """Initialize every floor deterministically from one seed."""
+    """Initialize every floor deterministically from one seed, after checking
+    the adjacency stack and the pairwise table against ``config``."""
     n = config.n
+    adj = adjs.stacked
+    want_adj = (1 if config.uses_gat else config.h_adj, n, n)
+    if adj.shape != want_adj:
+        raise ConfigError(
+            f"variant {config.variant!r} needs {want_adj[0]} adjacency matrices of "
+            f"{n} x {n}, got {adj.shape[0]} of {adj.shape[1]} x {adj.shape[2]}"
+        )
+    want_pe = (n, n, config.h_pe) if config.pe_enabled else None
+    if (None if pe is None else pe.shape) != want_pe:
+        got = "none" if pe is None else f"shape {pe.shape}"
+        raise ConfigError(
+            f"variant {config.variant!r} needs pairwise table {want_pe}, got {got}"
+        )
+
     widths = [
         (3 * config.k_in, config.group_width, config.dims_temporal),
         (config.group_width, config.group_width, config.dims_temporal),
@@ -203,26 +218,15 @@ def build_model(
     head_b = ad.parameter(np.zeros(config.q))
     enc = None
     if config.h_e > 0:
-        enc = ad.parameter(init_vertex_encoding(n, config.h_e, seed=seed * 31 + 8).table)
-
-    adj = adjs.stacked if not config.uses_gat else adjs.matrices[0]
-    if not config.uses_gat and adj.shape[0] != config.h_adj:
-        raise ConfigError(
-            f"variant {config.variant!r} needs {config.h_adj} matrices, got {adj.shape[0]}"
-        )
-    pe_table = None
-    if config.pe_enabled:
-        if pe is None:
-            raise ConfigError("variant with pairwise encoding needs a PE table")
-        pe_table = pe.tensor
+        enc = ad.parameter(init_vertex_encoding(n, config.h_e, seed=seed * 31 + 8))
     return GlgatModel(
         config=config,
         blocks=blocks,
         head_w=head_w,
         head_b=head_b,
         enc=enc,
-        adj=adj,
-        pe=pe_table,
+        adj=adj[0] if config.uses_gat else adj,
+        pe=pe,
         stats=stats,
     )
 
@@ -251,35 +255,16 @@ def group_timesteps(x: np.ndarray) -> np.ndarray:
         raise ConfigError(f"grouping expects {N_GROUPS} timesteps, got shape {x.shape}")
     pad = x[..., -1:, :, :]
     padded = np.concatenate([x, pad, pad], axis=-3)
-    groups = [
-        np.concatenate(
-            [padded[..., g, :, :], padded[..., g + 1, :, :], padded[..., g + 2, :, :]],
-            axis=-1,
-        )
-        for g in range(N_GROUPS)
-    ]
-    return np.ascontiguousarray(np.stack(groups, axis=-3))
+    shifted = [padded[..., g : g + N_GROUPS, :, :] for g in range(3)]
+    return np.concatenate(shifted, axis=-1)
 
 
 def _block_forward(model: GlgatModel, block, x: ad.DiffTensor) -> ad.DiffTensor:
     """One floor; inside ``ad.reuse_scope()`` its last output is reused while
-    its input, parameters, vertex encoding, adjacency and pairwise table
-    hold the same bytes."""
-
-    def floor():
-        if model.config.uses_gat:
-            return gat_forward(block, x, model.enc, model.adj)
-        return glgat_forward(block, x, model.enc, model.adj, model.pe)
-
-    def reads():
-        arrays = [x.data, model.adj, *(t.data for t in block.named().values())]
-        if model.enc is not None:
-            arrays.append(model.enc.data)
-        if model.pe is not None:
-            arrays.append(model.pe)
-        return arrays
-
-    return ad.reuse(block, reads, floor)
+    the floor is called with the same bytes."""
+    if model.config.uses_gat:
+        return ad.reuse(gat_forward, block, x, model.enc, model.adj)
+    return ad.reuse(glgat_forward, block, x, model.enc, model.adj, model.pe)
 
 
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
@@ -393,7 +378,6 @@ def load_checkpoint(path) -> GlgatModel:
     if set(payload) != keys:
         raise ConfigError(f"checkpoint must have keys {sorted(keys)}, got {sorted(payload)}")
     config = _config_from(payload["config"])
-    n = config.n
 
     stats_raw = payload["stats"]
     if not isinstance(stats_raw, dict) or set(stats_raw) != {"mean", "std"}:
@@ -409,22 +393,13 @@ def load_checkpoint(path) -> GlgatModel:
         )
 
     adj = _decode_array(payload["adj"], "adj")
-    want_adj = (n, n) if config.uses_gat else (config.h_adj, n, n)
-    if adj.shape != want_adj:
-        raise ConfigError(f"checkpoint adj has shape {adj.shape}, expected {want_adj}")
-    pe = None if payload["pe"] is None else _decode_array(payload["pe"], "pe")
-    want_pe = (n, n, config.h_pe) if config.pe_enabled else None
-    if (None if pe is None else pe.shape) != want_pe:
-        got = "none" if pe is None else f"shape {pe.shape}"
-        raise ConfigError(f"checkpoint pe has {got}, variant {config.variant!r} needs {want_pe}")
-
     try:
-        matrices = [adj] if config.uses_gat else list(adj)
+        matrices = [adj] if config.uses_gat else list(adj)  # list() of a 0-d array: TypeError
         adjs = AdjacencySet(matrices=matrices, labels=["loaded"] * len(matrices))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint adj is not an adjacency stack: {exc}") from None
-    pe_obj = None if pe is None else PairwiseEncoding(tensor=pe, h_pe=pe.shape[-1])
-    model = build_model(config, adjs, pe_obj, stats, seed=0)
+    pe = None if payload["pe"] is None else _decode_array(payload["pe"], "pe")
+    model = build_model(config, adjs, pe, stats, seed=0)
 
     tensors = payload["tensors"]
     if not isinstance(tensors, dict):

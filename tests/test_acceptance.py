@@ -203,7 +203,7 @@ def test_criterion_5_pairwise_encoding_properties():
     # integer coordinates keep the translated differences bit-exact
     coords = rng.integers(-500, 500, size=(24, 2)).astype(float)
     graph = SimpleNamespace(coordinates=coords, n_vertices=24)
-    pe = build_pairwise_encoding(graph).tensor
+    pe = build_pairwise_encoding(graph)
     if float(np.abs(pe[:, :, :8].sum(axis=-1) - 1.0).max()) > 1e-12:
         failures.append("direction block sums deviate from 1")
     for ch in (8, 9):
@@ -212,7 +212,7 @@ def test_criterion_5_pairwise_encoding_properties():
     shifted = SimpleNamespace(
         coordinates=coords + np.array([12345.0, -6789.0]), n_vertices=24
     )
-    if build_pairwise_encoding(shifted).tensor.tobytes() != pe.tobytes():
+    if build_pairwise_encoding(shifted).tobytes() != pe.tobytes():
         failures.append("translation changed the tensor")
 
     record_criterion(

@@ -3,7 +3,10 @@ derived oracles, gradients against central differences."""
 
 import ast
 import contextlib
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -628,6 +631,28 @@ def test_constants_pruned_from_tape():
     assert c.grad is None
 
 
+def test_reuse_recomputes_after_a_write_to_any_array_argument():
+    params = SimpleNamespace(w=ad.parameter(np.ones(3)), label="toy")
+    x, table = ad.constant(np.arange(3.0)), np.full(3, 2.0)
+    calls = []
+
+    def floor(p, x, table, extra):
+        calls.append(None)
+        return ad.constant(p.w.data * x.data + table)
+
+    with ad.no_grad(), ad.reuse_scope():
+        last = ad.reuse(floor, params, x, table, None)
+        assert ad.reuse(floor, params, x, table.copy(), None) is last  # same bytes
+        for array in (params.w.data, x.data, table):
+            array[1] += 1.0  # in place, through the same object
+            out = ad.reuse(floor, params, x, table, None)
+            assert out is not last and ad.reuse(floor, params, x, table, None) is out
+            last = out
+        assert len(calls) == 4
+        assert ad.reuse(floor, params, x, table, 1.0) is not last  # other values compare
+    assert last.data.tolist() == [2.0, 7.0, 4.0]  # 2 * 2 + 3 at the written entry
+
+
 # -------------------------------------------------------------- errors
 
 
@@ -660,6 +685,34 @@ def test_every_benchmarked_op_is_a_callable_autodiff_attribute():
     )
     assert ops
     assert [op for op in ops if not callable(getattr(ad, op, None))] == []
+
+
+def test_benchmark_tracer_installs_on_the_current_source_and_uninstalls(monkeypatch):
+    # perfbench/worker.py's install() wraps attributes of glgat modules by name;
+    # a renamed or deleted one raises AttributeError and breaks traced runs
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # for its pace and tracer imports
+    spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, worker)  # its dataclasses look it up
+    spec.loader.exec_module(worker)
+    owners = (worker.gad, worker.gad.DiffTensor, worker.gmodel, worker.gtrain,
+              worker.gdata, worker.ggrad)
+    before = [dict(vars(o)) for o in owners]
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer, [])
+        wrapped = [
+            (name, value, old[name])
+            for o, old in zip(owners, before)
+            for name, value in vars(o).items()
+            if value is not old.get(name)
+        ]
+    finally:
+        tracer.uninstall()
+    assert len(wrapped) >= len(worker.OPS)
+    assert all(value.__wrapped__ is original for _, value, original in wrapped)
+    assert [dict(vars(o)) for o in owners] == before
 
 
 def test_non_finite_construction_rejected():

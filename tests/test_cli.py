@@ -252,6 +252,13 @@ def test_train_rejects_h_pe_the_pairwise_table_lacks(tmp_path, dataset, monkeypa
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("flag", [("--lr", "-1"), ("--h-pe", "5")], ids=["lr", "h_pe"])
+def test_train_checks_its_configuration_before_reading_data(tmp_path, flag):
+    rc = cli.main(["train", "--series", str(tmp_path / "no.csv"),
+                   "--locations", str(tmp_path / "no2.csv"), "--out", str(tmp_path / "o"), *flag])
+    assert rc == 2
+
+
 class _Stop(Exception):
     """Raised by the stubbed trainer once both configurations are captured."""
 

@@ -60,25 +60,25 @@ def test_direction_blocks_sum_to_one():
     rng = np.random.default_rng(5)
     graph = graph_of(rng.uniform(0, 10, (7, 2)))
     pe = build_pairwise_encoding(graph)
-    sums = pe.tensor[:, :, :8].sum(axis=2)
+    sums = pe[:, :, :8].sum(axis=2)
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
 
 def test_self_pair_uniform_direction_zero_distance():
     graph = graph_of([[0.0, 0.0], [3.0, 4.0]])
     pe = build_pairwise_encoding(graph)
-    np.testing.assert_array_equal(pe.tensor[0, 0, :8], np.full(8, 0.125))
-    np.testing.assert_array_equal(pe.tensor[1, 1, 8:], [0.0, 0.0])
-    assert pe.tensor[0, 0, :8].sum() == 1.0  # exact for the uniform block
+    np.testing.assert_array_equal(pe[0, 0, :8], np.full(8, 0.125))
+    np.testing.assert_array_equal(pe[1, 1, 8:], [0.0, 0.0])
+    assert pe[0, 0, :8].sum() == 1.0  # exact for the uniform block
 
 
 def test_unit_square_normalization_anchor():
     graph = graph_of([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     pe = build_pairwise_encoding(graph)
     # farthest pair is the diagonal: raw L1 = 2, L2 = sqrt(2)
-    assert pe.tensor[0, 3, 9] == 1.0
-    assert pe.tensor[0, 3, 8] == pytest.approx(2.0 / np.sqrt(2.0))
-    assert pe.h_pe == 10
+    assert pe[0, 3, 9] == 1.0
+    assert pe[0, 3, 8] == pytest.approx(2.0 / np.sqrt(2.0))
+    assert pe.shape == (4, 4, 10)
 
 
 def test_l1_dominates_l2():
@@ -90,14 +90,14 @@ def test_l1_dominates_l2():
     raw_l1 = np.abs(coords[None] - coords[:, None]).sum(axis=2)
     raw_l2 = np.sqrt(((coords[None] - coords[:, None]) ** 2).sum(axis=2))
     assert np.all(raw_l1 >= raw_l2)
-    assert np.all(pe.tensor[:, :, 8] >= pe.tensor[:, :, 9])
+    assert np.all(pe[:, :, 8] >= pe[:, :, 9])
 
 
 def test_distance_channels_symmetric():
     rng = np.random.default_rng(11)
     pe = build_pairwise_encoding(graph_of(rng.uniform(0, 3, (5, 2))))
-    assert pe.tensor[:, :, 8].tobytes() == pe.tensor[:, :, 8].T.copy().tobytes()
-    assert pe.tensor[:, :, 9].tobytes() == pe.tensor[:, :, 9].T.copy().tobytes()
+    assert pe[:, :, 8].tobytes() == pe[:, :, 8].T.copy().tobytes()
+    assert pe[:, :, 9].tobytes() == pe[:, :, 9].T.copy().tobytes()
 
 
 def test_translation_invariance_bit_exact():
@@ -106,12 +106,12 @@ def test_translation_invariance_bit_exact():
     coords = rng.integers(0, 128, size=(6, 2)).astype(float) / 8.0
     base = build_pairwise_encoding(graph_of(coords))
     shifted = build_pairwise_encoding(graph_of(coords + np.array([37.0, -12.0])))
-    assert base.tensor.tobytes() == shifted.tensor.tobytes()
+    assert base.tobytes() == shifted.tobytes()
 
 
 def test_coincident_distinct_vertices_get_uniform_direction():
     pe = build_pairwise_encoding(graph_of([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0]]))
-    np.testing.assert_array_equal(pe.tensor[0, 1, :8], np.full(8, 0.125))
+    np.testing.assert_array_equal(pe[0, 1, :8], np.full(8, 0.125))
 
 
 def test_degenerate_geometry_rejected():
@@ -121,17 +121,16 @@ def test_degenerate_geometry_rejected():
 
 def test_vertex_encoding_init():
     enc = init_vertex_encoding(5, 8, seed=3)
-    assert enc.table.shape == (5, 8)
-    assert enc.h_e == 8
-    assert np.all(np.abs(enc.table) <= 0.05)
+    assert enc.shape == (5, 8)
+    assert np.all(np.abs(enc) <= 0.05)
     again = init_vertex_encoding(5, 8, seed=3)
-    assert enc.table.tobytes() == again.table.tobytes()
-    assert enc.table.tobytes() != init_vertex_encoding(5, 8, seed=4).table.tobytes()
+    assert enc.tobytes() == again.tobytes()
+    assert enc.tobytes() != init_vertex_encoding(5, 8, seed=4).tobytes()
 
 
 def test_vertex_encoding_width_zero():
     enc = init_vertex_encoding(4, 0, seed=0)
-    assert enc.table.shape == (4, 0)
+    assert enc.shape == (4, 0)
     with pytest.raises(ValueError):
         init_vertex_encoding(4, -1, seed=0)
 
@@ -151,7 +150,7 @@ def test_pairwise_encoding_matches_per_pair_loop_bit_for_bit():
     ]
     for coords in layouts:
         n = len(coords)
-        got = build_pairwise_encoding(graph_of(coords), smoothing=0.2).tensor
+        got = build_pairwise_encoding(graph_of(coords), smoothing=0.2)
         for i in range(n):
             for j in range(n):
                 expected = encode_direction(*coords[i], *coords[j], smoothing=0.2)

@@ -27,7 +27,7 @@ DIMS = LayerDims(h=4, h_adj=2, h_head=2, h_pe=10)
 def random_instance(rng, n=6, k_in=3, k_out=5, h_e=8, dims=DIMS, seed=0):
     params = init_glgat_layer(dims, n, k_in, k_out, h_e, seed=seed)
     x = ad.constant(rng.standard_normal((n, k_in)))
-    enc = ad.constant(init_vertex_encoding(n, h_e, seed=seed + 1).table) if h_e else None
+    enc = ad.constant(init_vertex_encoding(n, h_e, seed=seed + 1)) if h_e else None
     adjs = random_adjacency(rng, n, dims.h_adj)
     pe = random_pe(rng, n, dims.h_pe) if dims.h_pe else None
     return params, x, enc, adjs, pe
@@ -78,7 +78,7 @@ def test_gat_matches_scalar_oracle():
         params = init_gat_layer(k_in=3, k_out=4, h=6, h_e=8, seed=10 + trial)
         n = 5
         x = rng.standard_normal((n, 3))
-        enc = init_vertex_encoding(n, 8, seed=trial).table
+        enc = init_vertex_encoding(n, 8, seed=trial)
         adj = (rng.uniform(size=(n, n)) > 0.4).astype(float)
         np.fill_diagonal(adj, 1.0)
         out, coef = gat_forward(params, ad.constant(x), ad.constant(enc), adj, True)
@@ -233,7 +233,7 @@ def test_glgat_reduces_to_gat():
         wire_reduction(big, gat, dims)
 
         x = rng.standard_normal((n, k_in))
-        enc = init_vertex_encoding(n, h_e, seed=trial).table
+        enc = init_vertex_encoding(n, h_e, seed=trial)
         adj = (rng.uniform(size=(n, n)) > 0.4).astype(float)
         np.fill_diagonal(adj, 1.0)
         pe = random_pe(rng, n, 10)
@@ -366,7 +366,7 @@ def test_glgat_shape_validation():
 def test_glgat_parameter_gradients():
     rng = np.random.default_rng(32)
     params, x, _, adjs, pe = random_instance(rng, seed=99)
-    enc = ad.parameter(init_vertex_encoding(6, 8, seed=100).table)
+    enc = ad.parameter(init_vertex_encoding(6, 8, seed=100))
     sel = rng.standard_normal((6, 5))
 
     def loss():
@@ -386,7 +386,7 @@ def test_gat_parameter_gradients():
     rng = np.random.default_rng(33)
     params = init_gat_layer(k_in=3, k_out=4, h=5, h_e=6, seed=101)
     x = ad.constant(rng.standard_normal((5, 3)))
-    enc = ad.parameter(init_vertex_encoding(5, 6, seed=102).table)
+    enc = ad.parameter(init_vertex_encoding(5, 6, seed=102))
     adj = np.ones((5, 5))
     sel = rng.standard_normal((5, 4))
 

@@ -10,8 +10,13 @@ import pytest
 from glgat import autodiff as ad
 from glgat import data as gdata
 from glgat import model as gmodel
-from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
-from glgat.encoding import DEFAULT_H_PE
+from glgat.adjacency import (
+    AdjacencySet,
+    build_connectivity_adjacency,
+    build_event_adjacency,
+    detect_events,
+)
+from glgat.encoding import DEFAULT_H_PE, build_pairwise_encoding
 from glgat.gradcheck import check_gradients
 from glgat.layers import GatLayerParams, GlgatLayerParams, glgat_forward
 
@@ -239,14 +244,35 @@ def test_config_validation():
     assert dataclasses.replace(tiny_config(), variant="ablation2").variant == "ablation2"
 
 
+BAD_INPUTS = {
+    "adjacency of the wrong N": lambda cfg, adjs, pe: (
+        cfg, AdjacencySet(matrices=[np.eye(7)] * 2, labels=["a", "b"]), pe
+    ),
+    "pairwise table of the wrong N": lambda cfg, adjs, pe: (cfg, adjs, pe[:5, :5]),
+    "table for ablation2": lambda cfg, adjs, pe: (
+        dataclasses.replace(cfg, variant="ablation2"), adjs, pe
+    ),
+    "two matrices for ablation3": lambda cfg, adjs, pe: (
+        dataclasses.replace(cfg, variant="ablation3"), adjs, None
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_build_model_checks_adjacency_and_table_against_config(tiny, edit):
+    cfg, graph, train_series, splits, _ = tiny
+    adjs = gmodel.build_adjacency_set(cfg, graph, train_series)
+    config, adjs, pe = edit(cfg, adjs, build_pairwise_encoding(graph))
+    with pytest.raises(gmodel.ConfigError):
+        gmodel.build_model(config, adjs, pe, splits.stats, seed=0)
+
+
 # -------------------------------------------------------- denormalizing
 
 
 def test_output_denormalization_is_affine_in_stats(tiny):
     cfg, graph, train_series, splits, _ = tiny
     adjs = gmodel.build_adjacency_set(cfg, graph, train_series)
-    from glgat.encoding import build_pairwise_encoding
-
     pe = build_pairwise_encoding(graph)
     k = train_series.n_features
     raw = gmodel.build_model(
@@ -420,6 +446,9 @@ MALFORMED = {
     "pe present where the variant has none": _set("config", "variant", value="ablation2"),
     "pe of the wrong width": _set("pe", value=lambda p: encode(decode(p["pe"])[..., :3])),
     "pe not N x N": _set("pe", value=lambda p: encode(decode(p["pe"])[1:])),
+    "adj as a 0-d array": _set("adj", value=encode(np.array(1.0))),
+    "adj as a 1-d array": _set("adj", value=lambda p: encode(decode(p["adj"]).reshape(-1))),
+    "pe as a 0-d array": _set("pe", value=encode(np.array(0.5))),
     "stats without std": lambda p: p["stats"].pop("std"),
     "stats of unequal shapes": _set(
         "stats", "std", value=lambda p: encode(np.append(decode(p["stats"]["std"]), 1.0))
