@@ -40,10 +40,6 @@ class EventLog:
         if not np.all(np.isfinite(self.divider)):
             raise ValueError("dividers must be finite")
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.up_events)
-
 
 @dataclass(frozen=True)
 class AdjacencySet:

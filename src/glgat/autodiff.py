@@ -4,7 +4,11 @@ A small, eager engine: each operation computes its result immediately and
 records its inputs plus a backward rule on the result node.
 ``DiffTensor.backward`` materializes the recorded graph as a ``Tape``
 (topological order, inputs before consumers) and replays it in reverse,
-visiting every node exactly once.
+visiting every node exactly once. The sweep consumes the graph: each
+interior node drops its rule, its inputs and the arrays the rule saved as
+soon as the rule has run, so the backward's gradients reuse the memory of
+the forward's record. A consumed node refuses a second backward and any
+new operation that would record it.
 
 All arrays are row-major float64. Every arithmetic operation checks that its
 output is finite and raises ``NonFiniteError`` instead of letting NaN or Inf
@@ -16,8 +20,9 @@ checks the result it keeps.
 
 ``attend`` takes attention from the scores to the mixed values in one node,
 over blocks of at most ``_BLOCK_BYTES`` of scores that stay in cache through
-the elementwise passes; inside ``no_grad()`` it never holds a whole score
-tensor.
+the elementwise passes. It never holds whole raw scores: a recorded call
+keeps the two score-shaped arrays its backward reads, and a call inside
+``no_grad()`` keeps none.
 
 The only module state is per thread: the switch of ``no_grad()`` and the
 results held by ``reuse_scope()``, both restored when their block exits.
@@ -48,6 +53,15 @@ class DegenerateRowError(ValueError):
     """A weighted softmax row has no positive weight to normalize over."""
 
 
+class ConsumedGraphError(RuntimeError):
+    """A graph was used again after ``backward()`` consumed it."""
+
+
+def _consumed(g):
+    """The backward rule left on an interior node once the sweep has run it."""
+    raise ConsumedGraphError("backward() already consumed this graph")
+
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -62,7 +76,8 @@ def no_grad():
     Results inside the block are plain constants: no parents, no backward
     rules, no per-operation finiteness scan. Values are bit for bit those of
     a recorded evaluation; a caller that keeps one checks it with
-    ``require_finite``.
+    ``require_finite``. Leaves built inside the block are not scanned
+    either.
     """
     previous = getattr(_recording, "off", False)
     _recording.off = True
@@ -129,14 +144,15 @@ class DiffTensor:
 
     Leaves are built directly (``constant`` / ``parameter``); interior nodes
     are built by the operations below and carry references to their inputs
-    and a backward rule. ``grad`` is populated on leaves with
-    ``requires_grad=True`` after ``backward()`` and accumulates across calls
-    until ``zero_grad()``.
+    and a backward rule until ``backward()`` consumes them. ``grad`` is
+    populated on leaves with ``requires_grad=True`` by ``backward()`` and
+    accumulates across graphs until ``zero_grad()``.
     """
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.ascontiguousarray(values, dtype=np.float64)
-        require_finite(data, "tensor")
+        if not getattr(_recording, "off", False):
+            require_finite(data, "tensor")
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -156,11 +172,6 @@ class DiffTensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.ravel()
-
     def item(self) -> float:
         return float(self.data.item())
 
@@ -171,6 +182,11 @@ class DiffTensor:
         """Accumulate gradients of this node into all reachable leaves.
 
         Without ``seed`` the node must be a scalar and is seeded with 1.
+        The call consumes the graph: every interior node it passes frees
+        its record, so a second ``backward()`` through the graph, or a new
+        operation on one of its interior nodes, raises
+        ``ConsumedGraphError``. Leaf gradients add to what earlier graphs
+        left there.
         """
         if not self.requires_grad:
             return
@@ -229,7 +245,8 @@ class Tape:
     Only gradient-relevant nodes are recorded (constants are pruned). The
     order guarantees every operation's inputs precede it, so the reverse
     sweep in ``run_backward`` visits each node exactly once with its output
-    gradient fully accumulated.
+    gradient fully accumulated, after every consumer of the node has been
+    released.
     """
 
     def __init__(self, root: DiffTensor):
@@ -248,15 +265,23 @@ class Tape:
         self.nodes = nodes
 
     def run_backward(self, root: DiffTensor, seed: np.ndarray) -> None:
+        """Sweep the nodes in reverse, releasing each interior node after
+        its rule has run; the tape is empty afterwards."""
         grads: dict[int, np.ndarray] = {id(root): seed}
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
             g = grads.pop(id(node), None)
+            rule = node._backward
+            if rule is None:
+                if g is not None:
+                    node.grad = np.array(g) if node.grad is None else node.grad + g
+                continue
+            # the node's record dies with ``rule``, which the next pass rebinds
+            node._backward, node._parents = _consumed, ()
             if g is None:
                 continue
-            if node._backward is None:
-                node.grad = np.array(g) if node.grad is None else node.grad + g
-                continue
-            for parent, pg in node._backward(g):
+            for parent, pg in rule(g):
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -282,6 +307,9 @@ def _make(data, parents, backward, op: str, check_finite: bool = True) -> DiffTe
     elif check_finite:
         require_finite(data, op)
     live = tuple([p for p in parents if p.requires_grad])
+    for p in live:
+        if p._backward is _consumed:
+            raise ConsumedGraphError(f"{op}: an input is part of a graph backward() consumed")
     out = DiffTensor.__new__(DiffTensor)
     out.data = data
     out.requires_grad = bool(live)
@@ -539,15 +567,15 @@ def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return cdf
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in place."""
-    d = x * -0.5
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cdf + x * pdf with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in place in
+    that operand order; GELU's derivative, which gradients multiply."""
+    d = np.multiply(x, -0.5, out=out)
     d *= x
     np.exp(d, out=d)
     d *= _INV_SQRT_2PI
     d *= x
     d += cdf
-    d *= g
     return d
 
 
@@ -562,7 +590,9 @@ def gelu(x) -> DiffTensor:
     cdf = _gelu_cdf(x.data)
 
     def backward(g):
-        return [(x, _gelu_grad(g, x.data, cdf))]
+        d = _gelu_slope(x.data, cdf)
+        d *= g
+        return [(x, d)]
 
     # |gelu(x)| <= |x|, so finite inputs give finite outputs
     return _make(x.data * cdf, (x,), backward, "gelu", check_finite=False)
@@ -731,12 +761,12 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     (N, M) and broadcast to the (..., N, M) scores, and ``weights`` follows
     the rules of ``masked_softmax``. The scores are computed block by block
     over the flattened leading axes (see ``_score_blocks``), so under
-    ``no_grad()`` no whole score tensor is made: a call holds three blocks
+    ``no_grad()`` no whole score tensor is made: a call holds two blocks
     of at most ``_BLOCK_BYTES`` each besides its inputs and output. A
-    recorded call keeps the scores, their GELU CDF and the coefficients
-    whole for the backward pass. Values and gradients are bit for bit those
-    of the composed ``matmul``, ``add``, ``gelu``, ``masked_softmax`` and
-    ``matmul``.
+    recorded call also fills the two whole arrays its backward pass reads,
+    the GELU slope and the coefficients. Values and gradients are bit for
+    bit those of the composed ``matmul``, ``add``, ``gelu``,
+    ``masked_softmax`` and ``matmul``.
     """
     q, k_t, v = constant(q), constant(k_t), constant(v)
     shape = _score_shape(q.shape, k_t.shape, v.shape)
@@ -749,32 +779,33 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     recording = not getattr(_recording, "off", False)
     block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1])
     block_shape = block_lead + shape[-2:]
+    scores, cdf = np.empty(block_shape), np.empty(block_shape)  # reused per block
     if recording:  # kept whole for the backward pass
-        scores, cdf, coef = np.empty(shape), np.empty(shape), np.empty(shape)
-    else:  # reused per block; the coefficients overwrite the raw scores
-        scores, cdf = np.empty(block_shape), np.empty(block_shape)
+        slope, coef = np.empty(shape), np.empty(shape)
+    else:  # the coefficients overwrite the raw scores
         coef = scores
-    gelu_out = np.empty(block_shape)
     out = np.empty(lead + (shape[-2], v.shape[-1]))
     qs, ks, vs, ws, bs = q.data, k_t.data, v.data, weights, None if bias is None else bias.data
     if len(blocks) > 1:  # views over the full leading axes: one index selects a block
         qs, ks, vs, ws = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (qs, ks, vs, ws))
         bs = None if bias is None else np.broadcast_to(bs, shape)
     for index, local in blocks:
-        at = index if recording else local
-        s = np.matmul(qs[index], ks[index], out=scores[at])
+        s = np.matmul(qs[index], ks[index], out=scores[local])
         if bias is not None:
             s += bs[index]
-        c = _gelu_cdf(s, out=cdf[at])
-        a = _softmax_rows(np.multiply(s, c, out=gelu_out[local]), ws[index], out=coef[at])
+        c = _gelu_cdf(s, out=cdf[local])
+        if recording:
+            _gelu_slope(s, c, out=slope[index])
+        gelu_out = np.multiply(s, c, out=c)
+        a = _softmax_rows(gelu_out, ws[index], out=coef[index if recording else local])
         np.matmul(a, vs[index], out=out[index])
 
     def backward(g):
         grads = []
         if v.requires_grad:
             grads.append((v, _sum_to_shape(np.matmul(np.swapaxes(coef, -1, -2), g), v.shape)))
-        g = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        g = _gelu_grad(_softmax_grad(g, coef), scores, cdf)
+        g = _softmax_grad(np.matmul(g, np.swapaxes(v.data, -1, -2)), coef)
+        g *= slope
         if bias is not None and bias.requires_grad:
             grads.append((bias, _sum_to_shape(g, bias.shape)))
         if q.requires_grad:

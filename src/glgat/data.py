@@ -58,9 +58,6 @@ class NormStats:
     def normalize(self, data: np.ndarray) -> np.ndarray:
         return (data - self.mean) / self.std
 
-    def denormalize(self, data: np.ndarray) -> np.ndarray:
-        return data * self.std + self.mean
-
 
 @dataclass
 class TrafficSeries:

@@ -25,18 +25,6 @@ def direction_class(xi: float, yi: float, xj: float, yj: float) -> int:
     return int(((theta + math.pi / 8.0) % (2.0 * math.pi)) // (math.pi / 4.0)) % 8
 
 
-def encode_direction(
-    xi: float, yi: float, xj: float, yj: float, smoothing: float = 0.1
-) -> np.ndarray:
-    """Label-smoothed one-hot over the 8 sectors; coincident points get 1/8."""
-    out = np.full(N_DIRECTION_CLASSES, smoothing / (N_DIRECTION_CLASSES - 1))
-    if xi == xj and yi == yj:
-        out[:] = 1.0 / N_DIRECTION_CLASSES
-        return out
-    out[direction_class(xi, yi, xj, yj)] = 1.0 - smoothing
-    return out
-
-
 def build_pairwise_encoding(graph, smoothing: float = 0.1) -> np.ndarray:
     """Assemble the (N, N, 10) direction + L1 + L2 tensor for a graph.
 

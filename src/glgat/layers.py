@@ -90,9 +90,41 @@ class GlgatLayerParams:
         return self.w_q_local.shape[0]
 
 
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int, *lead) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(*lead, fan_out, fan_in))
+def gat_shapes(k_in: int, k_out: int, h: int, h_e: int) -> dict[str, tuple[int, ...]]:
+    """``GatLayerParams`` field shapes, in the order ``init_gat_layer`` draws them."""
+    f = k_in + h_e
+    return dict(
+        w_q=(h, f), b_q=(h,), w_k=(h, f), b_k=(h,),
+        w_v=(h, k_in), b_v=(h,), w_ff=(k_out, h), b_ff=(k_out,),
+    )
+
+
+def glgat_shapes(
+    dims: LayerDims, n: int, k_in: int, k_out: int, h_e: int
+) -> dict[str, tuple[int, ...]]:
+    """``GlgatLayerParams`` field shapes, in the order ``init_glgat_layer``
+    draws them; ``w_q_local`` holds vertex i's (H_Q, K + H_E) matrix in row i."""
+    f = k_in + h_e
+    hp, hq = dims.h_prime, dims.h_q
+    return dict(
+        w_q_global=(hq, f), b_q_global=(hq,), w_q_local=(n, hq, f), b_q_local=(n, hq),
+        w_q_compress=(hq, 2 * hq), b_q_compress=(hq,), w_k=(hp, f), b_k=(hp,),
+        w_v=(hp, k_in), b_v=(hp,), w_ff=(k_out, hp), b_ff=(k_out,),
+    )
+
+
+def _glorot(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, ad.DiffTensor]:
+    """Glorot-uniform ``w_*`` weights over their last two axes and zero
+    ``b_*`` biases, drawn in the order of ``shapes``."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in shapes.items():
+        if name.startswith("b_"):
+            out[name] = ad.parameter(np.zeros(shape))
+        else:
+            limit = math.sqrt(6.0 / (shape[-1] + shape[-2]))
+            out[name] = ad.parameter(rng.uniform(-limit, limit, size=shape))
+    return out
 
 
 def init_gat_layer(
@@ -101,18 +133,7 @@ def init_gat_layer(
     """Glorot-uniform weights, zero biases, deterministic under seed."""
     if min(k_in, k_out, h) < 1 or h_e < 0:
         raise ValueError("invalid layer sizes")
-    rng = np.random.default_rng(seed)
-    f = k_in + h_e
-    return GatLayerParams(
-        w_q=ad.parameter(_glorot(rng, h, f)),
-        b_q=ad.parameter(np.zeros(h)),
-        w_k=ad.parameter(_glorot(rng, h, f)),
-        b_k=ad.parameter(np.zeros(h)),
-        w_v=ad.parameter(_glorot(rng, h, k_in)),
-        b_v=ad.parameter(np.zeros(h)),
-        w_ff=ad.parameter(_glorot(rng, k_out, h)),
-        b_ff=ad.parameter(np.zeros(k_out)),
-    )
+    return GatLayerParams(**_glorot(gat_shapes(k_in, k_out, h, h_e), seed))
 
 
 def init_glgat_layer(
@@ -125,24 +146,9 @@ def init_glgat_layer(
     """
     if n < 1 or min(k_in, k_out) < 1 or h_e < 0:
         raise ValueError("invalid layer sizes")
-    rng = np.random.default_rng(seed)
-    f = k_in + h_e
-    hp, hq = dims.h_prime, dims.h_q
-    return GlgatLayerParams(
-        dims=dims,
-        w_q_global=ad.parameter(_glorot(rng, hq, f)),
-        b_q_global=ad.parameter(np.zeros(hq)),
-        w_q_local=ad.parameter(0.5 * _glorot(rng, hq, f, n)),
-        b_q_local=ad.parameter(np.zeros((n, hq))),
-        w_q_compress=ad.parameter(_glorot(rng, hq, 2 * hq)),
-        b_q_compress=ad.parameter(np.zeros(hq)),
-        w_k=ad.parameter(_glorot(rng, hp, f)),
-        b_k=ad.parameter(np.zeros(hp)),
-        w_v=ad.parameter(_glorot(rng, hp, k_in)),
-        b_v=ad.parameter(np.zeros(hp)),
-        w_ff=ad.parameter(_glorot(rng, k_out, hp)),
-        b_ff=ad.parameter(np.zeros(k_out)),
-    )
+    params = GlgatLayerParams(dims=dims, **_glorot(glgat_shapes(dims, n, k_in, k_out, h_e), seed))
+    params.w_q_local.data *= 0.5
+    return params
 
 
 def _with_encoding(x: ad.DiffTensor, enc: ad.DiffTensor | None) -> ad.DiffTensor:

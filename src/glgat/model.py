@@ -35,7 +35,9 @@ from .layers import (
     GlgatLayerParams,
     LayerDims,
     gat_forward,
+    gat_shapes,
     glgat_forward,
+    glgat_shapes,
     init_gat_layer,
     init_glgat_layer,
 )
@@ -43,6 +45,7 @@ from .layers import (
 CHECKPOINT_VERSION = 2
 VARIANTS = ("full", "ablation1", "ablation2", "ablation3")
 N_GROUPS = 12
+FLOOR_NUMBERS = (1, 2, 4, 5, 6)  # the attention floors of the seven layers
 
 
 class ConfigError(ValueError):
@@ -116,6 +119,18 @@ class StackConfig:
         h_pe = self.h_pe if self.pe_enabled else 0
         return LayerDims(self.h_deep, self.h_adj, self.h_head, h_pe)
 
+    @property
+    def floor_widths(self) -> list[tuple[int, int, LayerDims]]:
+        """(input width, output width, dims) of each floor, in model order."""
+        deep = (self.flatten_width, self.flatten_width, self.dims_deep)
+        return [
+            (3 * self.k_in, self.group_width, self.dims_temporal),
+            (self.group_width, self.group_width, self.dims_temporal),
+            deep,
+            deep,
+            deep,
+        ]
+
 
 def build_adjacency_set(
     config: StackConfig, graph: SensorGraph, train_series: TrafficSeries
@@ -156,7 +171,7 @@ class GlgatModel:
 
     def named_params(self) -> dict[str, ad.DiffTensor]:
         out: dict[str, ad.DiffTensor] = {}
-        for idx, block in zip((1, 2, 4, 5, 6), self.blocks):
+        for idx, block in zip(FLOOR_NUMBERS, self.blocks):
             for key, tensor in block.named().items():
                 out[f"layer{idx}.{key}"] = tensor
         out["head.w"] = self.head_w
@@ -170,15 +185,9 @@ class GlgatModel:
             t.zero_grad()
 
 
-def build_model(
-    config: StackConfig,
-    adjs: AdjacencySet,
-    pe: np.ndarray | None,
-    stats: NormStats,
-    seed: int,
-) -> GlgatModel:
-    """Initialize every floor deterministically from one seed, after checking
-    the adjacency stack and the pairwise table against ``config``."""
+def _checked_tables(config: StackConfig, adjs: AdjacencySet, pe: np.ndarray | None):
+    """The adjacency as a model holds it, after checking the stack and the
+    pairwise table against ``config``."""
     n = config.n
     adj = adjs.stacked
     want_adj = (1 if config.uses_gat else config.h_adj, n, n)
@@ -193,16 +202,22 @@ def build_model(
         raise ConfigError(
             f"variant {config.variant!r} needs pairwise table {want_pe}, got {got}"
         )
+    return adj[0] if config.uses_gat else adj
 
-    widths = [
-        (3 * config.k_in, config.group_width, config.dims_temporal),
-        (config.group_width, config.group_width, config.dims_temporal),
-        (config.flatten_width, config.flatten_width, config.dims_deep),
-        (config.flatten_width, config.flatten_width, config.dims_deep),
-        (config.flatten_width, config.flatten_width, config.dims_deep),
-    ]
+
+def build_model(
+    config: StackConfig,
+    adjs: AdjacencySet,
+    pe: np.ndarray | None,
+    stats: NormStats,
+    seed: int,
+) -> GlgatModel:
+    """Initialize every floor deterministically from one seed, after checking
+    the adjacency stack and the pairwise table against ``config``."""
+    n = config.n
+    adj = _checked_tables(config, adjs, pe)
     blocks = []
-    for i, (k_in, k_out, dims) in enumerate(widths):
+    for i, (k_in, k_out, dims) in enumerate(config.floor_widths):
         if config.uses_gat:
             blocks.append(
                 init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
@@ -219,16 +234,7 @@ def build_model(
     enc = None
     if config.h_e > 0:
         enc = ad.parameter(init_vertex_encoding(n, config.h_e, seed=seed * 31 + 8))
-    return GlgatModel(
-        config=config,
-        blocks=blocks,
-        head_w=head_w,
-        head_b=head_b,
-        enc=enc,
-        adj=adj[0] if config.uses_gat else adj,
-        pe=pe,
-        stats=stats,
-    )
+    return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)
 
 
 def prepare_model(
@@ -399,22 +405,37 @@ def load_checkpoint(path) -> GlgatModel:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint adj is not an adjacency stack: {exc}") from None
     pe = None if payload["pe"] is None else _decode_array(payload["pe"], "pe")
-    model = build_model(config, adjs, pe, stats, seed=0)
+    adj = _checked_tables(config, adjs, pe)
 
     tensors = payload["tensors"]
     if not isinstance(tensors, dict):
         raise ConfigError("checkpoint tensors must be a JSON object")
-    params = model.named_params()
-    unknown = sorted(set(tensors) - set(params))
-    if unknown:
-        raise ConfigError(f"checkpoint has tensors this model lacks: {unknown}")
-    for name, t in params.items():
+    read = set()
+
+    def take(name: str, shape: tuple[int, ...]) -> ad.DiffTensor:
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
+        read.add(name)
         arr = _decode_array(tensors[name], name)
-        if arr.shape != t.shape:
+        if arr.shape != shape:
             raise ConfigError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.shape}"
+                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}"
             )
-        t.data[:] = arr
-    return model
+        with ad.no_grad():  # unscanned: the file's bits, NaN payloads included
+            return ad.parameter(arr)
+
+    blocks, gat = [], config.uses_gat
+    for idx, (k_in, k_out, dims) in zip(FLOOR_NUMBERS, config.floor_widths):
+        if gat:
+            shapes = gat_shapes(k_in, k_out, dims.h_prime, config.h_e)
+        else:
+            shapes = glgat_shapes(dims, config.n, k_in, k_out, config.h_e)
+        named = {key: take(f"layer{idx}.{key}", shape) for key, shape in shapes.items()}
+        blocks.append(GatLayerParams(**named) if gat else GlgatLayerParams(dims, **named))
+    head_w = take("head.w", (config.q, config.flatten_width))
+    head_b = take("head.b", (config.q,))
+    enc = take("vertex_encoding", (config.n, config.h_e)) if config.h_e > 0 else None
+    unknown = sorted(set(tensors) - read)
+    if unknown:
+        raise ConfigError(f"checkpoint has tensors this model lacks: {unknown}")
+    return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)

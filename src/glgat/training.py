@@ -1,4 +1,4 @@
-"""Training loop, loss, optimizer, metrics, and the historical-average baseline.
+"""Training loop, loss, optimizer and metrics.
 
 Everything runs single-threaded and is deterministic under the run seed:
 batch order comes from a seeded generator, parameter updates iterate in a
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError, TrafficSeries, WindowedSample
+from .data import DataError, WindowedSample
 from .model import GlgatModel, model_forward
 
 HORIZONS = (3, 6, 12)  # steps of 5 minutes: 15, 30, 60 min
@@ -38,25 +38,6 @@ class TrainingDiverged(ArithmeticError):
 
 
 # ---------------------------------------------------------------- loss
-
-
-def smooth_l1(pred: ad.DiffTensor, target, mask) -> ad.DiffTensor:
-    """Masked mean of the smooth-L1 kernel; gradient flows to pred only.
-
-    ``target`` and ``mask`` are plain arrays shaped like ``pred``. An empty
-    mask yields loss 0 with a warning.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if target.shape != pred.shape or mask.shape != pred.shape:
-        raise ad.ShapeError("smooth_l1: pred, target and mask shapes must match")
-    count = int(mask.sum())
-    if count == 0:
-        warnings.warn("smooth_l1: no observed elements, loss is 0", stacklevel=2)
-        weights = np.zeros(pred.shape)
-    else:
-        weights = mask / count
-    return ad.reduce_sum(ad.huber(pred - ad.constant(target)) * ad.constant(weights))
 
 
 def batch_smooth_l1(pred: ad.DiffTensor, target, mask) -> ad.DiffTensor:
@@ -230,57 +211,6 @@ def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalR
     return EvalReport(horizons=out)
 
 
-# --------------------------------------------------------------- baseline
-
-
-def ha_table(train: TrafficSeries, feature: int = 0) -> np.ndarray:
-    """(slots_per_day, N) mean observed reading per time-of-day slot.
-
-    Slots follow the series' own sampling step. Empty slots fall back to
-    the sensor's overall observed mean (0 if the sensor is never observed).
-    """
-    step = int(train.timestamps[1] - train.timestamps[0])
-    if 86400 % step != 0:
-        raise DataError(f"sampling step {step}s does not divide one day")
-    n_slots = 86400 // step
-    slots = (train.timestamps % 86400) // step
-    data = train.data[:, :, feature]
-    mask = train.mask[:, :, feature]
-
-    n = train.n_vertices
-    sums = np.zeros((n_slots, n))
-    counts = np.zeros((n_slots, n))
-    np.add.at(sums, slots, data * mask)
-    np.add.at(counts, slots, mask.astype(np.float64))
-
-    sensor_total = (data * mask).sum(axis=0)
-    sensor_count = mask.sum(axis=0)
-    fallback = np.divide(
-        sensor_total,
-        sensor_count,
-        out=np.zeros_like(sensor_total),
-        where=sensor_count > 0,
-    )
-    table = np.where(counts > 0, sums / np.maximum(counts, 1), fallback[None, :])
-    return table
-
-
-def historical_average(
-    train: TrafficSeries, query_times: np.ndarray, feature: int = 0
-) -> np.ndarray:
-    """Baseline forecast per (query timestamp, sensor); (*query_times.shape, N)."""
-    table = ha_table(train, feature)
-    step = int(train.timestamps[1] - train.timestamps[0])
-    slots = (np.asarray(query_times, dtype=np.int64) % 86400) // step
-    return table[slots]
-
-
-def ha_predictions(train: TrafficSeries, samples: list[WindowedSample]) -> np.ndarray:
-    """Baseline forecasts shaped like model output, (S, N, Q)."""
-    times = np.stack([s.target_times for s in samples])  # (S, Q)
-    return historical_average(train, times).transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------- training
 
 
@@ -387,17 +317,19 @@ def train(
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             try:
-                preds = model_forward(model, x_train[idx])
-                loss = batch_smooth_l1(preds, y_train[idx], m_train[idx])
+                loss = batch_smooth_l1(
+                    model_forward(model, x_train[idx]), y_train[idx], m_train[idx]
+                )
                 model.zero_grad()
-                loss.backward()
+                loss.backward()  # frees the step's graph as it goes
             except ad.NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: {exc}; "
                     f"last finite checkpoint is epoch {best_epoch}"
                 ) from exc
-            adam_step(params, state, clip_norm=config.clip_norm)
             losses.append(loss.item())
+            del loss  # nothing of this step lives into the next one's forward
+            adam_step(params, state, clip_norm=config.clip_norm)
         train_loss = float(np.mean(losses))
 
         report = None

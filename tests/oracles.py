@@ -1,17 +1,21 @@
-"""Independent reference implementations used to validate the package.
+"""Independent reference implementations used to validate the package,
+and the few helpers that only tests call.
 
-Everything here is written as plain scalar loops, deliberately avoiding the
+The references are written as plain scalar loops, deliberately avoiding the
 vectorized routines (searchsorted, einsum, masked softmax) that the package
 itself uses, so agreement between the two routes is meaningful.
 """
 
 import csv
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 
+from glgat import autodiff as ad
 from glgat.data import DataError
+from glgat.encoding import N_DIRECTION_CLASSES, direction_class
 
 
 def scan_events(values, observed, divider):
@@ -57,6 +61,90 @@ def event_adjacency_brute(events, t_p, t_q):
             a[i, j] = min(1.0, max(0.0, a[i, j]))
         a[i, i] = 1.0
     return a
+
+
+def encode_direction(xi, yi, xj, yj, smoothing=0.1):
+    """Label-smoothed one-hot over the 8 sectors of the bearing i -> j;
+    coincident points get 1/8: one direction row of the pairwise table."""
+    out = np.full(N_DIRECTION_CLASSES, smoothing / (N_DIRECTION_CLASSES - 1))
+    if xi == xj and yi == yj:
+        out[:] = 1.0 / N_DIRECTION_CLASSES
+        return out
+    out[direction_class(xi, yi, xj, yj)] = 1.0 - smoothing
+    return out
+
+
+def denormalize(stats, data):
+    """The inverse of ``NormStats.normalize``."""
+    return data * stats.std + stats.mean
+
+
+def smooth_l1(pred, target, mask):
+    """Masked mean of the smooth-L1 kernel of one window, a ``DiffTensor``
+    whose gradient flows to ``pred`` only: the per-sample term of
+    ``batch_smooth_l1``.
+
+    ``target`` and ``mask`` are plain arrays shaped like ``pred``. An empty
+    mask yields loss 0 with a warning.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if target.shape != pred.shape or mask.shape != pred.shape:
+        raise ad.ShapeError("smooth_l1: pred, target and mask shapes must match")
+    count = int(mask.sum())
+    if count == 0:
+        warnings.warn("smooth_l1: no observed elements, loss is 0", stacklevel=2)
+        weights = np.zeros(pred.shape)
+    else:
+        weights = mask / count
+    return ad.reduce_sum(ad.huber(pred - ad.constant(target)) * ad.constant(weights))
+
+
+def ha_table(train, feature=0):
+    """The historical-average baseline: (slots_per_day, N) mean observed
+    reading per time-of-day slot.
+
+    Slots follow the series' own sampling step. Empty slots fall back to
+    the sensor's overall observed mean (0 if the sensor is never observed).
+    """
+    step = int(train.timestamps[1] - train.timestamps[0])
+    if 86400 % step != 0:
+        raise DataError(f"sampling step {step}s does not divide one day")
+    n_slots = 86400 // step
+    slots = (train.timestamps % 86400) // step
+    data = train.data[:, :, feature]
+    mask = train.mask[:, :, feature]
+
+    n = train.n_vertices
+    sums = np.zeros((n_slots, n))
+    counts = np.zeros((n_slots, n))
+    np.add.at(sums, slots, data * mask)
+    np.add.at(counts, slots, mask.astype(np.float64))
+
+    sensor_total = (data * mask).sum(axis=0)
+    sensor_count = mask.sum(axis=0)
+    fallback = np.divide(
+        sensor_total,
+        sensor_count,
+        out=np.zeros_like(sensor_total),
+        where=sensor_count > 0,
+    )
+    table = np.where(counts > 0, sums / np.maximum(counts, 1), fallback[None, :])
+    return table
+
+
+def historical_average(train, query_times, feature=0):
+    """The baseline forecast per (query timestamp, sensor), (*query_times.shape, N)."""
+    table = ha_table(train, feature)
+    step = int(train.timestamps[1] - train.timestamps[0])
+    slots = (np.asarray(query_times, dtype=np.int64) % 86400) // step
+    return table[slots]
+
+
+def ha_predictions(train, samples):
+    """Historical-average forecasts of windows, shaped like model output (S, N, Q)."""
+    times = np.stack([s.target_times for s in samples])  # (S, Q)
+    return historical_average(train, times).transpose(0, 2, 1)
 
 
 def load_series_rows_scalar(series_file, zero_is_missing=True):

@@ -33,7 +33,7 @@ from glgat.layers import (
 )
 
 from conftest import record_criterion
-from oracles import event_adjacency_brute, metrics_scalar
+from oracles import event_adjacency_brute, ha_predictions, metrics_scalar, smooth_l1
 from test_layers import random_instance, random_pe, wire_reduction
 
 
@@ -62,7 +62,7 @@ def test_criterion_1_gradient_integrity():
     target, mask = gtrain.stack_targets(splits.train[:1])
 
     def loss():
-        return gtrain.smooth_l1(gmodel.model_forward(model, x), target, mask)
+        return smooth_l1(gmodel.model_forward(model, x), target, mask)
 
     report = check_gradients(
         loss, model.named_params(), h=1e-5, rel_tol=1e-4, abs_tol=1e-6, small=1e-3
@@ -335,7 +335,7 @@ def planted():
     graph, series, _ = gdata.generate_synthetic(n=15, t=2000, seed=42)
     splits = gdata.split_and_window(series, p=12, q=12)
     train_series = series.slice(0, splits.split_sizes[0])
-    preds = gtrain.ha_predictions(train_series, splits.val)
+    preds = ha_predictions(train_series, splits.val)
     targets, masks = gtrain.stack_targets(splits.val)
     ha_mae = gtrain.evaluate(preds, targets, masks).mean_mae
     return SimpleNamespace(

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -629,6 +630,41 @@ def test_constants_pruned_from_tape():
     out.backward()
     np.testing.assert_array_equal(x.grad, [5.0])
     assert c.grad is None
+
+
+def test_backward_consumes_its_graph():
+    x = ad.parameter([1.0, 2.0])
+    y = x * x
+    loss = ad.reduce_sum(y)
+    other = ad.reduce_sum(y * 3.0)  # recorded before the backward, shares y
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ad.ConsumedGraphError):
+        loss.backward()
+    with pytest.raises(ad.ConsumedGraphError):
+        y + 1.0  # a new op on an interior node of the consumed graph
+    with pytest.raises(ad.ConsumedGraphError):
+        other.backward()  # reaches y, which must not pass for a leaf
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    ad.reduce_sum(x * x).backward()  # leaves stay live; gradients accumulate
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
+def test_recorded_attend_holds_two_score_tensors():
+    """What a recorded call keeps for its backward pass: the GELU slope and
+    the coefficients, not the raw scores or their CDF."""
+    rng = np.random.default_rng(44)
+    q, k_t, v, weights, bias = _floor_operands(rng, batch=4, h_adj=2, h_head=2, n=48)
+    score_bytes = 8 * 4 * 2 * 2 * 48 * 48  # one whole (4, 2, 2, 48, 48) tensor
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.attend(q, k_t, v, weights, bias)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * score_bytes + out.data.nbytes + 64 * 1024
 
 
 def test_reuse_recomputes_after_a_write_to_any_array_argument():

@@ -8,9 +8,9 @@ from glgat.encoding import (
     GeometryError,
     build_pairwise_encoding,
     direction_class,
-    encode_direction,
     init_vertex_encoding,
 )
+from oracles import encode_direction
 
 
 def graph_of(coords, edges=()):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from glgat import data as gdata
 from glgat import model as gmodel
 from glgat import training as gtrain
 from glgat.gradcheck import check_gradients
-from oracles import historical_average_scalar, metrics_scalar, smooth_l1_scalar
+from oracles import (
+    ha_predictions,
+    ha_table,
+    historical_average,
+    historical_average_scalar,
+    metrics_scalar,
+    smooth_l1,
+    smooth_l1_scalar,
+)
 
 DAY = 86400
 STEP = 300
@@ -53,13 +62,13 @@ def test_smooth_l1_known_values():
     pred = ad.parameter([0.0, 2.0, -2.0, 0.5])
     target = np.zeros(4)
     mask = np.ones(4, dtype=bool)
-    loss = gtrain.smooth_l1(pred, target, mask)
+    loss = smooth_l1(pred, target, mask)
     expect = np.mean([smooth_l1_scalar(d) for d in (0.0, 2.0, -2.0, 0.5)])
     assert loss.item() == pytest.approx(expect, abs=1e-15)
 
-    zero = gtrain.smooth_l1(ad.parameter([3.0]), np.array([3.0]), np.array([True]))
+    zero = smooth_l1(ad.parameter([3.0]), np.array([3.0]), np.array([True]))
     assert zero.item() == 0.0
-    single = gtrain.smooth_l1(ad.parameter([2.0]), np.array([0.0]), np.array([True]))
+    single = smooth_l1(ad.parameter([2.0]), np.array([0.0]), np.array([True]))
     assert single.item() == pytest.approx(1.5, abs=1e-15)
 
 
@@ -69,17 +78,17 @@ def test_smooth_l1_gradient_both_branches():
     target = np.zeros(4)
     mask = np.ones(4, dtype=bool)
     report = check_gradients(
-        lambda: gtrain.smooth_l1(pred, target, mask), {"pred": pred}
+        lambda: smooth_l1(pred, target, mask), {"pred": pred}
     )
     assert report.passed, report.summary()
-    gtrain.smooth_l1(pred, target, mask).backward()
+    smooth_l1(pred, target, mask).backward()
     assert np.allclose(pred.grad, [-0.25, -0.125, 0.125, 0.25], atol=1e-15)
 
 
 def test_smooth_l1_respects_mask():
     pred = ad.parameter([1.0, 100.0])
     mask = np.array([True, False])
-    loss = gtrain.smooth_l1(pred, np.zeros(2), mask)
+    loss = smooth_l1(pred, np.zeros(2), mask)
     assert loss.item() == pytest.approx(0.5, abs=1e-15)
     loss.backward()
     assert pred.grad[1] == 0.0
@@ -88,13 +97,13 @@ def test_smooth_l1_respects_mask():
 def test_smooth_l1_empty_mask_warns():
     pred = ad.parameter([1.0, 2.0])
     with pytest.warns(UserWarning):
-        loss = gtrain.smooth_l1(pred, np.zeros(2), np.zeros(2, dtype=bool))
+        loss = smooth_l1(pred, np.zeros(2), np.zeros(2, dtype=bool))
     assert loss.item() == 0.0
 
 
 def test_smooth_l1_shape_mismatch():
     with pytest.raises(ad.ShapeError):
-        gtrain.smooth_l1(ad.parameter([1.0]), np.zeros(2), np.ones(2, dtype=bool))
+        smooth_l1(ad.parameter([1.0]), np.zeros(2), np.ones(2, dtype=bool))
 
 
 def test_batch_loss_is_mean_of_per_sample_means():
@@ -105,7 +114,7 @@ def test_batch_loss_is_mean_of_per_sample_means():
     mask[0] = [True, False, False, False]  # uneven per-sample counts
     batched = gtrain.batch_smooth_l1(ad.parameter(pred), target, mask).item()
     per_sample = [
-        gtrain.smooth_l1(ad.parameter(pred[i]), target[i], mask[i]).item()
+        smooth_l1(ad.parameter(pred[i]), target[i], mask[i]).item()
         for i in range(3)
     ]
     assert batched == pytest.approx(np.mean(per_sample), abs=1e-14)
@@ -125,7 +134,7 @@ def test_batch_gradient_is_average_of_sample_gradients(setup):
 
     model.zero_grad()
     for i in range(3):
-        gtrain.smooth_l1(gmodel.model_forward(model, x[i]), y[i], msk[i]).backward()
+        smooth_l1(gmodel.model_forward(model, x[i]), y[i], msk[i]).backward()
     for k, t in model.named_params().items():
         assert np.allclose(t.grad / 3.0, batched[k], rtol=0, atol=1e-10), k
 
@@ -267,7 +276,7 @@ def test_evaluate_shape_mismatch():
 
 def test_ha_constant_series():
     series = observed_series(2 * SLOTS, 2, np.full((2 * SLOTS, 2), 60.0))
-    table = gtrain.ha_table(series)
+    table = ha_table(series)
     assert table.shape == (SLOTS, 2)
     assert np.all(table == 60.0)
 
@@ -277,10 +286,10 @@ def test_ha_slot_means_over_days():
     slots = np.arange(SLOTS) / 10.0
     values = np.concatenate([slots, slots + 2.0])
     series = observed_series(2 * SLOTS, 1, values.reshape(-1, 1))
-    table = gtrain.ha_table(series)
+    table = ha_table(series)
     assert np.allclose(table[:, 0], slots + 1.0, atol=1e-12)
     query = TS0 + np.array([0, 17 * STEP, 100 * STEP], dtype=np.int64)
-    pred = gtrain.historical_average(series, query)
+    pred = historical_average(series, query)
     assert np.allclose(pred[:, 0], [1.0, 2.7, 11.0], atol=1e-12)
 
 
@@ -290,7 +299,7 @@ def test_ha_empty_slot_falls_back_to_sensor_mean():
     series.mask[SLOTS // 2 :, 1] = False
     series.data[SLOTS // 2 :, 1] = 0.0
     series.data[: SLOTS // 2, 1] = 30.0
-    table = gtrain.ha_table(series)
+    table = ha_table(series)
     assert np.all(table[SLOTS // 2 :, 1] == 30.0)  # fallback
     assert np.all(table[: SLOTS // 2, 1] == 30.0)
     assert np.all(table[:, 0] == 40.0)
@@ -300,7 +309,7 @@ def test_ha_never_observed_sensor_is_zero():
     series = observed_series(SLOTS, 1, np.full((SLOTS, 1), 50.0))
     series.mask[:] = False
     series.data[:] = 0.0
-    assert np.all(gtrain.ha_table(series) == 0.0)
+    assert np.all(ha_table(series) == 0.0)
 
 
 def test_ha_reproduces_noiseless_daily_pattern():
@@ -310,7 +319,7 @@ def test_ha_reproduces_noiseless_daily_pattern():
     wave = 50.0 + 10.0 * np.sin(2 * np.pi * tod)
     series = observed_series(t, 1, wave.reshape(-1, 1))
     query = TS0 + 7 * DAY + STEP * np.arange(0, SLOTS, 13, dtype=np.int64)
-    pred = gtrain.historical_average(series, query)[:, 0]
+    pred = historical_average(series, query)[:, 0]
     truth = 50.0 + 10.0 * np.sin(2 * np.pi * ((query % DAY) / DAY))
     assert np.allclose(pred, truth, atol=1e-10)
 
@@ -318,10 +327,10 @@ def test_ha_reproduces_noiseless_daily_pattern():
 def test_ha_depends_only_on_query_time(setup):
     _, _, splits, train_series = setup
     samples = splits.train[:6]
-    preds = gtrain.ha_predictions(train_series, samples)
+    preds = ha_predictions(train_series, samples)
     assert preds.shape == (6, 5, 12)
     for i, s in enumerate(samples):
-        direct = gtrain.historical_average(train_series, s.target_times).T
+        direct = historical_average(train_series, s.target_times).T
         assert np.array_equal(preds[i], direct)
     # overlapping target times across samples agree position for position
     assert samples[0].target_times[1] == samples[1].target_times[0]
@@ -342,13 +351,13 @@ def test_ha_matches_scalar_oracle():
     expect = historical_average_scalar(
         series.data[:, :, 0], series.mask[:, :, 0], slots, SLOTS
     )
-    assert np.allclose(gtrain.ha_table(series), expect, atol=1e-12)
+    assert np.allclose(ha_table(series), expect, atol=1e-12)
 
 
 def test_ha_rejects_step_not_dividing_day():
     series = observed_series(10, 1, np.full((10, 1), 5.0), step=7)
     with pytest.raises(gdata.DataError):
-        gtrain.ha_table(series)
+        ha_table(series)
 
 
 # --------------------------------------------------------- training loop
@@ -517,6 +526,59 @@ def test_divergence_reports_epoch(setup):
             [],
             gtrain.TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, patience=5, seed=0),
         )
+
+
+@pytest.fixture(scope="module")
+def small_shape():
+    """The benchmark's train-small model shape: N=15, the acceptance widths."""
+    graph, series, _ = gdata.generate_synthetic(n=15, t=400, seed=7)
+    splits = gdata.split_and_window(series, p=12, q=12)
+    cfg = gmodel.StackConfig(
+        n=15, group_width=4, h_head=2, h_temporal=2, h_deep=4, h_pe=10, h_e=4
+    )
+    train_series = series.slice(0, splits.split_sizes[0])
+    return lambda: gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0), splits
+
+
+def _traced_peak(fn) -> int:
+    """The peak growth of traced memory while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_frees_the_recorded_graph(small_shape):
+    build, splits = small_shape
+    model = build()
+    x = gtrain.stack_inputs(splits.train[:32])
+    y, m = gtrain.stack_targets(splits.train[:32])
+    gtrain.batch_smooth_l1(gmodel.model_forward(model, x), y, m).backward()  # fills caches
+    model.zero_grad()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = gtrain.batch_smooth_l1(gmodel.model_forward(model, x), y, m)
+        recorded = tracemalloc.get_traced_memory()[0] - base
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grads = sum(t.grad.nbytes for t in model.named_params().values())
+    assert recorded > 20 * grads  # a batch-32 graph holds tens of MB
+    assert held <= grads + 256 * 1024  # while ``loss`` is still bound
+
+
+def test_train_holds_one_step_graph_at_a_time(small_shape):
+    build, splits = small_shape
+    config = gtrain.TrainConfig(lr=1e-3, batch_size=32, max_epochs=1, patience=1)
+    val = splits.val[:2]
+    one_step = _traced_peak(lambda: gtrain.train(build(), splits.train[:32], val, config))
+    three_steps = _traced_peak(lambda: gtrain.train(build(), splits.train[:96], val, config))
+    assert three_steps < 1.3 * one_step
 
 
 def test_log_csv_round_trip(tmp_path, setup):
