@@ -18,6 +18,8 @@ import numpy as np
 
 from .data import TrafficSeries
 
+_ROWS_PER_CHUNK = 4096  # _co_occurrence gathers counts this many rows at a time
+
 
 @dataclass(frozen=True)
 class EventLog:
@@ -122,7 +124,11 @@ def _co_occurrence(events: list[np.ndarray], t_p: int, t_q: int) -> np.ndarray:
         np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
         lo = np.searchsorted(times, times - t_p, side="left")
         hi = np.searchsorted(times, times + t_q, side="right")
-        near = counts[hi] > counts[lo]  # near[k, j]: a j event in times[k]'s window
+        # near[k, j]: a j event in times[k]'s window, in chunks of rows
+        near = np.empty((times.size, n), dtype=bool)
+        for a in range(0, times.size, _ROWS_PER_CHUNK):
+            rows = slice(a, a + _ROWS_PER_CHUNK)
+            np.greater(counts[hi[rows]], counts[lo[rows]], out=near[rows])
         for i, k in enumerate(at):
             if k.size:
                 score[i] = near[k].sum(axis=0) / k.size

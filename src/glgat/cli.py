@@ -54,7 +54,6 @@ from .training import (
     batch_smooth_l1,
     evaluate,
     predict,
-    stack_inputs,
     stack_targets,
     train,
     write_log,
@@ -232,7 +231,7 @@ def cmd_train(args) -> int:
     train_series = series.slice(0, splits.split_sizes[0])
     model = prepare_model(stack, graph, train_series, splits.stats, run.seed)
     result = train(model, splits.train, splits.val, run)
-    save_checkpoint(model, out / "checkpoint.json")
+    save_checkpoint(model, out / "checkpoint.bin")
     write_log(result.log_rows, out / "training_log.csv")
     print(
         f"variant={stack.variant} epochs={result.epochs_run} "
@@ -256,7 +255,7 @@ def cmd_evaluate(args) -> int:
     samples = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
     if not samples:
         raise DataError(f"the {args.split} split yields no windows")
-    preds = predict(model, stack_inputs(samples))
+    preds = predict(model, [s.input for s in samples])
     targets, masks = stack_targets(samples)
     report = evaluate(preds, targets, masks)
     label = f"variant={model.config.variant} split={args.split} windows={len(samples)}"
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint")
-    p.add_argument("--checkpoint", required=True, help="checkpoint JSON from train")
+    p.add_argument("--checkpoint", required=True, help="checkpoint.bin from train")
     p.add_argument("--series", required=True, help="readings CSV")
     p.add_argument("--locations", required=True, help="sensor locations CSV")
     p.add_argument("--edges", default=None, help="road edges CSV (optional)")

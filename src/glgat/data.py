@@ -55,8 +55,11 @@ class NormStats:
     mean: np.ndarray  # (K,)
     std: np.ndarray  # (K,), floored at STD_FLOOR
 
-    def normalize(self, data: np.ndarray) -> np.ndarray:
-        return (data - self.mean) / self.std
+    def normalize(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(data - mean) / std, written into ``out`` when one is given."""
+        out = np.subtract(data, self.mean, out=out)
+        out /= self.std
+        return out
 
 
 @dataclass
@@ -369,7 +372,7 @@ def _window_split(
     length, n, k = data.shape
     channels = np.empty((length, n, input_channels(k)))
     features = channels[:, :, :k]
-    features[:] = stats.normalize(data)
+    stats.normalize(data, out=features)
     features[~mask] = 0.0  # zero-fill missing inputs after scaling
     channels[:, :, k] = tod[:, None]
     channels[:, :, k + 1 :] = mask

@@ -14,7 +14,6 @@ the model configuration, so ablation runs differ only in configuration.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -42,7 +41,7 @@ from .layers import (
     init_glgat_layer,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 VARIANTS = ("full", "ablation1", "ablation2", "ablation3")
 N_GROUPS = 12
 FLOOR_NUMBERS = (1, 2, 4, 5, 6)  # the attention floors of the seven layers
@@ -294,35 +293,35 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
 
 # ----------------------------------------------------------- checkpoints
 #
-# One sorted, compact JSON object. Every array, including the stats, is
-# {"shape": [...], "data": base64 of its C-order little-endian float64
-# bytes}, so values round-trip bit for bit and no float goes through text.
+# One line of compact JSON with sorted keys, {"arrays": [[name, shape], ...],
+# "config": {...}, "format_version": 3}, then the listed arrays' C-order
+# little-endian float64 bytes in list order and nothing after them. No float
+# goes through text, so values round-trip bit for bit.
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
-
-
-def _decode_array(entry, name: str) -> np.ndarray:
-    """A writable float64 copy of one encoded array; ConfigError if malformed."""
-    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-        raise ConfigError(f"checkpoint array {name!r} is not a shape/data entry")
-    shape, data = entry["shape"], entry["data"]
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
-    if not isinstance(data, str):
-        raise ConfigError(f"checkpoint array {name!r} has non-string data")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ConfigError(f"checkpoint array {name!r} is not valid base64: {exc}") from None
-    if len(raw) != math.prod(shape) * 8:
-        raise ConfigError(
-            f"checkpoint array {name!r} holds {len(raw)} bytes, "
-            f"shape {tuple(shape)} needs {math.prod(shape) * 8}"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+def _read_arrays(entries, body: memoryview) -> dict[str, np.ndarray]:
+    """A writable float64 copy of every array the header lists, by name;
+    ConfigError unless the entries are well formed and cover the body exactly."""
+    if not isinstance(entries, list):
+        raise ConfigError("checkpoint arrays must be a list of [name, shape] pairs")
+    arrays, offset = {}, 0
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise ConfigError(f"checkpoint array entry {entry!r} is not a [name, shape] pair")
+        name, shape = entry
+        if name in arrays:
+            raise ConfigError(f"checkpoint lists array {name!r} twice")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
+        size = math.prod(shape) * 8
+        if offset + size > len(body):
+            raise ConfigError(f"checkpoint body ends inside array {name!r}")
+        raw = np.frombuffer(body[offset : offset + size], dtype="<f8")
+        arrays[name] = raw.reshape(shape).astype(np.float64)
+        offset += size
+    if offset != len(body):
+        raise ConfigError(f"checkpoint body has {len(body) - offset} bytes after its arrays")
+    return arrays
 
 
 def _config_from(raw) -> StackConfig:
@@ -340,24 +339,20 @@ def _config_from(raw) -> StackConfig:
 
 
 def save_checkpoint(model: GlgatModel, path) -> None:
-    """Versioned JSON snapshot; identical models serialize byte-identically."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
+    """Versioned snapshot; identical models serialize byte-identically."""
+    arrays = {"stats.mean": model.stats.mean, "stats.std": model.stats.std, "adj": model.adj}
+    if model.pe is not None:
+        arrays["pe"] = model.pe
+    arrays.update((name, t.data) for name, t in model.named_params().items())
+    header = {
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
         "config": asdict(model.config),
-        "stats": {
-            "mean": _encode_array(model.stats.mean),
-            "std": _encode_array(model.stats.std),
-        },
-        "adj": _encode_array(model.adj),
-        "pe": None if model.pe is None else _encode_array(model.pe),
-        "tensors": {
-            name: _encode_array(t.data) for name, t in model.named_params().items()
-        },
+        "format_version": CHECKPOINT_VERSION,
     }
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> GlgatModel:
@@ -367,56 +362,47 @@ def load_checkpoint(path) -> GlgatModel:
     raises ConfigError; a file that cannot be read raises OSError.
     """
     with open(path, "rb") as fh:
-        text = fh.read()
+        blob = fh.read()
+    line = blob.partition(b"\n")[0]  # a version-1 or 2 file is one line
+    rerun = f"this build reads version {CHECKPOINT_VERSION}; re-run train to write one"
     try:
-        payload = json.loads(text)
+        header = json.loads(line)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"checkpoint is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError("checkpoint is not a JSON object")
-    version = payload.get("format_version")
+        raise ConfigError(f"checkpoint header is not valid JSON ({rerun}): {exc}") from None
+    if not isinstance(header, dict):
+        raise ConfigError(f"checkpoint header is not a JSON object ({rerun})")
+    version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {version!r} (this build reads "
-            f"version {CHECKPOINT_VERSION}; re-run train to write one)"
-        )
-    keys = {"format_version", "config", "stats", "adj", "pe", "tensors"}
-    if set(payload) != keys:
-        raise ConfigError(f"checkpoint must have keys {sorted(keys)}, got {sorted(payload)}")
-    config = _config_from(payload["config"])
+        raise ConfigError(f"unsupported checkpoint version {version!r} ({rerun})")
+    keys = {"format_version", "config", "arrays"}
+    if set(header) != keys:
+        raise ConfigError(f"checkpoint header must have keys {sorted(keys)}, got {sorted(header)}")
+    config = _config_from(header["config"])
+    arrays = _read_arrays(header["arrays"], memoryview(blob)[len(line) + 1 :])
 
-    stats_raw = payload["stats"]
-    if not isinstance(stats_raw, dict) or set(stats_raw) != {"mean", "std"}:
-        raise ConfigError("checkpoint stats must hold exactly 'mean' and 'std'")
-    stats = NormStats(
-        mean=_decode_array(stats_raw["mean"], "stats.mean"),
-        std=_decode_array(stats_raw["std"], "stats.std"),
-    )
+    def take(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise ConfigError(f"checkpoint is missing array {name!r}")
+        return arrays.pop(name)
+
+    stats = NormStats(mean=take("stats.mean"), std=take("stats.std"))
     if stats.mean.ndim != 1 or stats.mean.size == 0 or stats.std.shape != stats.mean.shape:
         raise ConfigError(
             f"checkpoint stats have shapes {stats.mean.shape} and {stats.std.shape}, "
             "expected two equal non-empty vectors"
         )
 
-    adj = _decode_array(payload["adj"], "adj")
+    adj = take("adj")
     try:
         matrices = [adj] if config.uses_gat else list(adj)  # list() of a 0-d array: TypeError
         adjs = AdjacencySet(matrices=matrices, labels=["loaded"] * len(matrices))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint adj is not an adjacency stack: {exc}") from None
-    pe = None if payload["pe"] is None else _decode_array(payload["pe"], "pe")
+    pe = arrays.pop("pe", None)
     adj = _checked_tables(config, adjs, pe)
 
-    tensors = payload["tensors"]
-    if not isinstance(tensors, dict):
-        raise ConfigError("checkpoint tensors must be a JSON object")
-    read = set()
-
-    def take(name: str, shape: tuple[int, ...]) -> ad.DiffTensor:
-        if name not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor {name!r}")
-        read.add(name)
-        arr = _decode_array(tensors[name], name)
+    def param(name: str, shape: tuple[int, ...]) -> ad.DiffTensor:
+        arr = take(name)
         if arr.shape != shape:
             raise ConfigError(
                 f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}"
@@ -430,12 +416,11 @@ def load_checkpoint(path) -> GlgatModel:
             shapes = gat_shapes(k_in, k_out, dims.h_prime, config.h_e)
         else:
             shapes = glgat_shapes(dims, config.n, k_in, k_out, config.h_e)
-        named = {key: take(f"layer{idx}.{key}", shape) for key, shape in shapes.items()}
+        named = {key: param(f"layer{idx}.{key}", shape) for key, shape in shapes.items()}
         blocks.append(GatLayerParams(**named) if gat else GlgatLayerParams(dims, **named))
-    head_w = take("head.w", (config.q, config.flatten_width))
-    head_b = take("head.b", (config.q,))
-    enc = take("vertex_encoding", (config.n, config.h_e)) if config.h_e > 0 else None
-    unknown = sorted(set(tensors) - read)
-    if unknown:
-        raise ConfigError(f"checkpoint has tensors this model lacks: {unknown}")
+    head_w = param("head.w", (config.q, config.flatten_width))
+    head_b = param("head.b", (config.q,))
+    enc = param("vertex_encoding", (config.n, config.h_e)) if config.h_e > 0 else None
+    if arrays:
+        raise ConfigError(f"checkpoint has arrays this model lacks: {sorted(arrays)}")
     return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)

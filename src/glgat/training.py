@@ -225,11 +225,14 @@ def stack_targets(samples: list[WindowedSample], feature: int = 0):
     return targets, masks
 
 
-def predict(model: GlgatModel, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks."""
+def predict(model: GlgatModel, inputs, batch_size: int = 64) -> np.ndarray:
+    """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks.
+
+    ``inputs`` is one (S, 12, N, K_in) array or a list of S window arrays,
+    of which one chunk at a time is stacked."""
     with ad.no_grad():
         chunks = [
-            model_forward(model, inputs[i : i + batch_size]).data
+            model_forward(model, np.asarray(inputs[i : i + batch_size])).data
             for i in range(0, len(inputs), batch_size)
         ]
     preds = np.concatenate(chunks, axis=0)
@@ -290,12 +293,15 @@ def train(
     """
     if not train_samples:
         raise DataError("training requires at least one window")
-    x_train = stack_inputs(train_samples)
-    y_train, m_train = stack_targets(train_samples)
+    # batches and prediction chunks are gathered from the window views, so
+    # no split's inputs are ever copied whole
     have_val = bool(val_samples)
     if have_val:
-        x_val = stack_inputs(val_samples)
+        val_inputs = [s.input for s in val_samples]
         y_val, m_val = stack_targets(val_samples)
+    else:
+        fit_inputs = [s.input for s in train_samples]
+        y_fit, m_fit = stack_targets(train_samples)
 
     params = model.named_params()
     state = AdamState(lr=config.lr)
@@ -315,10 +321,10 @@ def train(
         order = rng.permutation(n)
         losses = []
         for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+            batch = [train_samples[i] for i in order[lo : lo + config.batch_size]]
             try:
                 loss = batch_smooth_l1(
-                    model_forward(model, x_train[idx]), y_train[idx], m_train[idx]
+                    model_forward(model, stack_inputs(batch)), *stack_targets(batch)
                 )
                 model.zero_grad()
                 loss.backward()  # frees the step's graph as it goes
@@ -334,11 +340,11 @@ def train(
 
         report = None
         if have_val:
-            report = evaluate(predict(model, x_val), y_val, m_val)
+            report = evaluate(predict(model, val_inputs), y_val, m_val)
             metric = report.mean_mae
         else:
             with ad.no_grad():
-                fit = batch_smooth_l1(ad.constant(predict(model, x_train)), y_train, m_train)
+                fit = batch_smooth_l1(ad.constant(predict(model, fit_inputs)), y_fit, m_fit)
             metric = fit.item()
         rows.append(
             {

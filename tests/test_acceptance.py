@@ -453,7 +453,7 @@ def test_criterion_11_seeded_training_is_byte_identical(tmp_path):
             "--h-deep", "6", "--h-e", "4",
         ])
         assert rc == 0
-        checkpoints.append((out / "checkpoint.json").read_bytes())
+        checkpoints.append((out / "checkpoint.bin").read_bytes())
     ok = checkpoints[0] == checkpoints[1]
     record_criterion(
         11, "seeded training determinism", _verdict(ok),

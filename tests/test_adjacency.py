@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from glgat import adjacency as gadj
 from glgat.adjacency import (
     AdjacencySet,
     EventLog,
@@ -161,6 +162,15 @@ def test_matches_brute_force_on_random_logs():
         a_up, a_down = build_event_adjacency(log, t_p=t_p, t_q=t_q)
         np.testing.assert_array_equal(a_up, event_adjacency_brute(up, t_p, t_q))
         np.testing.assert_array_equal(a_down, event_adjacency_brute(down, t_p, t_q))
+
+
+def test_co_occurrence_in_several_row_chunks_matches_brute_force(monkeypatch):
+    monkeypatch.setattr(gadj, "_ROWS_PER_CHUNK", 3)  # tens of chunks per log
+    rng = np.random.default_rng(8)
+    for t_p, t_q in ((0, 0), (6, 0), (4, 2)):
+        events = [np.sort(rng.choice(200, size=k, replace=False)) for k in (0, 1, 9, 30, 17)]
+        a_up, _ = build_event_adjacency(log_from(up=events), t_p=t_p, t_q=t_q)
+        np.testing.assert_array_equal(a_up, event_adjacency_brute(events, t_p, t_q))
 
 
 def test_full_pipeline_matches_brute_force():

@@ -168,9 +168,9 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path, dataset):
     argv_tail = ["--seed", "3", "--lr", "1e-3", "--epochs", "2", "--batch-size", "32"]
     assert cli.main(train_args(dataset, a, *argv_tail)) == 0
     assert cli.main(train_args(dataset, b, *argv_tail)) == 0
-    for name in ("checkpoint.json", "training_log.csv", "config_used.txt"):
+    for name in ("checkpoint.bin", "training_log.csv", "config_used.txt"):
         assert (a / name).exists(), name
-    assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+    assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
     # config echoes match except for the path entries, which name a/b
     def settings(path):
         pairs = dict(line.split(" = ") for line in path.read_text().splitlines())
@@ -239,7 +239,7 @@ def test_train_rejects_negative_clip_norm(tmp_path, dataset):
     out = tmp_path / "clip"
     rc = cli.main(train_args(dataset, out, "--epochs", "1", "--clip-norm", "-1"))
     assert rc == 2
-    assert not (out / "checkpoint.json").exists()
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_train_rejects_h_pe_the_pairwise_table_lacks(tmp_path, dataset, monkeypatch):
@@ -249,7 +249,7 @@ def test_train_rejects_h_pe_the_pairwise_table_lacks(tmp_path, dataset, monkeypa
     monkeypatch.setattr(cli, "prepare_model", never)
     out = tmp_path / "pe"
     assert cli.main(train_args(dataset, out, "--h-pe", "5")) == 2
-    assert not (out / "checkpoint.json").exists()
+    assert not (out / "checkpoint.bin").exists()
 
 
 @pytest.mark.parametrize("flag", [("--lr", "-1"), ("--h-pe", "5")], ids=["lr", "h_pe"])
@@ -399,7 +399,7 @@ def trained(tmp_path_factory, dataset):
 
 def test_evaluate_matches_library(tmp_path, dataset, trained, capsys):
     out = tmp_path / "eval"
-    rc = cli.main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+    rc = cli.main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--series", str(dataset / "series.csv"),
                    "--locations", str(dataset / "locations.csv"),
                    "--edges", str(dataset / "edges.csv"),
@@ -408,7 +408,7 @@ def test_evaluate_matches_library(tmp_path, dataset, trained, capsys):
     printed = capsys.readouterr().out
     assert "variant=full" in printed and "split=test" in printed
 
-    model = gmodel.load_checkpoint(trained / "checkpoint.json")
+    model = gmodel.load_checkpoint(trained / "checkpoint.bin")
     _, series = gdata.load_series(
         dataset / "series.csv", dataset / "locations.csv", dataset / "edges.csv"
     )
@@ -430,7 +430,7 @@ def test_evaluate_rejects_sensor_count_mismatch(tmp_path, trained):
     other = tmp_path / "other"
     assert cli.main(["synth-data", "--n", "7", "--t", "300", "--seed", "1",
                      "--out", str(other)]) == 0
-    rc = cli.main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+    rc = cli.main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--series", str(other / "series.csv"),
                    "--locations", str(other / "locations.csv")])
     assert rc == 2
@@ -442,24 +442,24 @@ def test_evaluate_variant_label_follows_checkpoint(tmp_path, dataset, capsys):
                              "--lr", "1e-3", "--epochs", "1", "--batch-size", "32"))
     assert rc == 0
     capsys.readouterr()
-    rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.json"),
+    rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
                    "--series", str(dataset / "series.csv"),
                    "--locations", str(dataset / "locations.csv"), "--split", "val"])
     assert rc == 0
     assert "variant=ablation3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["version 1", "truncated"])
+@pytest.mark.parametrize("damage", ["version 1", "version 2", "truncated"])
 def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, capsys, damage):
-    text = (trained / "checkpoint.json").read_text()
-    if damage == "version 1":
-        payload = json.loads(text)
-        payload["format_version"] = 1
-        text = json.dumps(payload)
-    else:
-        text = text[: len(text) // 2]
+    blob = (trained / "checkpoint.bin").read_bytes()
+    if damage == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:  # versions 1 and 2 were one JSON object with every array inside it
+        config = json.loads(blob.split(b"\n", 1)[0])["config"]
+        legacy = {"config": config, "format_version": int(damage[-1]), "tensors": {}}
+        blob = json.dumps(legacy, sort_keys=True, separators=(",", ":")).encode()
     bad = tmp_path / "checkpoint.json"
-    bad.write_text(text)
+    bad.write_bytes(blob)
     capsys.readouterr()
     rc = cli.main(["evaluate", "--checkpoint", str(bad),
                    "--series", str(dataset / "series.csv"),
@@ -468,6 +468,8 @@ def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "checkpoint" in err
     assert "Traceback" not in err
+    if damage != "truncated":
+        assert "reads version 3; re-run train" in err
 
 
 # -------------------------------------------------------------- gradcheck

@@ -1,8 +1,9 @@
 """Stack assembly, grouping, variants, checkpoints, end-to-end gradients."""
 
-import base64
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,10 +314,38 @@ def test_named_params_cover_all_floors(tiny):
 # ---------------------------------------------------------- checkpoints
 
 
+def unpack(path):
+    """A checkpoint's header and its arrays by name, read as the layout
+    documents it: one JSON line, then each listed array's float64 bytes."""
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    arrays, offset = {}, 0
+    for name, shape in header["arrays"]:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(body, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
+    assert offset == len(body)
+    return header, arrays
+
+
+def pack(path, header, arrays):
+    """Write ``header`` as the first line and then ``arrays`` (or raw bytes)
+    in dict order, whatever the header lists."""
+    body = b"".join(
+        a if isinstance(a, bytes) else np.asarray(a, "<f8").tobytes() for a in arrays.values()
+    )
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+def _saved(tmp_path, model):
+    path = tmp_path / "model.bin"
+    gmodel.save_checkpoint(model, path)
+    return path
+
+
 def test_checkpoint_round_trip(tmp_path, tiny):
     _, _, _, splits, model = tiny
-    path = tmp_path / "model.json"
-    gmodel.save_checkpoint(model, path)
+    path = _saved(tmp_path, model)
     loaded = gmodel.load_checkpoint(path)
     assert loaded.config == model.config
     for name, t in model.named_params().items():
@@ -328,14 +357,17 @@ def test_checkpoint_round_trip(tmp_path, tiny):
         gmodel.model_forward(model, x).data, gmodel.model_forward(loaded, x).data
     )
     # serializing the loaded model reproduces the file byte for byte
-    again = tmp_path / "again.json"
+    again = tmp_path / "again.bin"
     gmodel.save_checkpoint(loaded, again)
+    assert path.read_bytes() == again.read_bytes()
+    # and so does an identically built model
+    gmodel.save_checkpoint(pipeline()[4], again)
     assert path.read_bytes() == again.read_bytes()
 
 
 def test_checkpoint_round_trip_gat_variant(tmp_path):
     _, _, _, splits, model = pipeline(variant="ablation3")
-    path = tmp_path / "gat.json"
+    path = tmp_path / "gat.bin"
     gmodel.save_checkpoint(model, path)
     loaded = gmodel.load_checkpoint(path)
     x = splits.train[0].input
@@ -345,134 +377,199 @@ def test_checkpoint_round_trip_gat_variant(tmp_path):
 
 
 def test_checkpoint_version_and_contents_validated(tmp_path, tiny):
-    model = tiny[4]
-    path = tmp_path / "model.json"
-    gmodel.save_checkpoint(model, path)
-    payload = json.loads(path.read_text())
+    path = _saved(tmp_path, tiny[4])
+    header, arrays = unpack(path)
 
-    payload["format_version"] = 99
-    bad = tmp_path / "bad_version.json"
-    bad.write_text(json.dumps(payload))
-    with pytest.raises(gmodel.ConfigError):
-        gmodel.load_checkpoint(bad)
+    header["format_version"] = 99
+    pack(path, header, arrays)
+    with pytest.raises(gmodel.ConfigError, match="version 99"):
+        gmodel.load_checkpoint(path)
 
-    payload["format_version"] = gmodel.CHECKPOINT_VERSION
-    del payload["tensors"]["head.w"]
-    missing = tmp_path / "missing.json"
-    missing.write_text(json.dumps(payload))
-    with pytest.raises(gmodel.ConfigError):
-        gmodel.load_checkpoint(missing)
+    header["format_version"] = gmodel.CHECKPOINT_VERSION
+    header["arrays"] = [entry for entry in header["arrays"] if entry[0] != "head.w"]
+    del arrays["head.w"]
+    pack(path, header, arrays)
+    with pytest.raises(gmodel.ConfigError, match="missing array 'head.w'"):
+        gmodel.load_checkpoint(path)
 
 
-def encode(arr):
-    """An array entry as the checkpoint layout documents it."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_of_an_earlier_version_rejected(tmp_path, tiny, version):
+    """Versions 1 and 2 were one JSON object with every array inside it."""
+    header, _ = unpack(_saved(tmp_path, tiny[4]))
+    legacy = {"format_version": version, "config": header["config"], "tensors": {}}
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(legacy, sort_keys=True, separators=(",", ":")))
+    with pytest.raises(gmodel.ConfigError, match="reads version 3; re-run train"):
+        gmodel.load_checkpoint(path)
 
 
-def decode(entry):
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
-
-
-def test_checkpoint_layout_is_base64_little_endian_float64(tmp_path):
+def test_checkpoint_layout_is_a_header_line_and_little_endian_float64(tmp_path):
     model = pipeline()[4]
     w = model.named_params()["layer1.w_q_local"].data
     w.flat[0] = -0.0
     w.flat[1] = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
-    path = tmp_path / "model.json"
-    gmodel.save_checkpoint(model, path)
+    path = _saved(tmp_path, model)
 
-    payload = json.loads(path.read_text())
-    assert payload["format_version"] == 2
-    entry = payload["tensors"]["layer1.w_q_local"]
-    assert entry["shape"] == list(w.shape)
-    assert decode(entry).tobytes() == w.astype("<f8").tobytes()
-    assert np.array_equal(decode(payload["adj"]), model.adj)
-    assert np.array_equal(decode(payload["stats"]["std"]), model.stats.std)
+    line = path.read_bytes().split(b"\n", 1)[0]
+    assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")).encode()
+    header, arrays = unpack(path)
+    assert header["format_version"] == 3
+    assert header["config"] == dataclasses.asdict(model.config)
+    params = model.named_params()
+    assert list(arrays) == ["stats.mean", "stats.std", "adj", "pe", *params]
+    assert arrays["layer1.w_q_local"].tobytes() == w.astype("<f8").tobytes()
+    assert np.array_equal(arrays["adj"], model.adj)
+    assert np.array_equal(arrays["pe"], model.pe)
+    assert np.array_equal(arrays["stats.std"], model.stats.std)
 
-    loaded = gmodel.load_checkpoint(path).named_params()["layer1.w_q_local"].data
-    assert loaded.tobytes() == w.tobytes()  # NaN payload and -0.0 survive
-    assert loaded.flags.writeable
-
-
-def _with_one_nan(entry):
-    adj = decode(entry).copy()
-    adj.flat[1] = np.nan  # off the diagonal of the first matrix
-    return encode(adj)
-
-
-def _drop(key):
-    def edit(payload):
-        del payload[key]
-    return edit
+    loaded = gmodel.load_checkpoint(path)
+    got = loaded.named_params()["layer1.w_q_local"].data
+    assert got.tobytes() == w.tobytes()  # NaN payload and -0.0 survive
+    for arr in (*(t.data for t in loaded.named_params().values()), loaded.adj, loaded.pe,
+                loaded.stats.mean, loaded.stats.std):
+        assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.aligned
 
 
-def _set(*path, value):
-    def edit(payload):
-        target = payload
+def test_readme_checkpoint_snippet_reads_a_saved_tensor(tmp_path, monkeypatch, tiny):
+    """The fenced block under the README's "Checkpoint format" heading, run
+    against a fresh checkpoint.bin, reads head.w bit for bit."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Checkpoint format", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    model = tiny[4]
+    gmodel.save_checkpoint(model, tmp_path / "checkpoint.bin")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(snippet, scope)
+    assert scope["w"].tobytes() == model.head_w.data.tobytes()
+    assert scope["w"].shape == model.head_w.shape
+
+
+def _entry(name, edit):
+    """Apply ``edit`` to the header entry [name, shape] of one array."""
+    def apply(header, arrays):
+        (index,) = [i for i, (n, _) in enumerate(header["arrays"]) if n == name]
+        header["arrays"][index] = edit(header["arrays"][index])
+    return apply
+
+
+def _replace(name, fn):
+    """Replace one array in the body and its shape in the header."""
+    def apply(header, arrays):
+        arrays[name] = fn(arrays[name].copy())
+        _entry(name, lambda e: [name, list(arrays[name].shape)])(header, arrays)
+    return apply
+
+
+def _drop(name):
+    def apply(header, arrays):
+        header["arrays"] = [e for e in header["arrays"] if e[0] != name]
+        del arrays[name]
+    return apply
+
+
+def _add(name, arr):
+    def apply(header, arrays):
+        header["arrays"].append([name, list(arr.shape)])
+        arrays[len(arrays)] = arr  # pack writes values only, so any new key will do
+    return apply
+
+
+def _body(name, fn):
+    """Edit one array's bytes in the body alone; the header stays."""
+    def apply(header, arrays):
+        arrays[name] = fn(arrays[name].tobytes())
+    return apply
+
+
+def _header(*path, value):
+    def apply(header, arrays):
+        target = header
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value(payload) if callable(value) else value
-    return edit
+        target[path[-1]] = value
+    return apply
+
+
+def _with_one_nan(adj):
+    adj.flat[1] = np.nan  # off the diagonal of the first matrix
+    return adj
 
 
 MALFORMED = {
-    "missing top-level key": _drop("stats"),
-    "unknown top-level key": _set("extra", value=1),
-    "unknown config key": _set("config", "bogus", value=1),
-    "missing config key": lambda p: p["config"].pop("h_pe"),
-    "config value of the wrong type": _set("config", "n", value="6"),
-    "fractional config integer": _set("config", "n", value=6.0),
-    "config not an object": _set("config", value=[6]),
-    "bad base64": _set("tensors", "head.b", "data", value="!!!!"),
-    "data shorter than its shape": _set(
-        "tensors", "head.b", value=lambda p: encode(decode(p["tensors"]["head.b"])[:-1])
-    ),
-    "data longer than its shape": _set(
-        "tensors", "head.b", "shape", value=lambda p: [len(decode(p["tensors"]["head.b"])) - 1]
-    ),
-    "negative shape": _set("tensors", "head.b", "shape", value=[-12]),
-    "array entry missing data": lambda p: p["tensors"]["head.b"].pop("data"),
-    "array entry as a plain list": _set("tensors", "head.b", value=[0.0] * 12),
-    "unknown tensor": _set("tensors", "bogus", value=encode(np.zeros(3))),
-    "tensors not an object": _set("tensors", value=[]),
-    "adj with one matrix too few": _set("adj", value=lambda p: encode(decode(p["adj"])[:1])),
-    "adj as one N x N matrix": _set("adj", value=lambda p: encode(decode(p["adj"])[0])),
-    "adj stack for the GAT variant": _set("config", "variant", value="ablation3"),
-    "adj entries outside [0, 1]": _set("adj", value=lambda p: encode(decode(p["adj"]) * 2.0)),
-    "adj with one NaN": _set("adj", value=lambda p: _with_one_nan(p["adj"])),
-    "pe absent where the variant needs it": _set("pe", value=None),
-    "pe present where the variant has none": _set("config", "variant", value="ablation2"),
-    "pe of the wrong width": _set("pe", value=lambda p: encode(decode(p["pe"])[..., :3])),
-    "pe not N x N": _set("pe", value=lambda p: encode(decode(p["pe"])[1:])),
-    "adj as a 0-d array": _set("adj", value=encode(np.array(1.0))),
-    "adj as a 1-d array": _set("adj", value=lambda p: encode(decode(p["adj"]).reshape(-1))),
-    "pe as a 0-d array": _set("pe", value=encode(np.array(0.5))),
-    "stats without std": lambda p: p["stats"].pop("std"),
-    "stats of unequal shapes": _set(
-        "stats", "std", value=lambda p: encode(np.append(decode(p["stats"]["std"]), 1.0))
-    ),
+    "missing top-level key": lambda h, a: h.pop("config"),
+    "unknown top-level key": _header("extra", value=1),
+    "unknown config key": _header("config", "bogus", value=1),
+    "missing config key": lambda h, a: h["config"].pop("h_pe"),
+    "config value of the wrong type": _header("config", "n", value="6"),
+    "fractional config integer": _header("config", "n", value=6.0),
+    "config not an object": _header("config", value=[6]),
+    "body with a partial float64": _body("head.b", lambda raw: raw[:-3]),
+    "data shorter than its shape": _body("head.b", lambda raw: raw[:-8]),
+    "data longer than its shape": _entry("head.b", lambda e: [e[0], [e[1][0] - 1]]),
+    "negative shape": _entry("head.b", lambda e: [e[0], [-12]]),
+    "non-integer shape": _entry("head.b", lambda e: [e[0], [12.0]]),
+    "shape not a list": _entry("head.b", lambda e: [e[0], 12]),
+    "array entry missing data": _body("head.b", lambda raw: b""),
+    "array entry as a plain list": _entry("head.b", lambda e: [0.0] * 12),
+    "array entry without its shape": _entry("head.b", lambda e: e[:1]),
+    "unknown tensor": _add("bogus", np.zeros(3)),
+    "duplicate tensor": _add("head.b", np.zeros(12)),
+    "missing tensor": _drop("head.w"),
+    "tensor of the wrong shape": _replace("head.b", lambda b: b[:-1]),
+    "arrays not a list": _header("arrays", value={}),
+    "adj with one matrix too few": _replace("adj", lambda adj: adj[:1]),
+    "adj as one N x N matrix": _replace("adj", lambda adj: adj[0]),
+    "adj stack for the GAT variant": _header("config", "variant", value="ablation3"),
+    "adj entries outside [0, 1]": _replace("adj", lambda adj: adj * 2.0),
+    "adj with one NaN": _replace("adj", _with_one_nan),
+    "pe absent where the variant needs it": _drop("pe"),
+    "pe present where the variant has none": _header("config", "variant", value="ablation2"),
+    "pe of the wrong width": _replace("pe", lambda pe: pe[..., :3]),
+    "pe not N x N": _replace("pe", lambda pe: pe[1:]),
+    "adj as a 0-d array": _replace("adj", lambda adj: np.array(1.0)),
+    "adj as a 1-d array": _replace("adj", lambda adj: adj.reshape(-1)),
+    "pe as a 0-d array": _replace("pe", lambda pe: np.array(0.5)),
+    "stats without std": _drop("stats.std"),
+    "stats of unequal shapes": _replace("stats.std", lambda std: np.append(std, 1.0)),
 }
 
 
 @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_checkpoint_malformed_contents_rejected(tmp_path, tiny, edit):
-    path = tmp_path / "model.json"
-    gmodel.save_checkpoint(tiny[4], path)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
+    path = _saved(tmp_path, tiny[4])
+    header, arrays = unpack(path)
+    edit(header, arrays)
+    pack(path, header, arrays)
+    with pytest.raises(gmodel.ConfigError):
+        gmodel.load_checkpoint(path)
+
+
+HEADER = json.dumps({"arrays": [], "config": {}, "format_version": 3}).encode()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"", b"[]\n", b"{\n", b"\xff\xfe", HEADER],
+    ids=["empty", "not an object", "truncated", "not utf-8", "header without its newline"],
+)
+def test_checkpoint_unparseable_file_rejected(tmp_path, blob):
+    path = tmp_path / "model.bin"
+    path.write_bytes(blob)
     with pytest.raises(gmodel.ConfigError):
         gmodel.load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
-    "text", ["", "[]", "{", "\udcff"], ids=["empty", "not an object", "truncated", "not utf-8"]
+    "damage",
+    [lambda b: b[: len(b) // 2], lambda b: b + b"\0", lambda b: b + bytes(8),
+     lambda b: b.replace(b"\n", b"", 1)],
+    ids=["body cut in half", "one trailing byte", "one trailing float", "no newline"],
 )
-def test_checkpoint_unparseable_file_rejected(tmp_path, text):
-    path = tmp_path / "model.json"
-    path.write_bytes(b"\xff\xfe" if text == "\udcff" else text.encode())
+def test_checkpoint_damaged_file_rejected(tmp_path, tiny, damage):
+    path = _saved(tmp_path, tiny[4])
+    path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(gmodel.ConfigError):
         gmodel.load_checkpoint(path)
 

@@ -581,6 +581,34 @@ def test_train_holds_one_step_graph_at_a_time(small_shape):
     assert three_steps < 1.3 * one_step
 
 
+def test_train_copies_one_batch_of_windows_at_a_time():
+    """Batches and prediction chunks are gathered from the window views. At
+    this shape (16 features, so 33 input channels) the stacked training
+    inputs would be several times one step's graph."""
+    graph, series, _ = gdata.generate_synthetic(n=4, t=600, seed=5)
+    wide = gdata.TrafficSeries(
+        data=np.repeat(series.data, 16, axis=2),
+        mask=np.repeat(series.mask, 16, axis=2),
+        timestamps=series.timestamps,
+    )
+    splits = gdata.split_and_window(wide, p=12, q=12)
+    cfg = gmodel.StackConfig(
+        n=4, k_in=gdata.input_channels(16), group_width=2, h_head=1, h_temporal=1,
+        h_deep=1, h_pe=0, h_e=0,
+    )
+    train_series = wide.slice(0, splits.split_sizes[0])
+    model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
+    config = gtrain.TrainConfig(lr=1e-3, batch_size=8, max_epochs=1, patience=1)
+    x = gtrain.stack_inputs(splits.train[:8])
+    y, m = gtrain.stack_targets(splits.train[:8])
+    step = _traced_peak(lambda: gtrain.batch_smooth_l1(gmodel.model_forward(model, x), y, m))
+    stacked = sum(s.input.nbytes for s in splits.train)
+    assert stacked > 4 * step
+
+    peak = _traced_peak(lambda: gtrain.train(model, splits.train, splits.val[:8], config))
+    assert peak < stacked / 2
+
+
 def test_log_csv_round_trip(tmp_path, setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
