@@ -19,6 +19,7 @@ import numpy as np
 from .data import TrafficSeries
 
 _ROWS_PER_CHUNK = 4096  # _co_occurrence gathers counts this many rows at a time
+_COUNT_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,12 @@ def _co_occurrence(events: list[np.ndarray], t_p: int, t_q: int) -> np.ndarray:
     if sum(sizes):
         times = np.unique(np.concatenate(events))
         at = [np.searchsorted(times, ev) for ev in events]
-        # counts[k, j]: j's events among times[:k]
-        counts = np.zeros((times.size + 1, n), dtype=np.int32)
+        # counts[k, j]: j's events among times[:k], in the narrowest type
+        # that holds the largest vertex's count
+        width = next(t for t in _COUNT_TYPES if np.iinfo(t).max >= max(sizes))
+        counts = np.zeros((times.size + 1, n), dtype=width)
         counts[np.concatenate(at) + 1, np.repeat(np.arange(n), sizes)] = 1
-        np.cumsum(counts, axis=0, dtype=np.int32, out=counts)
+        np.cumsum(counts, axis=0, dtype=width, out=counts)
         lo = np.searchsorted(times, times - t_p, side="left")
         hi = np.searchsorted(times, times + t_q, side="right")
         # near[k, j]: a j event in times[k]'s window, in chunks of rows

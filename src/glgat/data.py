@@ -109,14 +109,18 @@ class TrafficSeries:
         return (self.timestamps % SECONDS_PER_DAY) / float(SECONDS_PER_DAY)
 
     def slice(self, start: int, stop: int) -> "TrafficSeries":
-        return TrafficSeries(
-            data=self.data[start:stop].copy(),
-            mask=self.mask[start:stop].copy(),
-            timestamps=self.timestamps[start:stop].copy(),
-        )
+        """Steps [start, stop) as read-only views of this series' arrays.
+
+        The slice shares memory with this series and copies nothing, so a
+        later write to this series shows through it."""
+        views = self.data[start:stop], self.mask[start:stop], self.timestamps[start:stop]
+        for view in views:
+            view.flags.writeable = False
+        data, mask, timestamps = views
+        return TrafficSeries(data=data, mask=mask, timestamps=timestamps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowedSample:
     """One training example: P input steps and the Q following target steps.
 
@@ -219,6 +223,23 @@ def _parse_block(lines: list[str], first_line: int, n: int):
 _BLOCK_ROWS = 1024
 
 
+def _count_lines(path) -> int:
+    """Lines of a file as universal newlines splits it: LF, CRLF and CR each
+    end a line, and a last line without an end counts too."""
+    buf = bytearray(1 << 20)
+    lines, last = 0, ord("\n")  # an empty file has no line
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            b = np.frombuffer(buf, np.uint8, count=size)
+            cr = np.flatnonzero(b == ord("\r"))
+            lines += np.count_nonzero(b == ord("\n")) + cr.size
+            # a CRLF ends one line, also when it is split between two reads
+            lines -= np.count_nonzero(b[cr[cr + 1 < size] + 1] == ord("\n"))
+            lines -= last == ord("\r") and b[0] == ord("\n")
+            last = int(b[-1])
+    return int(lines) + (last not in (ord("\n"), ord("\r")))
+
+
 def load_series(
     series_file,
     locations_file,
@@ -233,6 +254,8 @@ def load_series(
     optional edges CSV has columns from_id, to_id. Empty cells are missing;
     readings equal to 0 are missing too unless ``zero_is_missing`` is off.
     """
+    # a row per line after the header, fewer where a quoted newline joins lines
+    capacity = _count_lines(series_file) - 1
     with open(series_file) as fh:  # universal newlines: LF, CRLF and CR
         header_line = fh.readline()
         chunks = iter(lambda: "".join(itertools.islice(fh, _BLOCK_ROWS)), "")
@@ -244,20 +267,24 @@ def load_series(
         if len(sensor_ids) != len(set(sensor_ids)) or not sensor_ids:
             raise DataError("series header must list unique sensor ids after the timestamp")
         n = len(sensor_ids)
-        blocks, first_line = [], 2
+        timestamps = np.empty(capacity, dtype=np.int64)
+        values = np.empty((capacity, n, 1))
+        mask = np.empty((capacity, n, 1), dtype=bool)
+        rows = 0  # csv rows so far, as a quoted newline joins lines
         for chunk in itertools.chain([chunk], chunks):
             lines = chunk.split("\n")
             if chunk.endswith("\n"):
                 lines.pop()
-            blocks.append(_parse_block(lines, first_line, n))
-            first_line += len(blocks[-1][0])  # csv rows, as a quoted newline joins lines
-    timestamps = np.concatenate([b[0] for b in blocks])
-    values = np.concatenate([b[1] for b in blocks])[:, :, None]
-    mask = np.concatenate([b[2] for b in blocks])[:, :, None]
-    del blocks
-    if zero_is_missing:
-        mask &= values != 0.0
-    values[~mask] = 0.0  # also turns a missing -0.0 into 0.0
+            stamps, readings, observed = _parse_block(lines, rows + 2, n)
+            if zero_is_missing:
+                observed &= readings != 0.0
+            readings[~observed] = 0.0  # also turns a missing -0.0 into 0.0
+            end = rows + len(stamps)
+            timestamps[rows:end] = stamps
+            values[rows:end, :, 0] = readings
+            mask[rows:end, :, 0] = observed
+            rows = end
+    timestamps, values, mask = timestamps[:rows], values[:rows], mask[:rows]
 
     with open(locations_file, newline="") as fh:
         loc_reader = csv.DictReader(fh)

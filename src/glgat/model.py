@@ -15,7 +15,6 @@ the model configuration, so ablation runs differ only in configuration.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -299,12 +298,13 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
 # goes through text, so values round-trip bit for bit.
 
 
-def _read_arrays(entries, body: memoryview) -> dict[str, np.ndarray]:
-    """A writable float64 copy of every array the header lists, by name;
-    ConfigError unless the entries are well formed and cover the body exactly."""
+def _read_arrays(entries, fh) -> dict[str, np.ndarray]:
+    """A writable float64 array for every array the header lists, by name,
+    read from ``fh`` in list order; ConfigError unless the entries are well
+    formed and cover the rest of the file exactly."""
     if not isinstance(entries, list):
         raise ConfigError("checkpoint arrays must be a list of [name, shape] pairs")
-    arrays, offset = {}, 0
+    arrays = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ConfigError(f"checkpoint array entry {entry!r} is not a [name, shape] pair")
@@ -313,14 +313,13 @@ def _read_arrays(entries, body: memoryview) -> dict[str, np.ndarray]:
             raise ConfigError(f"checkpoint lists array {name!r} twice")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
-        size = math.prod(shape) * 8
-        if offset + size > len(body):
+        raw = np.empty(shape, dtype="<f8")
+        if fh.readinto(raw) != raw.nbytes:
             raise ConfigError(f"checkpoint body ends inside array {name!r}")
-        raw = np.frombuffer(body[offset : offset + size], dtype="<f8")
-        arrays[name] = raw.reshape(shape).astype(np.float64)
-        offset += size
-    if offset != len(body):
-        raise ConfigError(f"checkpoint body has {len(body) - offset} bytes after its arrays")
+        arrays[name] = raw.astype(np.float64, copy=False)
+    rest = len(fh.read())
+    if rest:
+        raise ConfigError(f"checkpoint body has {rest} bytes after its arrays")
     return arrays
 
 
@@ -362,23 +361,24 @@ def load_checkpoint(path) -> GlgatModel:
     raises ConfigError; a file that cannot be read raises OSError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    line = blob.partition(b"\n")[0]  # a version-1 or 2 file is one line
-    rerun = f"this build reads version {CHECKPOINT_VERSION}; re-run train to write one"
-    try:
-        header = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"checkpoint header is not valid JSON ({rerun}): {exc}") from None
-    if not isinstance(header, dict):
-        raise ConfigError(f"checkpoint header is not a JSON object ({rerun})")
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version!r} ({rerun})")
-    keys = {"format_version", "config", "arrays"}
-    if set(header) != keys:
-        raise ConfigError(f"checkpoint header must have keys {sorted(keys)}, got {sorted(header)}")
-    config = _config_from(header["config"])
-    arrays = _read_arrays(header["arrays"], memoryview(blob)[len(line) + 1 :])
+        line = fh.readline()  # a version-1 or 2 file is one line
+        rerun = f"this build reads version {CHECKPOINT_VERSION}; re-run train to write one"
+        try:
+            header = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"checkpoint header is not valid JSON ({rerun}): {exc}") from None
+        if not isinstance(header, dict):
+            raise ConfigError(f"checkpoint header is not a JSON object ({rerun})")
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version!r} ({rerun})")
+        keys = {"format_version", "config", "arrays"}
+        if set(header) != keys:
+            raise ConfigError(
+                f"checkpoint header must have keys {sorted(keys)}, got {sorted(header)}"
+            )
+        config = _config_from(header["config"])
+        arrays = _read_arrays(header["arrays"], fh)
 
     def take(name: str) -> np.ndarray:
         if name not in arrays:

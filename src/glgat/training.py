@@ -229,13 +229,16 @@ def predict(model: GlgatModel, inputs, batch_size: int = 64) -> np.ndarray:
     """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks.
 
     ``inputs`` is one (S, 12, N, K_in) array or a list of S window arrays,
-    of which one chunk at a time is stacked."""
+    of which one chunk at a time is stacked. Each chunk's forecasts go
+    straight into the result."""
+    if not len(inputs):
+        raise ValueError("need at least one window to predict")
+    preds = np.empty((len(inputs), model.config.n, model.config.q))
     with ad.no_grad():
-        chunks = [
-            model_forward(model, np.asarray(inputs[i : i + batch_size])).data
-            for i in range(0, len(inputs), batch_size)
-        ]
-    preds = np.concatenate(chunks, axis=0)
+        for i in range(0, len(inputs), batch_size):
+            preds[i : i + batch_size] = model_forward(
+                model, np.asarray(inputs[i : i + batch_size])
+            ).data
     ad.require_finite(preds, "predict")
     return preds
 

@@ -173,6 +173,17 @@ def test_co_occurrence_in_several_row_chunks_matches_brute_force(monkeypatch):
         np.testing.assert_array_equal(a_up, event_adjacency_brute(events, t_p, t_q))
 
 
+@pytest.mark.parametrize("largest", [32767, 32768])
+def test_co_occurrence_exact_at_the_count_width_boundary(largest):
+    """32,767 events fill a 16-bit count and 32,768 need a wider one. Events
+    at and after the busy vertex's last one read its full count."""
+    events = [np.arange(largest), np.array([5, largest - 1, largest + 3]), np.array([largest + 3])]
+    t_p = 2 * largest  # every window reaches back to step 0, so the brute force stays linear
+    for t_q in (0, 2):
+        a_up, _ = build_event_adjacency(log_from(up=events), t_p=t_p, t_q=t_q)
+        np.testing.assert_array_equal(a_up, event_adjacency_brute(events, t_p, t_q))
+
+
 def test_full_pipeline_matches_brute_force():
     _, series, _ = generate_synthetic(5, 300, seed=13, missing_ratio=0.1)
     train = series.slice(0, 210)

@@ -1,6 +1,8 @@
 """Dataset pipeline tests: CSV ingestion rules, split/window arithmetic,
 normalization anchoring, and the synthetic road-network generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ def locations_for(path, n):
     return write(path, "sensor_id,x,y\n" + "".join(f"s{j},{j}.0,0.0\n" for j in range(n)))
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("block_rows", [1, 4, 7, 1024])
 def test_block_parser_matches_per_cell_reference(tmp_path, monkeypatch, newline, block_rows):
     monkeypatch.setattr(gdata, "_BLOCK_ROWS", block_rows)
@@ -167,6 +169,33 @@ def test_block_parser_matches_per_cell_reference(tmp_path, monkeypatch, newline,
             assert series.timestamps.tobytes() == stamps.tobytes()
             assert series.data.tobytes() == data.tobytes()
             assert series.mask.tobytes() == mask.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """The peak growth of traced memory while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_series_peak_is_its_arrays_plus_about_one_block(tmp_path, monkeypatch):
+    """Each block is parsed straight into the result, so no block is kept to
+    be joined: loading holds the final arrays and one block's strings."""
+    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 64)
+    graph, series, _ = generate_synthetic(n=8, t=8000, seed=3)
+    paths = gdata.write_csv_dataset(graph, series, tmp_path)
+    rows = paths["series"].read_text().split("\n")
+    one_block = write(tmp_path / "one_block.csv", "\n".join(rows[:65]) + "\n")
+    load_series(one_block, paths["locations"])  # warm-up
+    block = traced_peak(lambda: load_series(one_block, paths["locations"]))
+    peak = traced_peak(lambda: load_series(paths["series"], paths["locations"]))
+    final = series.data.nbytes + series.mask.nbytes + series.timestamps.nbytes
+    # TrafficSeries' checks pass over the whole mask: about a byte per cell
+    assert peak < 1.25 * final + 2 * block
 
 
 def expect_same_error(series_f, loc_f):
@@ -217,6 +246,21 @@ def test_rows_after_a_quoted_newline_keep_the_reference_line_number(tmp_path, mo
         "2024-01-01T00:05:00,2.0,3.0\n2024-01-01T00:10:00,2.0,oops\n",
     )
     assert expect_same_error(series_f, loc_f) == "line 4: unparseable reading 'oops'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_quoted_newline_joins_two_lines_into_one_row(tmp_path, monkeypatch, newline):
+    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 4)
+    loc_f = locations_for(tmp_path / "loc.csv", 2)
+    lines = ["timestamp,s0,s1", '2024-01-01T00:00:00,1.0,"5', '"', "2024-01-01T00:05:00,2.0,3.0"]
+    series_f = tmp_path / "s.csv"
+    series_f.write_bytes((newline.join(lines) + newline).encode())
+    _, series = load_series(series_f, loc_f)
+    stamps, data, mask = load_series_rows_scalar(series_f)
+    assert series.data.shape == (2, 2, 1)
+    assert series.timestamps.tobytes() == stamps.tobytes()
+    assert series.data.tobytes() == data.tobytes()
+    assert series.mask.tobytes() == mask.tobytes()
 
 
 def test_literal_nan_reading_is_rejected(tmp_path):
@@ -310,6 +354,12 @@ def test_targets_survive_mutating_the_series():
         assert np.array_equal(s.target, target)
         assert np.array_equal(s.target_mask, mask)
         assert np.array_equal(s.target_times, times)
+
+
+def test_windows_carry_no_instance_dict():
+    rng = np.random.default_rng(7)
+    splits = split_and_window(make_series(rng.uniform(20, 80, (60, 3, 1))), p=4, q=3)
+    assert not hasattr(splits.train[0], "__dict__")
 
 
 def test_constant_series_normalizes_to_zero():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,47 @@ def test_checkpoint_round_trip(tmp_path, tiny):
     # and so does an identically built model
     gmodel.save_checkpoint(pipeline()[4], again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_prepare_model_on_a_slice_saves_the_bytes_of_a_copied_range(tmp_path):
+    """A slice is a read-only view of its series' buffers, and the model
+    prepared from it is the one prepared from a copy of the same steps."""
+    cfg = tiny_config()
+    graph, series, _ = gdata.generate_synthetic(n=6, t=280, seed=3)
+    splits = gdata.split_and_window(series, p=12, q=12)
+    stop = splits.split_sizes[0]
+    view = series.slice(0, stop)
+    for name in ("data", "mask", "timestamps"):
+        part, whole = getattr(view, name), getattr(series, name)
+        assert np.shares_memory(part, whole) and np.array_equal(part, whole[:stop])
+        assert whole.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0
+    copied = gdata.TrafficSeries(
+        data=series.data[:stop].copy(),
+        mask=series.mask[:stop].copy(),
+        timestamps=series.timestamps[:stop].copy(),
+    )
+    for label, train_series in (("view", view), ("copy", copied)):
+        model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=3)
+        gmodel.save_checkpoint(model, tmp_path / label)
+    assert (tmp_path / "view").read_bytes() == (tmp_path / "copy").read_bytes()
+
+
+def test_load_checkpoint_holds_one_copy_of_its_arrays(tmp_path, tiny):
+    """Each array is read straight from the file into its place, so a load
+    never holds the file's body besides the arrays it returns."""
+    path = tmp_path / "checkpoint.bin"
+    gmodel.save_checkpoint(tiny[4], path)
+    gmodel.load_checkpoint(path)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gmodel.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_checkpoint_round_trip_gat_variant(tmp_path):

@@ -609,6 +609,28 @@ def test_train_copies_one_batch_of_windows_at_a_time():
     assert peak < stacked / 2
 
 
+def test_predict_holds_one_copy_of_its_forecasts_plus_a_chunk():
+    """Each chunk's forecasts go straight into the result, so a whole-split
+    predict never holds the chunks and their concatenation at once."""
+    graph, series, _ = gdata.generate_synthetic(n=4, t=6000, seed=5)
+    splits = gdata.split_and_window(series, p=12, q=12)
+    cfg = gmodel.StackConfig(
+        n=4, group_width=2, h_head=1, h_temporal=1, h_deep=1, h_pe=0, h_e=0
+    )
+    train_series = series.slice(0, splits.split_sizes[0])
+    model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
+    inputs = [s.input for s in splits.train]
+    gtrain.predict(model, inputs, batch_size=16)  # warm-up
+    chunk = _traced_peak(lambda: gtrain.predict(model, inputs[:16], batch_size=16))
+    peak = _traced_peak(lambda: gtrain.predict(model, inputs, batch_size=16))
+    forecasts = len(inputs) * cfg.n * cfg.q * 8
+    assert forecasts > 4 * chunk
+    # the finiteness check's mask over the forecasts takes a byte per value
+    assert peak < forecasts + forecasts // 8 + 2 * chunk
+    with pytest.raises(ValueError):
+        gtrain.predict(model, [])
+
+
 def test_log_csv_round_trip(tmp_path, setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
