@@ -9,7 +9,7 @@ Subpackage layout:
 - ``encoding``: direction/distance pairwise encoding and vertex encodings
 - ``layers``: graph attention layers (baseline and global-local variants)
 - ``model``: the stacked forecasting model and ablation wiring
-- ``training``: loss, Adam, training loop, metrics, historical average
+- ``training``: loss, Adam, training loop, metrics
 - ``cli``: the ``glgat`` command-line interface
 """
 

@@ -140,9 +140,7 @@ def _co_occurrence(events: list[np.ndarray], t_p: int, t_q: int) -> np.ndarray:
     return score
 
 
-def build_event_adjacency(
-    log: EventLog, t_p: int = 6, t_q: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def build_event_adjacency(log: EventLog, t_p: int, t_q: int) -> tuple[np.ndarray, np.ndarray]:
     """Co-occurrence matrices for up- and down-events.
 
     Row i scores each j by the fraction of i's events whose window

@@ -3,8 +3,10 @@ splitting, stride-1 windowing, and train-anchored z-score normalization.
 
 Raw readings stay in their original scale inside ``TrafficSeries``; windowed
 model inputs are normalized while targets remain raw so losses and metrics
-are reported in physical units. Loaded datasets are immutable after
-construction and safe to share across threads.
+are reported in physical units. ``load_series`` returns writable arrays
+that the caller owns. ``TrafficSeries.slice`` returns read-only views of
+them, and the fields of each ``WindowedSample`` are read-only views into
+buffers of its split, which later writes to the series do not reach.
 """
 
 from __future__ import annotations
@@ -146,8 +148,6 @@ class WindowedSplits:
     test: list[WindowedSample]
     stats: NormStats
     split_sizes: tuple[int, int, int]
-    p: int
-    q: int
 
 
 def input_channels(n_features: int) -> int:
@@ -467,8 +467,6 @@ def split_and_window(
         test=parts[2],
         stats=stats,
         split_sizes=(n_train, n_val, n_test),
-        p=p,
-        q=q,
     )
 
 

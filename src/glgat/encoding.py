@@ -13,6 +13,7 @@ import numpy as np
 
 N_DIRECTION_CLASSES = 8
 DEFAULT_H_PE = N_DIRECTION_CLASSES + 2  # direction classes + L1 + L2
+DEFAULT_SMOOTHING = 0.1  # label smoothing of the direction one-hot
 
 
 class GeometryError(ValueError):
@@ -25,7 +26,7 @@ def direction_class(xi: float, yi: float, xj: float, yj: float) -> int:
     return int(((theta + math.pi / 8.0) % (2.0 * math.pi)) // (math.pi / 4.0)) % 8
 
 
-def build_pairwise_encoding(graph, smoothing: float = 0.1) -> np.ndarray:
+def build_pairwise_encoding(graph, smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
     """Assemble the (N, N, 10) direction + L1 + L2 tensor for a graph.
 
     Distances are divided by the maximum pairwise L2 distance so the

@@ -8,8 +8,7 @@ a query path that mixes one shared ("global") projection with a per-vertex
 
 Both accept inputs with arbitrary leading batch axes, (..., N, K); all
 graph-level objects (adjacency, pairwise table, encodings) are fixed per
-layer. Attention coefficients are exposed on request so tests can compare
-them against scalar-loop references.
+layer.
 """
 
 from __future__ import annotations
@@ -164,8 +163,7 @@ def gat_forward(
     x_in: ad.DiffTensor,
     enc: ad.DiffTensor | None,
     adj: np.ndarray,
-    return_coefficients: bool = False,
-):
+) -> ad.DiffTensor:
     """Masked single-matrix attention over (..., N, K) inputs.
 
     Queries and keys see the input concatenated with the vertex encoding;
@@ -179,19 +177,7 @@ def gat_forward(
     k = ad.affine(xe, params.w_k, params.b_k)
     v = ad.affine(x_in, params.w_v, params.b_v)
     k_t = ad.transpose_last(k)
-    out = ad.affine(ad.attend(q, k_t, v, adj), params.w_ff, params.b_ff)
-    if return_coefficients:
-        return out, _coefficients(q, k_t, adj)
-    return out
-
-
-def _coefficients(q, k_t, weights, bias=None) -> ad.DiffTensor:
-    """The attention coefficients of ``attend``, which returns only the
-    mixed values, recomputed by the separate operations."""
-    scores = ad.matmul(q, k_t)
-    if bias is not None:
-        scores = scores + bias
-    return ad.masked_softmax(ad.gelu(scores), weights)
+    return ad.affine(ad.attend(q, k_t, v, adj), params.w_ff, params.b_ff)
 
 
 def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.DiffTensor:
@@ -209,8 +195,7 @@ def glgat_forward(
     enc: ad.DiffTensor | None,
     adjs: np.ndarray,
     pe: np.ndarray | None,
-    return_coefficients: bool = False,
-):
+) -> ad.DiffTensor:
     """Multi-adjacency global-local attention over (..., N, K) inputs.
 
     Computation per vertex i: a shared projection and vertex i's own row of
@@ -221,9 +206,7 @@ def glgat_forward(
     of the pair (i, j), one H_PE block per matrix. GELU'd scores are
     softmax-normalized with A_n[i, j] as multiplicative weight, mix the
     values, and the flattened heads pass through the output affine map.
-
-    Returns (..., N, K'), plus the coefficient tensor indexed
-    (..., H_adj, H_head, N_row, N_col) when ``return_coefficients``.
+    Returns (..., N, K').
     """
     dims = params.dims
     n = x_in.shape[-2]
@@ -264,7 +247,4 @@ def glgat_forward(
     d = hidden.ndim - 4
     hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)
     flat = ad.reshape(hidden, hidden.shape[:-4] + (n, dims.h_prime))
-    out = ad.affine(flat, params.w_ff, params.b_ff)
-    if return_coefficients:
-        return out, _coefficients(q_at, k_t, weights, bias)
-    return out
+    return ad.affine(flat, params.w_ff, params.b_ff)

@@ -15,6 +15,8 @@ the model configuration, so ablation runs differ only in configuration.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -27,7 +29,7 @@ from .adjacency import (
     detect_events,
 )
 from .data import NormStats, SensorGraph, TrafficSeries
-from .encoding import DEFAULT_H_PE, build_pairwise_encoding, init_vertex_encoding
+from .encoding import DEFAULT_H_PE, DEFAULT_SMOOTHING, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
     GatLayerParams,
     GlgatLayerParams,
@@ -74,7 +76,7 @@ class StackConfig:
     h_e: int = 8
     t_p: int = 6
     t_q: int = 0
-    smoothing: float = 0.1
+    smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -305,6 +307,7 @@ def _read_arrays(entries, fh) -> dict[str, np.ndarray]:
     if not isinstance(entries, list):
         raise ConfigError("checkpoint arrays must be a list of [name, shape] pairs")
     arrays = {}
+    left = os.fstat(fh.fileno()).st_size - fh.tell()  # body bytes no array has claimed
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ConfigError(f"checkpoint array entry {entry!r} is not a [name, shape] pair")
@@ -313,13 +316,19 @@ def _read_arrays(entries, fh) -> dict[str, np.ndarray]:
             raise ConfigError(f"checkpoint lists array {name!r} twice")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
-        raw = np.empty(shape, dtype="<f8")
-        if fh.readinto(raw) != raw.nbytes:
+        nbytes = 8 * math.prod(shape)
+        if nbytes > left:  # checked before allocating what the header declares
+            raise ConfigError(f"checkpoint body ends inside array {name!r}")
+        left -= nbytes
+        try:
+            raw = np.empty(shape, dtype="<f8")
+        except ValueError:  # an empty shape with an axis beyond numpy's range
+            raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}") from None
+        if fh.readinto(raw) != nbytes:
             raise ConfigError(f"checkpoint body ends inside array {name!r}")
         arrays[name] = raw.astype(np.float64, copy=False)
-    rest = len(fh.read())
-    if rest:
-        raise ConfigError(f"checkpoint body has {rest} bytes after its arrays")
+    if left:
+        raise ConfigError(f"checkpoint body has {left} bytes after its arrays")
     return arrays
 
 

@@ -218,10 +218,10 @@ def stack_inputs(samples: list[WindowedSample]) -> np.ndarray:
     return np.stack([s.input for s in samples])
 
 
-def stack_targets(samples: list[WindowedSample], feature: int = 0):
-    """Targets and masks rearranged to model layout (S, N, Q)."""
-    targets = np.stack([s.target[:, :, feature].T for s in samples])
-    masks = np.stack([s.target_mask[:, :, feature].T for s in samples])
+def stack_targets(samples: list[WindowedSample]):
+    """Targets and masks of the first feature in model layout (S, N, Q)."""
+    targets = np.stack([s.target[:, :, 0].T for s in samples])
+    masks = np.stack([s.target_mask[:, :, 0].T for s in samples])
     return targets, masks
 
 

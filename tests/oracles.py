@@ -15,7 +15,7 @@ import numpy as np
 
 from glgat import autodiff as ad
 from glgat.data import DataError
-from glgat.encoding import N_DIRECTION_CLASSES, direction_class
+from glgat.encoding import DEFAULT_SMOOTHING, N_DIRECTION_CLASSES, direction_class
 
 
 def scan_events(values, observed, divider):
@@ -63,7 +63,7 @@ def event_adjacency_brute(events, t_p, t_q):
     return a
 
 
-def encode_direction(xi, yi, xj, yj, smoothing=0.1):
+def encode_direction(xi, yi, xj, yj, smoothing=DEFAULT_SMOOTHING):
     """Label-smoothed one-hot over the 8 sectors of the bearing i -> j;
     coincident points get 1/8: one direction row of the pairwise table."""
     out = np.full(N_DIRECTION_CLASSES, smoothing / (N_DIRECTION_CLASSES - 1))
@@ -294,6 +294,34 @@ def glgat_forward_scalar(x, enc, adj_stack, pe, p, dims):
     for i in range(n):
         out[i] = _affine_scalar(p["w_ff"], p["b_ff"], list(hidden[i]))
     return out, scores, coef
+
+
+def with_coefficients(forward, *args):
+    """``forward(*args)`` for a layer function that calls ``ad.attend``
+    once, and the attention coefficients of that call.
+
+    The call's own ``q``, ``k_t``, ``weights`` and ``bias`` are kept, and
+    ``attend`` runs on them again with the identity as the values: the
+    coefficients times I are the coefficients exactly, computed by the
+    same blocks as the layer's output. Returns (output, coefficients); the
+    coefficients have the call's score shape, (..., N_row, N_col) for
+    ``gat_forward`` and (..., H_adj, H_head, N_row, N_col) for
+    ``glgat_forward``.
+    """
+    attend = ad.attend
+    calls = []
+
+    def kept(q, k_t, v, weights, bias=None):
+        calls.append((q, k_t, weights, bias))
+        return attend(q, k_t, v, weights, bias)
+
+    ad.attend = kept
+    try:
+        out = forward(*args)
+    finally:
+        ad.attend = attend
+    ((q, k_t, weights, bias),) = calls
+    return out, attend(q, k_t, np.eye(k_t.shape[-1]), weights, bias)
 
 
 def metrics_scalar(y_true, y_pred, mask, mape_floor=1.0):

@@ -33,7 +33,13 @@ from glgat.layers import (
 )
 
 from conftest import record_criterion
-from oracles import event_adjacency_brute, ha_predictions, metrics_scalar, smooth_l1
+from oracles import (
+    event_adjacency_brute,
+    ha_predictions,
+    metrics_scalar,
+    smooth_l1,
+    with_coefficients,
+)
 from test_layers import random_instance, random_pe, wire_reduction
 
 
@@ -97,7 +103,7 @@ def test_criterion_2_attention_rows_normalized_and_masked():
             rng, n=n, k_in=int(rng.integers(1, 4)), k_out=3,
             h_e=int(rng.integers(0, 5)), dims=dims, seed=int(rng.integers(10_000)),
         )
-        _, coef = glgat_forward(params, x, enc, adjs, pe, True)
+        _, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
         dev = float(np.abs(coef.data.sum(axis=-1) - 1.0).max())
         worst = max(worst, dev)
         if dev > 1e-12:

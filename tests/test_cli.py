@@ -449,11 +449,16 @@ def test_evaluate_variant_label_follows_checkpoint(tmp_path, dataset, capsys):
     assert "variant=ablation3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["version 1", "version 2", "truncated"])
+@pytest.mark.parametrize("damage", ["version 1", "version 2", "truncated", "shape of 10**12 floats"])
 def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, capsys, damage):
     blob = (trained / "checkpoint.bin").read_bytes()
     if damage == "truncated":
         blob = blob[: len(blob) // 2]
+    elif damage.startswith("shape"):  # a header that declares 8 TB the body does not hold
+        line, _, body = blob.partition(b"\n")
+        header = json.loads(line)
+        header["arrays"][0][1] = [10**12]
+        blob = json.dumps(header).encode() + b"\n" + body
     else:  # versions 1 and 2 were one JSON object with every array inside it
         config = json.loads(blob.split(b"\n", 1)[0])["config"]
         legacy = {"config": config, "format_version": int(damage[-1]), "tensors": {}}
@@ -468,7 +473,7 @@ def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "checkpoint" in err
     assert "Traceback" not in err
-    if damage != "truncated":
+    if damage.startswith("version"):
         assert "reads version 3; re-run train" in err
 
 

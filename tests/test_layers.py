@@ -19,7 +19,7 @@ from glgat.layers import (
     init_glgat_layer,
 )
 
-from oracles import gat_attention_scalar, glgat_forward_scalar
+from oracles import gat_attention_scalar, glgat_forward_scalar, with_coefficients
 
 DIMS = LayerDims(h=4, h_adj=2, h_head=2, h_pe=10)
 
@@ -57,7 +57,7 @@ def to_arrays(params: GlgatLayerParams):
 def test_gat_single_vertex_is_affine_of_value_path():
     params = init_gat_layer(k_in=3, k_out=2, h=4, h_e=0, seed=1)
     x = np.array([[0.3, -1.2, 0.8]])
-    out, coef = gat_forward(params, ad.constant(x), None, np.ones((1, 1)), True)
+    out, coef = with_coefficients(gat_forward, params, ad.constant(x), None, np.ones((1, 1)))
     assert coef.data.item() == 1.0
     expected = params.w_ff.data @ (params.w_v.data @ x[0] + params.b_v.data) + params.b_ff.data
     np.testing.assert_allclose(out.data[0], expected, atol=1e-14)
@@ -68,7 +68,7 @@ def test_gat_zero_keys_give_uniform_coefficients():
     params.w_k.data[:] = 0.0
     params.b_k.data[:] = 0.0
     x = ad.constant(np.random.default_rng(0).standard_normal((5, 3)))
-    _, coef = gat_forward(params, x, None, np.ones((5, 5)), True)
+    _, coef = with_coefficients(gat_forward, params, x, None, np.ones((5, 5)))
     np.testing.assert_allclose(coef.data, np.full((5, 5), 0.2), atol=1e-15)
 
 
@@ -81,7 +81,9 @@ def test_gat_matches_scalar_oracle():
         enc = init_vertex_encoding(n, 8, seed=trial)
         adj = (rng.uniform(size=(n, n)) > 0.4).astype(float)
         np.fill_diagonal(adj, 1.0)
-        out, coef = gat_forward(params, ad.constant(x), ad.constant(enc), adj, True)
+        out, coef = with_coefficients(
+            gat_forward, params, ad.constant(x), ad.constant(enc), adj
+        )
         ref_out, ref_coef = gat_attention_scalar(
             x, enc, adj,
             params.w_q.data, params.b_q.data,
@@ -97,7 +99,7 @@ def test_gat_fractional_weights_scale_shares():
     params = init_gat_layer(k_in=2, k_out=2, h=3, h_e=0, seed=4)
     adj = np.array([[1.0, 0.5], [0.0, 1.0]])
     x = ad.constant(np.random.default_rng(1).standard_normal((2, 2)))
-    _, coef = gat_forward(params, x, None, adj, True)
+    _, coef = with_coefficients(gat_forward, params, x, None, adj)
     assert coef.data[1, 0] == 0.0 and coef.data[1, 1] == 1.0
     np.testing.assert_allclose(coef.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -168,7 +170,7 @@ def test_init_deterministic():
 def test_glgat_matches_scalar_oracle():
     rng = np.random.default_rng(20)
     params, x, enc, adjs, pe = random_instance(rng)
-    out, coef = glgat_forward(params, x, enc, adjs, pe, True)
+    out, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
     ref_out, ref_scores, ref_coef = glgat_forward_scalar(
         x.data, enc.data, adjs, pe, to_arrays(params), (4, 2, 2, 10)
     )
@@ -181,7 +183,7 @@ def test_glgat_matches_scalar_oracle():
 def test_glgat_matches_oracle_without_vertex_encoding():
     rng = np.random.default_rng(21)
     params, x, _, adjs, pe = random_instance(rng, h_e=0, seed=4)
-    out, coef = glgat_forward(params, x, None, adjs, pe, True)
+    out, coef = with_coefficients(glgat_forward, params, x, None, adjs, pe)
     ref_out, _, ref_coef = glgat_forward_scalar(
         x.data, None, adjs, pe, to_arrays(params), (4, 2, 2, 10)
     )
@@ -193,7 +195,7 @@ def test_glgat_pe_free_dims():
     rng = np.random.default_rng(22)
     dims = LayerDims(h=4, h_adj=2, h_head=2, h_pe=0)
     params, x, enc, adjs, _ = random_instance(rng, dims=dims, seed=6)
-    out, coef = glgat_forward(params, x, enc, adjs, None, True)
+    out, coef = with_coefficients(glgat_forward, params, x, enc, adjs, None)
     ref_out, _, ref_coef = glgat_forward_scalar(
         x.data, enc.data, adjs, None, to_arrays(params), (4, 2, 2, 0)
     )
@@ -205,7 +207,7 @@ def test_glgat_rows_sum_to_one_and_respect_zeros():
     rng = np.random.default_rng(23)
     for trial in range(10):
         params, x, enc, adjs, pe = random_instance(rng, seed=30 + trial)
-        _, coef = glgat_forward(params, x, enc, adjs, pe, True)
+        _, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
         np.testing.assert_allclose(coef.data.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
         for a in range(2):
             zero_at = adjs[a] == 0.0
@@ -216,7 +218,7 @@ def test_glgat_single_vertex_ignores_local_bank():
     rng = np.random.default_rng(24)
     params, x, enc, _, pe = random_instance(rng, n=1, seed=8)
     adjs = np.ones((2, 1, 1))
-    out1, coef = glgat_forward(params, x, enc, adjs, pe[:1, :1], True)
+    out1, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe[:1, :1])
     assert np.all(coef.data == 1.0)
     params.w_q_local.data[:] = rng.standard_normal(params.w_q_local.shape)
     out2 = glgat_forward(params, x, enc, adjs, pe[:1, :1])
@@ -290,11 +292,11 @@ def test_glgat_permutation_consistency():
 def test_local_bank_perturbation_only_touches_own_row():
     rng = np.random.default_rng(27)
     params, x, enc, adjs, pe = random_instance(rng, seed=60)
-    _, coef_before = glgat_forward(params, x, enc, adjs, pe, True)
+    _, coef_before = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
     target = 2
     params.w_q_local.data[target] += rng.standard_normal(params.w_q_local.shape[1:])
     params.b_q_local.data[target] += 0.3
-    _, coef_after = glgat_forward(params, x, enc, adjs, pe, True)
+    _, coef_after = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
     for i in range(6):
         same = coef_before.data[:, :, i, :].tobytes() == coef_after.data[:, :, i, :].tobytes()
         assert same == (i != target)

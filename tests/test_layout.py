@@ -5,6 +5,12 @@ import tomllib
 from collections import Counter
 from pathlib import Path
 
+from glgat import autodiff as ad
+from glgat.model import VARIANTS, model_forward
+from glgat.training import batch_smooth_l1, stack_inputs, stack_targets
+
+from test_model import pipeline
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glgat"
 
@@ -52,3 +58,53 @@ def test_src_holds_no_test_only_code():
         and used[f.name] <= _references(f)[f.name]
     ]
     assert not unused, f"defined in src/glgat but used only by tests, or not at all: {unused}"
+
+
+# The ops the fused ``attend`` is tested against bit for bit; the model
+# records none of them.
+REFERENCE_OPS = {"matmul", "gelu", "masked_softmax"}
+
+
+def _declared_ops() -> set[str]:
+    """Every op name autodiff.py records with a backward rule: the constant
+    op of each ``_make`` call given a rule, and of each ``_add`` and
+    ``_bank_product`` call."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "autodiff.py").read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        args = node.args
+        if node.func.id == "_make":
+            rule_less = isinstance(args[2], ast.Constant) and args[2].value is None
+            op = None if rule_less else args[3]
+        elif node.func.id in ("_add", "_bank_product"):
+            op = args[2]
+        else:
+            continue
+        if isinstance(op, ast.Constant):
+            names.add(op.value)
+    return names
+
+
+def _recorded_ops(variant: str) -> set[str]:
+    """The op names with a backward rule on the tape of one training step."""
+    _, _, _, splits, model = pipeline(variant=variant)
+    batch = splits.train[:2]
+    loss = batch_smooth_l1(model_forward(model, stack_inputs(batch)), *stack_targets(batch))
+    return {node._op for node in ad.Tape(loss).nodes if node._backward is not None}
+
+
+def test_every_backward_rule_is_recorded_by_some_variant():
+    """A training step of some variant records each op autodiff.py defines a
+    backward rule for, the reference ops excepted, which no variant records;
+    a rule nothing records fails here."""
+    declared = _declared_ops()
+    assert REFERENCE_OPS <= declared
+    recorded = {variant: _recorded_ops(variant) for variant in VARIANTS}
+    for variant, ops in recorded.items():
+        assert not ops & REFERENCE_OPS, f"{variant} records {sorted(ops & REFERENCE_OPS)}"
+    union = set().union(*recorded.values())
+    assert union == declared - REFERENCE_OPS, (
+        f"recorded by no variant: {sorted(declared - REFERENCE_OPS - union)}; "
+        f"recorded but not declared: {sorted(union - declared)}"
+    )

@@ -407,6 +407,23 @@ def test_load_checkpoint_holds_one_copy_of_its_arrays(tmp_path, tiny):
     assert peak < 1.5 * path.stat().st_size
 
 
+def test_load_checkpoint_allocates_no_array_its_body_cannot_fill(tmp_path, tiny):
+    """A header that declares a 2.4 GB array is refused before anything of
+    that size is allocated."""
+    path = _saved(tmp_path, tiny[4])
+    header, arrays = unpack(path)
+    _entry("head.b", lambda e: [e[0], [3 * 10**8]])(header, arrays)
+    pack(path, header, arrays)
+    tracemalloc.start()
+    try:
+        with pytest.raises(gmodel.ConfigError, match="ends inside array 'head.b'"):
+            gmodel.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
 def test_checkpoint_round_trip_gat_variant(tmp_path):
     _, _, _, splits, model = pipeline(variant="ablation3")
     path = tmp_path / "gat.bin"
@@ -552,6 +569,10 @@ MALFORMED = {
     "data longer than its shape": _entry("head.b", lambda e: [e[0], [e[1][0] - 1]]),
     "negative shape": _entry("head.b", lambda e: [e[0], [-12]]),
     "non-integer shape": _entry("head.b", lambda e: [e[0], [12.0]]),
+    "shape of 10**12 floats": _entry("head.b", lambda e: [e[0], [10**12]]),
+    "shape beyond numpy's size": _entry("head.b", lambda e: [e[0], [2**62, 4]]),
+    "shape of 2.4 GB": _entry("head.b", lambda e: [e[0], [3 * 10**8]]),
+    "empty shape beyond numpy's size": _entry("head.b", lambda e: [e[0], [0, 2**62]]),
     "shape not a list": _entry("head.b", lambda e: [e[0], 12]),
     "array entry missing data": _body("head.b", lambda raw: b""),
     "array entry as a plain list": _entry("head.b", lambda e: [0.0] * 12),
