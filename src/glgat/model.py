@@ -367,7 +367,8 @@ def load_checkpoint(path) -> GlgatModel:
     """Rebuild a model from ``save_checkpoint``'s file.
 
     Any file that is not a complete checkpoint of this format version
-    raises ConfigError; a file that cannot be read raises OSError.
+    raises ConfigError; a file that cannot be read, or a pipe, whose size
+    is not known before it is read, raises OSError.
     """
     with open(path, "rb") as fh:
         line = fh.readline()  # a version-1 or 2 file is one line

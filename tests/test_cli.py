@@ -449,7 +449,9 @@ def test_evaluate_variant_label_follows_checkpoint(tmp_path, dataset, capsys):
     assert "variant=ablation3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["version 1", "version 2", "truncated", "shape of 10**12 floats"])
+@pytest.mark.parametrize(
+    "damage", ["version 1", "version 2", "truncated", "shape of 10**12 floats"]
+)
 def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, capsys, damage):
     blob = (trained / "checkpoint.bin").read_bytes()
     if damage == "truncated":
