@@ -44,31 +44,6 @@ class EventLog:
             raise ValueError("dividers must be finite")
 
 
-@dataclass(frozen=True)
-class AdjacencySet:
-    """Named stack of N x N matrices feeding the multi-adjacency attention."""
-
-    matrices: list[np.ndarray]
-    labels: list[str]
-
-    def __post_init__(self):
-        if not self.matrices or len(self.matrices) != len(self.labels):
-            raise ValueError("need at least one matrix and one label per matrix")
-        square = self.matrices[0].shape[:1] * 2  # (N, N) from the first matrix
-        for mat, label in zip(self.matrices, self.labels):
-            if mat.ndim != 2 or mat.shape != square:
-                raise ValueError(f"matrix {label!r} has shape {mat.shape}, not N x N")
-            if not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):  # NaN fails too
-                raise ValueError(f"matrix {label!r} has entries outside [0, 1]")
-            if np.any(np.diagonal(mat) != 1.0):
-                raise ValueError(f"matrix {label!r} lacks a unit diagonal")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """(H_adj, N, N) view for layer consumption."""
-        return np.stack(self.matrices, axis=0)
-
-
 def detect_events(series: TrafficSeries, feature: int = 0) -> EventLog:
     """Find divider crossings per vertex on one feature of a training series.
 

@@ -54,6 +54,7 @@ from .training import (
     batch_smooth_l1,
     evaluate,
     predict,
+    stack_inputs,
     stack_targets,
     train,
     write_log,
@@ -284,15 +285,11 @@ def cmd_gradcheck(args) -> int:
     )
     train_series = series.slice(0, splits.split_sizes[0])
     model = prepare_model(stack, graph, train_series, splits.stats, seed=args.seed)
-    sample = splits.train[0]
-    x = sample.input
-    target = sample.target[:, :, 0].T
-    mask = sample.target_mask[:, :, 0].T
+    x = stack_inputs(splits.train[:1])
+    target, mask = stack_targets(splits.train[:1])
 
     def fn():
-        return batch_smooth_l1(
-            model_forward(model, x[None]), target[None], mask[None]
-        )
+        return batch_smooth_l1(model_forward(model, x), target, mask)
 
     report = check_gradients(
         fn,

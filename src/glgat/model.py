@@ -14,20 +14,15 @@ the model configuration, so ablation runs differ only in configuration.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .adjacency import (
-    AdjacencySet,
-    build_connectivity_adjacency,
-    build_event_adjacency,
-    detect_events,
-)
+from .adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
 from .data import NormStats, SensorGraph, TrafficSeries
 from .encoding import DEFAULT_H_PE, DEFAULT_SMOOTHING, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
@@ -134,28 +129,24 @@ class StackConfig:
 
 def build_adjacency_set(
     config: StackConfig, graph: SensorGraph, train_series: TrafficSeries
-) -> AdjacencySet:
-    """Assemble the adjacency matrices the variant calls for.
+) -> np.ndarray:
+    """The adjacency the variant calls for, in the layout a model holds it.
 
-    full / ablation2: behavior-derived up- and down-event matrices.
-    ablation1: the road-connectivity matrix filling both slots.
-    ablation3: one binary matrix, the union of the thresholded event
+    full / ablation2: the behavior-derived up- and down-event matrices,
+    stacked (2, N, N).
+    ablation1: the road-connectivity matrix filling all h_adj slots.
+    ablation3: one (N, N) binary matrix, the union of the thresholded event
     matrices, for the plain-attention blocks.
     """
     if config.variant == "ablation1":
-        conn = build_connectivity_adjacency(graph)
-        return AdjacencySet(
-            matrices=[conn.copy() for _ in range(config.h_adj)],
-            labels=["connectivity"] * config.h_adj,
-        )
+        return np.stack([build_connectivity_adjacency(graph)] * config.h_adj)
     log = detect_events(train_series)
     a_up, a_down = build_event_adjacency(log, config.t_p, config.t_q)
     if config.variant == "ablation3":
-        union = ((a_up > 0.0) | (a_down > 0.0)).astype(np.float64)
-        return AdjacencySet(matrices=[union], labels=["event-union-binary"])
+        return ((a_up > 0.0) | (a_down > 0.0)).astype(np.float64)
     if config.h_adj != 2:
         raise ConfigError("event-based wiring provides exactly 2 adjacency matrices")
-    return AdjacencySet(matrices=[a_up, a_down], labels=["event-up", "event-down"])
+    return np.stack([a_up, a_down])
 
 
 @dataclass
@@ -185,37 +176,39 @@ class GlgatModel:
             t.zero_grad()
 
 
-def _checked_tables(config: StackConfig, adjs: AdjacencySet, pe: np.ndarray | None):
-    """The adjacency as a model holds it, after checking the stack and the
-    pairwise table against ``config``."""
+def _check_tables(config: StackConfig, adj: np.ndarray, pe: np.ndarray | None) -> None:
+    """Check a model's adjacency and pairwise table against ``config``: the
+    shapes the variant needs, then adjacency entries in [0, 1] on a unit
+    diagonal, so every attention row has itself to attend to."""
     n = config.n
-    adj = adjs.stacked
-    want_adj = (1 if config.uses_gat else config.h_adj, n, n)
+    want_adj = (n, n) if config.uses_gat else (config.h_adj, n, n)
     if adj.shape != want_adj:
         raise ConfigError(
-            f"variant {config.variant!r} needs {want_adj[0]} adjacency matrices of "
-            f"{n} x {n}, got {adj.shape[0]} of {adj.shape[1]} x {adj.shape[2]}"
+            f"variant {config.variant!r} needs adjacency of shape {want_adj}, got {adj.shape}"
         )
+    if not (np.all(adj >= 0.0) and np.all(adj <= 1.0)):  # NaN fails too
+        raise ConfigError("adjacency has entries outside [0, 1]")
+    if np.any(np.diagonal(adj, axis1=-2, axis2=-1) != 1.0):
+        raise ConfigError("adjacency lacks a unit diagonal")
     want_pe = (n, n, config.h_pe) if config.pe_enabled else None
     if (None if pe is None else pe.shape) != want_pe:
         got = "none" if pe is None else f"shape {pe.shape}"
         raise ConfigError(
             f"variant {config.variant!r} needs pairwise table {want_pe}, got {got}"
         )
-    return adj[0] if config.uses_gat else adj
 
 
 def build_model(
     config: StackConfig,
-    adjs: AdjacencySet,
+    adj: np.ndarray,
     pe: np.ndarray | None,
     stats: NormStats,
     seed: int,
 ) -> GlgatModel:
     """Initialize every floor deterministically from one seed, after checking
-    the adjacency stack and the pairwise table against ``config``."""
+    the adjacency and the pairwise table against ``config``."""
     n = config.n
-    adj = _checked_tables(config, adjs, pe)
+    _check_tables(config, adj, pe)
     blocks = []
     for i, (k_in, k_out, dims) in enumerate(config.floor_widths):
         if config.uses_gat:
@@ -245,9 +238,9 @@ def prepare_model(
     seed: int,
 ) -> GlgatModel:
     """End-to-end assembly: adjacency from training behavior, PE from geometry."""
-    adjs = build_adjacency_set(config, graph, train_series)
+    adj = build_adjacency_set(config, graph, train_series)
     pe = build_pairwise_encoding(graph, config.smoothing) if config.pe_enabled else None
-    return build_model(config, adjs, pe, stats, seed)
+    return build_model(config, adj, pe, stats, seed)
 
 
 def group_timesteps(x: np.ndarray) -> np.ndarray:
@@ -306,8 +299,12 @@ def _read_arrays(entries, fh) -> dict[str, np.ndarray]:
     formed and cover the rest of the file exactly."""
     if not isinstance(entries, list):
         raise ConfigError("checkpoint arrays must be a list of [name, shape] pairs")
+    if not fh.seekable():  # a pipe: its size is known only once it is read
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - start  # body bytes no array has claimed
+    fh.seek(start)
     arrays = {}
-    left = os.fstat(fh.fileno()).st_size - fh.tell()  # body bytes no array has claimed
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ConfigError(f"checkpoint array entry {entry!r} is not a [name, shape] pair")
@@ -366,9 +363,10 @@ def save_checkpoint(model: GlgatModel, path) -> None:
 def load_checkpoint(path) -> GlgatModel:
     """Rebuild a model from ``save_checkpoint``'s file.
 
-    Any file that is not a complete checkpoint of this format version
-    raises ConfigError; a file that cannot be read, or a pipe, whose size
-    is not known before it is read, raises OSError.
+    ``path`` may name a pipe, such as ``/dev/stdin``; its body is read whole
+    before any array is checked. Any file that is not a complete checkpoint
+    of this format version raises ConfigError; a file that cannot be read
+    raises OSError.
     """
     with open(path, "rb") as fh:
         line = fh.readline()  # a version-1 or 2 file is one line
@@ -403,13 +401,8 @@ def load_checkpoint(path) -> GlgatModel:
         )
 
     adj = take("adj")
-    try:
-        matrices = [adj] if config.uses_gat else list(adj)  # list() of a 0-d array: TypeError
-        adjs = AdjacencySet(matrices=matrices, labels=["loaded"] * len(matrices))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint adj is not an adjacency stack: {exc}") from None
     pe = arrays.pop("pe", None)
-    adj = _checked_tables(config, adjs, pe)
+    _check_tables(config, adj, pe)
 
     def param(name: str, shape: tuple[int, ...]) -> ad.DiffTensor:
         arr = take(name)

@@ -5,7 +5,6 @@ import pytest
 
 from glgat import adjacency as gadj
 from glgat.adjacency import (
-    AdjacencySet,
     EventLog,
     build_connectivity_adjacency,
     build_event_adjacency,
@@ -203,7 +202,6 @@ def test_event_matrices_satisfy_range_and_diagonal():
     for mat in build_event_adjacency(log, t_p=6, t_q=0):
         assert np.all(mat >= 0.0) and np.all(mat <= 1.0)
         assert np.all(np.diagonal(mat) == 1.0)
-    AdjacencySet(matrices=list(build_event_adjacency(log, 6, 0)), labels=["up", "down"])
 
 
 def test_negative_window_rejected():
@@ -240,22 +238,3 @@ def test_symmetry_tracks_edge_list():
     adj2 = build_connectivity_adjacency(sym)
     np.testing.assert_array_equal(adj2, adj2.T)
 
-
-# --------------------------------------------------------- set checks
-
-
-def test_adjacency_set_validation():
-    eye = np.eye(2)
-    with pytest.raises(ValueError):
-        AdjacencySet(matrices=[], labels=[])
-    with pytest.raises(ValueError):
-        AdjacencySet(matrices=[eye], labels=["a", "b"])
-    with pytest.raises(ValueError):
-        AdjacencySet(matrices=[eye * 2.0], labels=["a"])  # entry > 1
-    with pytest.raises(ValueError):
-        AdjacencySet(matrices=[np.array([[1.0, np.nan], [0.0, 1.0]])], labels=["a"])
-    no_diag = np.array([[1.0, 0.0], [0.0, 0.5]])
-    with pytest.raises(ValueError):
-        AdjacencySet(matrices=[no_diag], labels=["a"])
-    ok = AdjacencySet(matrices=[eye, np.ones((2, 2))], labels=["a", "b"])
-    assert ok.stacked.shape == (2, 2, 2)

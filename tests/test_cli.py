@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from glgat import data as gdata
 from glgat import model as gmodel
 from glgat import training as gtrain
 from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
+
+from test_model import MALFORMED, pack, unpack
 
 SLIM = [
     "--group-width", "4", "--h-head", "2", "--h-temporal", "2",
@@ -477,6 +481,41 @@ def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, caps
     assert "Traceback" not in err
     if damage.startswith("version"):
         assert "reads version 3; re-run train" in err
+
+
+def test_evaluate_reads_a_checkpoint_from_a_pipe(dataset, trained):
+    """A checkpoint piped into /dev/stdin prints the table its path prints."""
+    path = trained / "checkpoint.bin"
+
+    def evaluate(checkpoint, **stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "glgat.cli", "evaluate", "--checkpoint", checkpoint,
+             "--series", str(dataset / "series.csv"),
+             "--locations", str(dataset / "locations.csv"), "--split", "test"],
+            capture_output=True, **stdin,
+        )
+
+    by_path = evaluate(str(path), stdin=subprocess.DEVNULL)
+    piped = evaluate("/dev/stdin", input=path.read_bytes())
+    assert by_path.returncode == 0, by_path.stderr.decode()
+    assert piped.returncode == 0, piped.stderr.decode()
+    assert piped.stdout == by_path.stdout and b"split=test" in piped.stdout
+
+
+@pytest.mark.parametrize("case", [k for k in MALFORMED if k.startswith("adj")])
+def test_evaluate_rejects_malformed_adjacency(tmp_path, dataset, trained, capsys, case):
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes((trained / "checkpoint.bin").read_bytes())
+    header, arrays = unpack(bad)
+    MALFORMED[case](header, arrays)
+    pack(bad, header, arrays)
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--checkpoint", str(bad),
+                   "--series", str(dataset / "series.csv"),
+                   "--locations", str(dataset / "locations.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "adjacency" in err
 
 
 # -------------------------------------------------------------- gradcheck

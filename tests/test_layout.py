@@ -31,19 +31,20 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and the methods of top-level classes."""
+    """Top-level functions and classes, and the methods of those classes."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
+            yield node
             yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
         elif isinstance(node, ast.FunctionDef):
             yield node
 
 
 def test_src_holds_no_test_only_code():
-    """Each function and method defined in src/glgat is used by name in
-    src/glgat or perfbench/, outside its own body; code only tests call
-    belongs in tests/. Dunders, dataclass hooks among them, are exempt, and
-    so is the console-script entry point."""
+    """Each class, function and method defined in src/glgat is used by name
+    in src/glgat or perfbench/, outside its own body; code only tests call
+    or construct belongs in tests/. Dunders, dataclass hooks among them, are
+    exempt, and so is the console-script entry point."""
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     allowed = {target.rsplit(":", 1)[1] for target in scripts.values()}
     trees = {p: ast.parse(p.read_text()) for p in (*SRC.glob("*.py"), *ROOT.glob("perfbench/*.py"))}

@@ -12,12 +12,7 @@ import pytest
 from glgat import autodiff as ad
 from glgat import data as gdata
 from glgat import model as gmodel
-from glgat.adjacency import (
-    AdjacencySet,
-    build_connectivity_adjacency,
-    build_event_adjacency,
-    detect_events,
-)
+from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
 from glgat.encoding import DEFAULT_H_PE, build_pairwise_encoding
 from glgat.gradcheck import check_gradients
 from glgat.layers import GatLayerParams, GlgatLayerParams, glgat_forward
@@ -172,18 +167,14 @@ def test_variant_adjacency_wiring(tiny):
     a_up, a_down = build_event_adjacency(log, cfg.t_p, cfg.t_q)
 
     full = gmodel.build_adjacency_set(cfg, graph, train_series)
-    assert full.labels == ["event-up", "event-down"]
-    assert np.array_equal(full.matrices[0], a_up)
-    assert np.array_equal(full.matrices[1], a_down)
+    assert np.array_equal(full, np.stack([a_up, a_down]))
 
     conn = build_connectivity_adjacency(graph)
     ab1 = gmodel.build_adjacency_set(dataclasses.replace(cfg, variant="ablation1"), graph, train_series)
-    assert ab1.labels == ["connectivity", "connectivity"]
-    assert all(np.array_equal(m, conn) for m in ab1.matrices)
+    assert np.array_equal(ab1, np.stack([conn, conn]))
 
-    ab3 = gmodel.build_adjacency_set(dataclasses.replace(cfg, variant="ablation3"), graph, train_series)
-    assert len(ab3.matrices) == 1
-    union = ab3.matrices[0]
+    union = gmodel.build_adjacency_set(dataclasses.replace(cfg, variant="ablation3"), graph, train_series)
+    assert union.shape == (cfg.n, cfg.n)
     assert set(np.unique(union)) <= {0.0, 1.0}
     assert np.array_equal(union, ((a_up > 0) | (a_down > 0)).astype(float))
 
@@ -246,16 +237,30 @@ def test_config_validation():
     assert dataclasses.replace(tiny_config(), variant="ablation2").variant == "ablation2"
 
 
+def _with_entry(index, value):
+    """Set one flat entry of an adjacency stack: index 0 is on the first
+    matrix's diagonal, index 1 off it."""
+    def apply(adj):
+        adj.flat[index] = value
+        return adj
+    return apply
+
+
 BAD_INPUTS = {
-    "adjacency of the wrong N": lambda cfg, adjs, pe: (
-        cfg, AdjacencySet(matrices=[np.eye(7)] * 2, labels=["a", "b"]), pe
+    "adjacency of the wrong N": lambda cfg, adj, pe: (cfg, np.stack([np.eye(7)] * 2), pe),
+    "no adjacency matrices": lambda cfg, adj, pe: (cfg, adj[:0], pe),
+    "one adjacency matrix too few": lambda cfg, adj, pe: (cfg, adj[:1], pe),
+    "adjacency entry above 1": lambda cfg, adj, pe: (cfg, _with_entry(1, 1.5)(adj), pe),
+    "adjacency with one NaN": lambda cfg, adj, pe: (cfg, _with_entry(1, np.nan)(adj), pe),
+    "adjacency diagonal entry below 1": lambda cfg, adj, pe: (
+        cfg, _with_entry(0, 0.5)(adj), pe
     ),
-    "pairwise table of the wrong N": lambda cfg, adjs, pe: (cfg, adjs, pe[:5, :5]),
-    "table for ablation2": lambda cfg, adjs, pe: (
-        dataclasses.replace(cfg, variant="ablation2"), adjs, pe
+    "pairwise table of the wrong N": lambda cfg, adj, pe: (cfg, adj, pe[:5, :5]),
+    "table for ablation2": lambda cfg, adj, pe: (
+        dataclasses.replace(cfg, variant="ablation2"), adj, pe
     ),
-    "two matrices for ablation3": lambda cfg, adjs, pe: (
-        dataclasses.replace(cfg, variant="ablation3"), adjs, None
+    "two matrices for ablation3": lambda cfg, adj, pe: (
+        dataclasses.replace(cfg, variant="ablation3"), adj, None
     ),
 }
 
@@ -263,10 +268,10 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("edit", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_build_model_checks_adjacency_and_table_against_config(tiny, edit):
     cfg, graph, train_series, splits, _ = tiny
-    adjs = gmodel.build_adjacency_set(cfg, graph, train_series)
-    config, adjs, pe = edit(cfg, adjs, build_pairwise_encoding(graph))
+    adj = gmodel.build_adjacency_set(cfg, graph, train_series)
+    config, adj, pe = edit(cfg, adj, build_pairwise_encoding(graph))
     with pytest.raises(gmodel.ConfigError):
-        gmodel.build_model(config, adjs, pe, splits.stats, seed=0)
+        gmodel.build_model(config, adj, pe, splits.stats, seed=0)
 
 
 # -------------------------------------------------------- denormalizing
@@ -274,13 +279,13 @@ def test_build_model_checks_adjacency_and_table_against_config(tiny, edit):
 
 def test_output_denormalization_is_affine_in_stats(tiny):
     cfg, graph, train_series, splits, _ = tiny
-    adjs = gmodel.build_adjacency_set(cfg, graph, train_series)
+    adj = gmodel.build_adjacency_set(cfg, graph, train_series)
     pe = build_pairwise_encoding(graph)
     k = train_series.n_features
     raw = gmodel.build_model(
-        cfg, adjs, pe, gdata.NormStats(mean=np.zeros(k), std=np.ones(k)), seed=2
+        cfg, adj, pe, gdata.NormStats(mean=np.zeros(k), std=np.ones(k)), seed=2
     )
-    scaled = gmodel.build_model(cfg, adjs, pe, splits.stats, seed=2)
+    scaled = gmodel.build_model(cfg, adj, pe, splits.stats, seed=2)
     x = splits.train[0].input
     base = gmodel.model_forward(raw, x).data
     out = gmodel.model_forward(scaled, x).data
@@ -551,11 +556,6 @@ def _header(*path, value):
     return apply
 
 
-def _with_one_nan(adj):
-    adj.flat[1] = np.nan  # off the diagonal of the first matrix
-    return adj
-
-
 MALFORMED = {
     "missing top-level key": lambda h, a: h.pop("config"),
     "unknown top-level key": _header("extra", value=1),
@@ -586,7 +586,8 @@ MALFORMED = {
     "adj as one N x N matrix": _replace("adj", lambda adj: adj[0]),
     "adj stack for the GAT variant": _header("config", "variant", value="ablation3"),
     "adj entries outside [0, 1]": _replace("adj", lambda adj: adj * 2.0),
-    "adj with one NaN": _replace("adj", _with_one_nan),
+    "adj with one NaN": _replace("adj", _with_entry(1, np.nan)),
+    "adj with a diagonal entry below 1": _replace("adj", _with_entry(0, 0.5)),
     "pe absent where the variant needs it": _drop("pe"),
     "pe present where the variant has none": _header("config", "variant", value="ablation2"),
     "pe of the wrong width": _replace("pe", lambda pe: pe[..., :3]),
