@@ -256,7 +256,7 @@ def cmd_evaluate(args) -> int:
     samples = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
     if not samples:
         raise DataError(f"the {args.split} split yields no windows")
-    preds = predict(model, [s.input for s in samples])
+    preds = predict(model, samples)
     targets, masks = stack_targets(samples)
     report = evaluate(preds, targets, masks)
     label = f"variant={model.config.variant} split={args.split} windows={len(samples)}"

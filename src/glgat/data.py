@@ -5,8 +5,11 @@ Raw readings stay in their original scale inside ``TrafficSeries``; windowed
 model inputs are normalized while targets remain raw so losses and metrics
 are reported in physical units. ``load_series`` returns writable arrays
 that the caller owns. ``TrafficSeries.slice`` returns read-only views of
-them, and the fields of each ``WindowedSample`` are read-only views into
-buffers of its split, which later writes to the series do not reach.
+them. Each split's ``Windows`` holds one read-only copy of the split's raw
+data, mask and timestamps, which later writes to the series do not reach,
+and the start step of each window. A window's normalized input is
+assembled from that copy when the window or a batch of windows is taken;
+its targets are views of the copy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -127,10 +130,11 @@ class WindowedSample:
     """One training example: P input steps and the Q following target steps.
 
     ``input`` is (P, N, 2K+1): the K normalized features (0 where missing),
-    one time-of-day channel, then K mask channels as floats. ``target`` is
-    (Q, N, K) in raw scale with ``target_mask`` marking observed entries and
-    ``target_times`` the epoch timestamps of the Q target steps. All four
-    are read-only views into buffers shared by the windows of one split.
+    one time-of-day channel, then K mask channels as floats, assembled when
+    the window is taken from its ``Windows``. ``target`` is (Q, N, K) in raw
+    scale with ``target_mask`` marking observed entries and
+    ``target_times`` the epoch timestamps of the Q target steps; these
+    three are views of the split's copy. All four are read-only.
     """
 
     input: np.ndarray
@@ -139,13 +143,73 @@ class WindowedSample:
     target_times: np.ndarray
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Windows:
+    """The stride-1 windows of one split, as start steps over one read-only
+    copy of the split's raw data, mask and timestamps.
+
+    Indexing with an integer gives a ``WindowedSample``; a slice or an index
+    array gives the ``Windows`` of those starts. ``inputs`` gathers the
+    inputs of all of them in one step, and ``target_steps`` indexes their
+    targets in ``data``, ``mask`` and ``times``. Inputs are assembled from
+    the raw copy on each access, so no whole split's inputs are held.
+    """
+
+    data: np.ndarray  # (L, N, K) raw scale
+    mask: np.ndarray  # (L, N, K) bool
+    times: np.ndarray  # (L,) epoch seconds
+    tod: np.ndarray  # (L,) fraction of day
+    stats: NormStats
+    p: int
+    q: int
+    starts: np.ndarray  # (S,) first input step of each window
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if not isinstance(index, (int, np.integer)):
+            return replace(self, starts=self.starts[index])
+        start = int(self.starts[index])
+        (x,) = replace(self, starts=np.array([start])).inputs()
+        x.flags.writeable = False
+        target = slice(start + self.p, start + self.p + self.q)
+        return WindowedSample(
+            input=x,
+            target=self.data[target],
+            target_mask=self.mask[target],
+            target_times=self.times[target],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def inputs(self) -> np.ndarray:
+        """(S, P, N, 2K+1) inputs of every window, as ``WindowedSample.input``
+        lays out one, gathered in one step."""
+        rows = self.starts[:, None] + np.arange(self.p)
+        k = self.data.shape[2]
+        out = np.empty(rows.shape + (self.data.shape[1], input_channels(k)))
+        features = out[..., :k]
+        mask = self.mask[rows]
+        self.stats.normalize(self.data[rows], out=features)
+        features[~mask] = 0.0  # zero-fill missing inputs after scaling
+        out[..., k] = self.tod[rows][..., None]
+        out[..., k + 1 :] = mask
+        return out
+
+    def target_steps(self) -> np.ndarray:
+        """(S, Q) steps of the split's copy that each window's targets cover."""
+        return self.starts[:, None] + (self.p + np.arange(self.q))
+
+
 @dataclass(frozen=True)
 class WindowedSplits:
     """Chronological train/val/test windows plus the stats that scaled them."""
 
-    train: list[WindowedSample]
-    val: list[WindowedSample]
-    test: list[WindowedSample]
+    train: Windows
+    val: Windows
+    test: Windows
     stats: NormStats
     split_sizes: tuple[int, int, int]
 
@@ -219,8 +283,9 @@ def _parse_block(lines: list[str], first_line: int, n: int):
     return stamps, values.reshape(len(lines), n), observed.reshape(len(lines), n)
 
 
-# Data rows parsed per block; bounds the cell strings alive at once.
-_BLOCK_ROWS = 1024
+# Characters of text per parsed block: bounds the cell strings alive at once.
+# A block ends with the line that takes it past this size.
+_BLOCK_CHARS = 256 * 1024
 
 
 def _count_lines(path) -> int:
@@ -258,7 +323,7 @@ def load_series(
     capacity = _count_lines(series_file) - 1
     with open(series_file) as fh:  # universal newlines: LF, CRLF and CR
         header_line = fh.readline()
-        chunks = iter(lambda: "".join(itertools.islice(fh, _BLOCK_ROWS)), "")
+        chunks = iter(lambda: "".join(fh.readlines(_BLOCK_CHARS)), "")
         chunk = next(chunks, None)
         if chunk is None:
             raise DataError("series file needs a header row and at least one data row")
@@ -387,38 +452,6 @@ def fit_norm_stats(data: np.ndarray, mask: np.ndarray) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def _window_split(
-    data: np.ndarray,
-    mask: np.ndarray,
-    tod: np.ndarray,
-    times: np.ndarray,
-    stats: NormStats,
-    p: int,
-    q: int,
-) -> list[WindowedSample]:
-    length, n, k = data.shape
-    channels = np.empty((length, n, input_channels(k)))
-    features = channels[:, :, :k]
-    stats.normalize(data, out=features)
-    features[~mask] = 0.0  # zero-fill missing inputs after scaling
-    channels[:, :, k] = tod[:, None]
-    channels[:, :, k + 1 :] = mask
-    # one read-only buffer per field and split; every window holds views
-    target, target_mask, target_times = data.copy(), mask.copy(), times.copy()
-    for buffer in (channels, target, target_mask, target_times):
-        buffer.flags.writeable = False
-
-    return [
-        WindowedSample(
-            input=channels[w : w + p],
-            target=target[w + p : w + p + q],
-            target_mask=target_mask[w + p : w + p + q],
-            target_times=target_times[w + p : w + p + q],
-        )
-        for w in range(length - (p + q) + 1)
-    ]
-
-
 def split_and_window(
     series: TrafficSeries,
     p: int = 12,
@@ -447,20 +480,17 @@ def split_and_window(
     if stats is None:
         stats = fit_norm_stats(series.data[:n_train], series.mask[:n_train])
     tod = series.time_of_day()
+    tod.flags.writeable = False
 
-    bounds = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]
-    parts = [
-        _window_split(
-            series.data[a:b],
-            series.mask[a:b],
-            tod[a:b],
-            series.timestamps[a:b],
-            stats,
-            p,
-            q,
-        )
-        for a, b in bounds
-    ]
+    parts = []
+    for a, b in [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]:
+        # one read-only copy per split, which later writes to the series miss
+        copies = series.data[a:b].copy(), series.mask[a:b].copy(), series.timestamps[a:b].copy()
+        for copy in copies:
+            copy.flags.writeable = False
+        starts = np.arange(max(b - a - (p + q) + 1, 0))
+        starts.flags.writeable = False
+        parts.append(Windows(*copies, tod[a:b], stats, p, q, starts))
     return WindowedSplits(
         train=parts[0],
         val=parts[1],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError, WindowedSample
+from .data import DataError, Windows
 from .model import GlgatModel, model_forward
 
 HORIZONS = (3, 6, 12)  # steps of 5 minutes: 15, 30, 60 min
@@ -214,31 +214,35 @@ def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalR
 # ---------------------------------------------------------------- training
 
 
-def stack_inputs(samples: list[WindowedSample]) -> np.ndarray:
-    return np.stack([s.input for s in samples])
+def stack_inputs(samples: Windows) -> np.ndarray:
+    """Inputs of the windows in model layout (S, P, N, K_in), gathered in one step."""
+    return samples.inputs()
 
 
-def stack_targets(samples: list[WindowedSample]):
+def stack_targets(samples: Windows):
     """Targets and masks of the first feature in model layout (S, N, Q)."""
-    targets = np.stack([s.target[:, :, 0].T for s in samples])
-    masks = np.stack([s.target_mask[:, :, 0].T for s in samples])
-    return targets, masks
+    steps = samples.target_steps()
+    targets, masks = samples.data[steps, :, 0], samples.mask[steps, :, 0]  # (S, Q, N)
+    return (
+        np.ascontiguousarray(targets.transpose(0, 2, 1)),
+        np.ascontiguousarray(masks.transpose(0, 2, 1)),
+    )
 
 
 def predict(model: GlgatModel, inputs, batch_size: int = 64) -> np.ndarray:
     """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks.
 
-    ``inputs`` is one (S, 12, N, K_in) array or a list of S window arrays,
-    of which one chunk at a time is stacked. Each chunk's forecasts go
-    straight into the result."""
+    ``inputs`` is one (S, 12, N, K_in) array or the ``Windows`` of S
+    windows, whose inputs are gathered one chunk at a time. Each chunk's
+    forecasts go straight into the result."""
     if not len(inputs):
         raise ValueError("need at least one window to predict")
     preds = np.empty((len(inputs), model.config.n, model.config.q))
     with ad.no_grad():
         for i in range(0, len(inputs), batch_size):
-            preds[i : i + batch_size] = model_forward(
-                model, np.asarray(inputs[i : i + batch_size])
-            ).data
+            chunk = inputs[i : i + batch_size]
+            x = stack_inputs(chunk) if isinstance(chunk, Windows) else np.asarray(chunk)
+            preds[i : i + batch_size] = model_forward(model, x).data
     ad.require_finite(preds, "predict")
     return preds
 
@@ -282,8 +286,8 @@ def write_log(rows: list[dict], path) -> None:
 
 def train(
     model: GlgatModel,
-    train_samples: list[WindowedSample],
-    val_samples: list[WindowedSample],
+    train_samples: Windows,
+    val_samples: Windows,
     config: TrainConfig,
 ) -> TrainResult:
     """Mini-batch Adam with early stopping on validation MAE.
@@ -296,14 +300,13 @@ def train(
     """
     if not train_samples:
         raise DataError("training requires at least one window")
-    # batches and prediction chunks are gathered from the window views, so
-    # no split's inputs are ever copied whole
+    # each batch and prediction chunk assembles its inputs from the split's
+    # raw copy, so no split's inputs are ever held whole; only the targets
+    # that the stopping metric reads are gathered once
     have_val = bool(val_samples)
     if have_val:
-        val_inputs = [s.input for s in val_samples]
         y_val, m_val = stack_targets(val_samples)
     else:
-        fit_inputs = [s.input for s in train_samples]
         y_fit, m_fit = stack_targets(train_samples)
 
     params = model.named_params()
@@ -324,7 +327,7 @@ def train(
         order = rng.permutation(n)
         losses = []
         for lo in range(0, n, config.batch_size):
-            batch = [train_samples[i] for i in order[lo : lo + config.batch_size]]
+            batch = train_samples[order[lo : lo + config.batch_size]]
             try:
                 loss = batch_smooth_l1(
                     model_forward(model, stack_inputs(batch)), *stack_targets(batch)
@@ -343,11 +346,11 @@ def train(
 
         report = None
         if have_val:
-            report = evaluate(predict(model, val_inputs), y_val, m_val)
+            report = evaluate(predict(model, val_samples), y_val, m_val)
             metric = report.mean_mae
         else:
             with ad.no_grad():
-                fit = batch_smooth_l1(ad.constant(predict(model, fit_inputs)), y_fit, m_fit)
+                fit = batch_smooth_l1(ad.constant(predict(model, train_samples)), y_fit, m_fit)
             metric = fit.item()
         rows.append(
             {

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from glgat import autodiff as ad
-from glgat.data import DataError
+from glgat.data import DataError, fit_norm_stats, input_channels, split_sizes
 from glgat.encoding import DEFAULT_SMOOTHING, N_DIRECTION_CLASSES, direction_class
 
 
@@ -143,8 +143,40 @@ def historical_average(train, query_times, feature=0):
 
 def ha_predictions(train, samples):
     """Historical-average forecasts of windows, shaped like model output (S, N, Q)."""
-    times = np.stack([s.target_times for s in samples])  # (S, Q)
+    times = samples.times[samples.target_steps()]  # (S, Q)
     return historical_average(train, times).transpose(0, 2, 1)
+
+
+def windows_reference(series, p, q, ratios=(0.7, 0.1, 0.2), stats=None):
+    """Every window of each split as (input, target, target_mask,
+    target_times), cut from whole-split channel buffers: the reference for
+    the windows that ``split_and_window`` assembles on access."""
+    n_train, n_val, _ = split_sizes(series.n_steps, ratios)
+    if stats is None:
+        stats = fit_norm_stats(series.data[:n_train], series.mask[:n_train])
+    tod = series.time_of_day()
+    parts = []
+    for a, b in [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]:
+        data, mask, times = series.data[a:b], series.mask[a:b], series.timestamps[a:b]
+        length, n, k = data.shape
+        channels = np.empty((length, n, input_channels(k)))
+        features = channels[:, :, :k]
+        stats.normalize(data, out=features)
+        features[~mask] = 0.0
+        channels[:, :, k] = tod[a:b, None]
+        channels[:, :, k + 1 :] = mask
+        parts.append(
+            [
+                (
+                    channels[w : w + p],
+                    data[w + p : w + p + q],
+                    mask[w + p : w + p + q],
+                    times[w + p : w + p + q],
+                )
+                for w in range(length - (p + q) + 1)
+            ]
+        )
+    return parts
 
 
 def load_series_rows_scalar(series_file, zero_is_missing=True):

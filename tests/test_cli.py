@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,37 @@ def test_evaluate_matches_library(tmp_path, dataset, trained, capsys):
         assert block["mae"] == report.horizons[h].mae
         assert block["rmse"] == report.horizons[h].rmse
         assert block["mape"] == report.horizons[h].mape
+
+
+def test_evaluate_holds_no_whole_split_of_inputs(tmp_path, trained, monkeypatch, capsys):
+    """After windowing, evaluate assembles one 64-window chunk of inputs at a
+    time: scoring more windows adds their forecasts and targets to its peak,
+    never their inputs."""
+    long = tmp_path / "long"
+    assert cli.main(["synth-data", "--n", "6", "--t", "20000", "--seed", "11", "--out", str(long)]) == 0
+    windowed = []
+
+    def then_trace(*args, **kwargs):
+        windowed.append(gdata.split_and_window(*args, **kwargs))
+        tracemalloc.start()
+        return windowed[-1]
+
+    monkeypatch.setattr(cli, "split_and_window", then_trace)
+    peaks = {}
+    for split in ("val", "test"):
+        try:
+            rc = cli.main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
+                           "--series", str(long / "series.csv"),
+                           "--locations", str(long / "locations.csv"),
+                           "--edges", str(long / "edges.csv"), "--split", split])
+            peaks[split] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    splits = windowed[0]
+    assert "windows=3977" in capsys.readouterr().out and len(splits.val) == 1977
+    added = gtrain.stack_inputs(splits.test[len(splits.val) :]).nbytes
+    assert peaks["test"] - peaks["val"] < added
 
 
 def test_evaluate_rejects_sensor_count_mismatch(tmp_path, trained):

@@ -9,6 +9,7 @@ import pytest
 from glgat import data as gdata
 from glgat.data import (
     DataError,
+    NormStats,
     SensorGraph,
     TrafficSeries,
     fit_norm_stats,
@@ -18,7 +19,7 @@ from glgat.data import (
     split_and_window,
     split_sizes,
 )
-from oracles import denormalize, load_series_rows_scalar
+from oracles import denormalize, load_series_rows_scalar, windows_reference
 
 
 def write(path, text):
@@ -153,10 +154,16 @@ def locations_for(path, n):
     return write(path, "sensor_id,x,y\n" + "".join(f"s{j},{j}.0,0.0\n" for j in range(n)))
 
 
+def parse_in_blocks_of(monkeypatch, rows):
+    """Blocks of at most ``rows`` rows of ``random_series_csv``, whose rows
+    hold 30 characters or more: one row per block when ``rows`` is 1."""
+    monkeypatch.setattr(gdata, "_BLOCK_CHARS", 30 * rows - 1)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("block_rows", [1, 4, 7, 1024])
 def test_block_parser_matches_per_cell_reference(tmp_path, monkeypatch, newline, block_rows):
-    monkeypatch.setattr(gdata, "_BLOCK_ROWS", block_rows)
+    parse_in_blocks_of(monkeypatch, block_rows)
     rng = np.random.default_rng(block_rows)
     n = 5
     loc_f = locations_for(tmp_path / "loc.csv", n)
@@ -185,11 +192,12 @@ def traced_peak(fn) -> int:
 def test_load_series_peak_is_its_arrays_plus_about_one_block(tmp_path, monkeypatch):
     """Each block is parsed straight into the result, so no block is kept to
     be joined: loading holds the final arrays and one block's strings."""
-    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 64)
     graph, series, _ = generate_synthetic(n=8, t=8000, seed=3)
     paths = gdata.write_csv_dataset(graph, series, tmp_path)
     rows = paths["series"].read_text().split("\n")
     one_block = write(tmp_path / "one_block.csv", "\n".join(rows[:65]) + "\n")
+    # blocks the size of one_block's 64 data rows
+    monkeypatch.setattr(gdata, "_BLOCK_CHARS", sum(len(r) + 1 for r in rows[1:65]) - 1)
     load_series(one_block, paths["locations"])  # warm-up
     block = traced_peak(lambda: load_series(one_block, paths["locations"]))
     peak = traced_peak(lambda: load_series(paths["series"], paths["locations"]))
@@ -209,7 +217,7 @@ def expect_same_error(series_f, loc_f):
 
 @pytest.mark.parametrize("block_rows", [1, 3, 1024])
 def test_bad_rows_raise_with_the_reference_line_number(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(gdata, "_BLOCK_ROWS", block_rows)
+    parse_in_blocks_of(monkeypatch, block_rows)
     rng = np.random.default_rng(9)
     n = 4
     loc_f = locations_for(tmp_path / "loc.csv", n)
@@ -238,7 +246,8 @@ def test_bad_rows_raise_with_the_reference_line_number(tmp_path, monkeypatch, bl
 
 
 def test_rows_after_a_quoted_newline_keep_the_reference_line_number(tmp_path, monkeypatch):
-    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 2)  # the next block starts after the quoted cell
+    # the next block starts after the quoted cell
+    monkeypatch.setattr(gdata, "_BLOCK_CHARS", len('2024-01-01T00:00:00,1.0,"5\n"\n') - 1)
     loc_f = locations_for(tmp_path / "loc.csv", 2)
     series_f = write(
         tmp_path / "s.csv",
@@ -250,7 +259,7 @@ def test_rows_after_a_quoted_newline_keep_the_reference_line_number(tmp_path, mo
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_quoted_newline_joins_two_lines_into_one_row(tmp_path, monkeypatch, newline):
-    monkeypatch.setattr(gdata, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(gdata, "_BLOCK_CHARS", 64)  # the whole file in one block
     loc_f = locations_for(tmp_path / "loc.csv", 2)
     lines = ["timestamp,s0,s1", '2024-01-01T00:00:00,1.0,"5', '"', "2024-01-01T00:05:00,2.0,3.0"]
     series_f = tmp_path / "s.csv"
@@ -330,16 +339,74 @@ def test_targets_immediately_follow_inputs():
     np.testing.assert_allclose(denorm[:, :, 0], data[3 : 3 + 5, :, 0], atol=1e-9)
 
 
+def assert_windows_match_reference(series, p, q, ratios=(0.7, 0.1, 0.2), stats=None):
+    """Every window's four fields, taken one at a time and gathered per
+    split, equal the whole-split reference byte for byte."""
+    splits = split_and_window(series, p=p, q=q, ratios=ratios, stats=stats)
+    reference = windows_reference(series, p, q, ratios=ratios, stats=stats)
+    channels = input_channels(series.n_features)
+    for part, expected in zip((splits.train, splits.val, splits.test), reference):
+        assert len(part) == len(expected)
+        for got, want in zip(part, expected):
+            for a, b in zip((got.input, got.target, got.target_mask, got.target_times), want):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        inputs, steps = part.inputs(), part.target_steps()
+        assert inputs.shape == (len(part), p, series.n_vertices, channels)
+        gathers = inputs, part.data[steps], part.mask[steps], part.times[steps]
+        for i, gathered in enumerate(gathers):
+            want = np.stack([w[i] for w in expected]) if expected else gathered[:0]
+            assert gathered.tobytes() == want.tobytes()
+        if expected:
+            assert part[-1].input.tobytes() == expected[-1][0].tobytes()
+            assert part[1::3].inputs().tobytes() == inputs[1::3].tobytes()
+    return splits
+
+
 def test_window_fields_are_read_only_views():
     rng = np.random.default_rng(5)
-    splits = split_and_window(make_series(rng.uniform(20, 80, (120, 3, 1))), p=4, q=3)
+    series = make_series(rng.uniform(20, 80, (120, 3, 1)))
+    splits = assert_windows_match_reference(series, p=4, q=3)
     for part in (splits.train, splits.val, splits.test):
         first, last = part[0], part[-1]
         for name in ("input", "target", "target_mask", "target_times"):
             field_first, field_last = getattr(first, name), getattr(last, name)
-            assert np.shares_memory(field_first.base, field_last)  # one buffer per split
+            if name != "input":  # inputs are assembled on access
+                assert np.shares_memory(field_first.base, field_last)  # one buffer per split
             with pytest.raises(ValueError, match="read-only"):
                 field_first[0] = 1
+
+    # the windows of all three splits hold about one raw copy of the series
+    series = make_series(rng.uniform(20, 80, (3000, 40, 1)))
+    raw = series.data.nbytes + series.mask.nbytes + series.timestamps.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        splits = split_and_window(series, p=12, q=12)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * raw + 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "k, p, q, ratios, stats",
+    [
+        (1, 12, 12, (0.7, 0.1, 0.2), None),
+        (2, 5, 3, (0.7, 0.1, 0.2), None),
+        (2, 4, 9, (0.6, 0.2, 0.2), NormStats(mean=np.array([40.0, -3.0]), std=np.array([7.5, 1e-6]))),
+        # a validation split of exactly one window, a test split of none
+        (1, 12, 12, (0.85, 0.12, 0.03), None),
+    ],
+    ids=["k1", "k2-p5-q3", "k2-stats", "short-splits"],
+)
+def test_windows_match_the_whole_split_reference(k, p, q, ratios, stats):
+    rng = np.random.default_rng(k * 100 + p)
+    t = 200
+    data = rng.uniform(1, 90, (t, 5, k))
+    series = make_series(data, rng.uniform(size=data.shape) > 0.2)
+    splits = assert_windows_match_reference(series, p, q, ratios=ratios, stats=stats)
+    if stats is not None:
+        assert splits.stats is stats
 
 
 def test_targets_survive_mutating_the_series():

@@ -434,6 +434,18 @@ def test_predict_matches_a_recorded_forward_bit_for_bit(setup):
     assert gtrain.predict(model, x).tobytes() == recorded.tobytes()
 
 
+@pytest.mark.parametrize("count", [63, 64, 65])
+def test_predict_over_windows_matches_their_stacked_inputs(setup, count):
+    """Windows are predicted in 64-window chunks whose inputs are gathered
+    per chunk; the forecasts are those of the stacked inputs, bit for bit."""
+    _, _, splits, _ = setup
+    model = fresh_model(setup)
+    windows = splits.train[::2][:count]
+    assert len(windows) == count
+    stacked = gtrain.predict(model, gtrain.stack_inputs(windows))
+    assert gtrain.predict(model, windows).tobytes() == stacked.tobytes()
+
+
 def test_predict_rejects_non_finite_forecasts(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
@@ -582,16 +594,16 @@ def test_train_holds_one_step_graph_at_a_time(small_shape):
 
 
 def test_train_copies_one_batch_of_windows_at_a_time():
-    """Batches and prediction chunks are gathered from the window views. At
-    this shape (16 features, so 33 input channels) the stacked training
-    inputs would be several times one step's graph."""
-    graph, series, _ = gdata.generate_synthetic(n=4, t=600, seed=5)
+    """Each batch and prediction chunk assembles its inputs from the split's
+    raw copy. At this shape (16 features, so 33 input channels) the stacked
+    training inputs would be several times one step's graph."""
+    graph, series, _ = gdata.generate_synthetic(n=4, t=1200, seed=5)
     wide = gdata.TrafficSeries(
         data=np.repeat(series.data, 16, axis=2),
         mask=np.repeat(series.mask, 16, axis=2),
         timestamps=series.timestamps,
     )
-    splits = gdata.split_and_window(wide, p=12, q=12)
+    splits = gdata.split_and_window(wide, p=12, q=12, ratios=(0.5, 0.4, 0.1))
     cfg = gmodel.StackConfig(
         n=4, k_in=gdata.input_channels(16), group_width=2, h_head=1, h_temporal=1,
         h_deep=1, h_pe=0, h_e=0,
@@ -602,11 +614,18 @@ def test_train_copies_one_batch_of_windows_at_a_time():
     x = gtrain.stack_inputs(splits.train[:8])
     y, m = gtrain.stack_targets(splits.train[:8])
     step = _traced_peak(lambda: gtrain.batch_smooth_l1(gmodel.model_forward(model, x), y, m))
-    stacked = sum(s.input.nbytes for s in splits.train)
+    stacked = gtrain.stack_inputs(splits.train).nbytes
     assert stacked > 4 * step
 
     peak = _traced_peak(lambda: gtrain.train(model, splits.train, splits.val[:8], config))
     assert peak < stacked / 2
+
+    # validation predicts in 64-window chunks: more validation windows add
+    # their forecasts and targets to the peak, never their inputs
+    one_chunk = _traced_peak(lambda: gtrain.train(model, splits.train[:8], splits.val[:64], config))
+    whole = _traced_peak(lambda: gtrain.train(model, splits.train[:8], splits.val, config))
+    added = gtrain.stack_inputs(splits.val[64:]).nbytes
+    assert len(splits.val) > 6 * 64 and whole - one_chunk < added
 
 
 def test_predict_holds_one_copy_of_its_forecasts_plus_a_chunk():
@@ -619,7 +638,7 @@ def test_predict_holds_one_copy_of_its_forecasts_plus_a_chunk():
     )
     train_series = series.slice(0, splits.split_sizes[0])
     model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
-    inputs = [s.input for s in splits.train]
+    inputs = splits.train
     gtrain.predict(model, inputs, batch_size=16)  # warm-up
     chunk = _traced_peak(lambda: gtrain.predict(model, inputs[:16], batch_size=16))
     peak = _traced_peak(lambda: gtrain.predict(model, inputs, batch_size=16))
