@@ -429,6 +429,26 @@ def test_load_checkpoint_allocates_no_array_its_body_cannot_fill(tmp_path, tiny)
     assert peak < 1.5 * path.stat().st_size
 
 
+def test_save_checkpoint_replaces_a_file_and_writes_through_a_link(tmp_path, tiny):
+    """A regular file at the path is replaced by a new file, so a second
+    name of the old file keeps the old bytes; a symlink stays a symlink and
+    its target receives the checkpoint."""
+    model = tiny[4]
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(b"old")
+    (tmp_path / "second-name").hardlink_to(path)
+    gmodel.save_checkpoint(model, path)
+    assert (tmp_path / "second-name").read_bytes() == b"old"
+    expected = path.read_bytes()
+    assert gmodel.load_checkpoint(path).config == model.config
+
+    target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    gmodel.save_checkpoint(model, link)
+    assert link.is_symlink() and target.read_bytes() == expected
+
+
 def test_checkpoint_round_trip_gat_variant(tmp_path):
     _, _, _, splits, model = pipeline(variant="ablation3")
     path = tmp_path / "gat.bin"
