@@ -24,14 +24,18 @@ the elementwise passes. It never holds whole raw scores: a recorded call
 keeps the two score-shaped arrays its backward reads, and a call inside
 ``no_grad()`` keeps none.
 
-The only module state is per thread: the switch of ``no_grad()`` and the
-results held by ``reuse_scope()``, both restored when their block exits.
-A graph belongs to whichever thread built it, and independent graphs over
-shared read-only leaves may run concurrently.
+The only module state is per thread: the switch of ``no_grad()``, the
+results held by ``reuse_scope()``, both restored when their block exits,
+and the memo of ``attend`` (``_SliceMemo``), which keeps at most
+``_MEMO_BYTES`` of unrecorded results, keys and copies and gives each
+call the bytes a fresh computation would. A graph belongs to whichever
+thread built it, and independent graphs over shared read-only leaves may
+run concurrently.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
@@ -712,16 +716,17 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
 _BLOCK_BYTES = 1 << 20
 
 
-def _score_blocks(lead: tuple[int, ...], slice_bytes: int):
+def _score_blocks(lead: tuple[int, ...], slice_bytes: int, block_bytes: int | None = None):
     """Split the leading axes of a score tensor into blocks of whole slices.
 
     Each block is a run of consecutive slices in row-major order: a range
     on one axis and every index of the axes after it, holding at most
-    ``_BLOCK_BYTES`` of scores, or one slice when a slice is larger.
-    Returns the leading shape of the largest block and, per block, its
-    basic index into ``lead`` and its index into a buffer of that shape.
+    ``block_bytes`` (by default ``_BLOCK_BYTES``) of scores, or one slice
+    when a slice is larger. Returns the leading shape of the largest block
+    and, per block, its basic index into ``lead`` and its index into a
+    buffer of that shape.
     """
-    per_block = max(1, _BLOCK_BYTES // slice_bytes)
+    per_block = max(1, (_BLOCK_BYTES if block_bytes is None else block_bytes) // slice_bytes)
     cut, inner = len(lead), 1
     while cut > 0 and inner * lead[cut - 1] <= per_block:
         cut -= 1
@@ -753,6 +758,142 @@ def _score_shape(q_shape, k_shape, v_shape) -> tuple[int, ...]:
     return lead + (q_shape[-2], k_shape[-1])
 
 
+def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_bytes=None):
+    """The forward of ``attend`` over (..., N, M) scores of ``shape`` into
+    ``out``, in blocks of ``_score_blocks(..., block_bytes)``; the operands
+    broadcast to it. A recorded call passes whole ``slope`` and ``coef``
+    arrays to be filled as well."""
+    lead = shape[:-2]
+    block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1], block_bytes)
+    block_shape = block_lead + shape[-2:]
+    scores, cdf = np.empty(block_shape), np.empty(block_shape)  # reused per block
+    recording = coef is not None
+    if not recording:  # the coefficients overwrite the raw scores
+        coef = scores
+    if len(blocks) > 1:  # views over the full leading axes: one index selects a block
+        qs, ks, vs, ws = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (qs, ks, vs, ws))
+        bs = None if bs is None else np.broadcast_to(bs, shape)
+    for index, local in blocks:
+        s = np.matmul(qs[index], ks[index], out=scores[local])
+        if bs is not None:
+            s += bs[index]
+        c = _gelu_cdf(s, out=cdf[local])
+        if recording:
+            _gelu_slope(s, c, out=slope[index])
+        gelu_out = np.multiply(s, c, out=c)
+        a = _softmax_rows(gelu_out, ws[index], out=coef[index if recording else local])
+        np.matmul(a, vs[index], out=out[index])
+
+
+# Bytes of keys and copies one thread's memo of ``attend`` may hold, and the
+# least score bytes per unit for which the memo's per-unit keying,
+# comparisons and copies repay themselves (units of N=15 floors hold 14 KiB,
+# those of N=207 floors 1.3 MiB).
+_MEMO_BYTES = 24 << 20
+_MEMO_MIN_UNIT_BYTES = 64 << 10
+
+
+def _same_bytes(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether ``a`` and ``b`` are both absent, or hold the same shape and
+    bytes; NaN equals a NaN of the same payload, and 0.0 differs from -0.0."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class _SliceMemo:
+    """One thread's results of ``attend`` under ``no_grad()``, by unit.
+
+    A unit is every score slice of one index of the leading axes that the
+    weights do not span: in a GLGAT floor, all the matrices and heads of one
+    window's time group. An entry is keyed on the shapes and bytes of the
+    unit's ``q``, ``k_t`` and ``v`` and keeps its own copies of the unit's
+    bias and output. It is used only while the call's weights and the
+    unit's bias are byte-equal to the memo's copies, so a stale entry can
+    only miss, and a hit gives the bytes a recomputation would. Entries are
+    kept newest first, up to ``_MEMO_BYTES`` with the weights copy counted.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.weights: tuple | None = None  # (shape, bytes) of the entries' weights
+        self.entries: collections.OrderedDict = collections.OrderedDict()
+        self.held = 0
+
+    def use_weights(self, weights: np.ndarray) -> None:
+        """Keep the entries computed with these weights; drop them all otherwise."""
+        key = (weights.shape, weights.tobytes())
+        if self.weights != key:
+            self.clear()
+            self.weights, self.held = key, len(key[1])
+
+    def get(self, key, bias: np.ndarray | None) -> np.ndarray | None:
+        entry = self.entries.get(key)
+        if entry is None or not _same_bytes(entry[0], bias):
+            return None
+        self.entries.move_to_end(key)
+        return entry[1]
+
+    def put(self, key, bias: np.ndarray | None, out: np.ndarray) -> None:
+        entry = (None if bias is None else bias.copy(), out.copy())
+        size = sum(len(k) for k in key if isinstance(k, bytes))
+        size += sum(a.nbytes for a in entry if a is not None)
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.held -= old[2]
+        self.entries[key] = entry + (size,)
+        self.held += size
+        while self.held > _MEMO_BYTES and self.entries:
+            self.held -= self.entries.popitem(last=False)[1][2]
+        if self.held > _MEMO_BYTES:  # the weights alone exceed the cap
+            self.clear()
+
+
+_memos = threading.local()  # per-thread _SliceMemo of attend
+
+
+def _slice_memo() -> _SliceMemo:
+    memo = getattr(_memos, "memo", None)
+    if memo is None:
+        memo = _memos.memo = _SliceMemo()
+    return memo
+
+
+def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
+    """``_attend_blocks`` unit by unit over the leading axes ``units``,
+    taking from this thread's memo every unit it holds and computing a unit
+    that repeats an earlier one of the call once."""
+    memo = _slice_memo()
+    memo.use_weights(ws)
+    rank, unit_shape = len(shape), shape[len(units) :]
+    rows = []  # per operand, one compact operand per unit index
+    for a in (qs, ks, vs, bs):
+        if a is not None:
+            a = a.reshape((1,) * (rank - a.ndim) + a.shape)
+            a = np.broadcast_to(a, units + a.shape[len(units) :])
+        rows.append(a)
+    qr, kr, vr, br = rows
+    seen: dict = {}  # key -> units of this call that hold its result
+    for u in np.ndindex(*units):
+        operands = (qr[u], kr[u], vr[u])
+        key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
+        b = None if br is None else br[u]
+        twin = next((t for t in seen.get(key, ()) if b is None or _same_bytes(br[t], b)), None)
+        if twin is not None:
+            out[u] = out[twin]
+            continue
+        seen.setdefault(key, []).append(u)
+        held = memo.get(key, b)
+        if held is not None:
+            out[u] = held
+        else:
+            # one (N, M) slice per block: the memo's copies take the room larger blocks would
+            _attend_blocks(*operands, ws, b, unit_shape, out[u], block_bytes=0)
+            memo.put(key, b, out[u])
+
+
 def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     """``masked_softmax(gelu(q @ k_t + bias), weights) @ v`` as one node.
 
@@ -767,6 +908,12 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     the GELU slope and the coefficients. Values and gradients are bit for
     bit those of the composed ``matmul``, ``add``, ``gelu``,
     ``masked_softmax`` and ``matmul``.
+
+    Under ``no_grad()``, a call whose units (see ``_SliceMemo``) hold at
+    least ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit through this
+    thread's memo, so consecutive sliding windows compute only the time
+    groups they do not share. Its result is the same bytes whatever was
+    computed before.
     """
     q, k_t, v = constant(q), constant(k_t), constant(v)
     shape = _score_shape(q.shape, k_t.shape, v.shape)
@@ -777,28 +924,16 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     weights = _check_weights(weights, shape, "attend")
 
     recording = not getattr(_recording, "off", False)
-    block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1])
-    block_shape = block_lead + shape[-2:]
-    scores, cdf = np.empty(block_shape), np.empty(block_shape)  # reused per block
+    out = np.empty(lead + (shape[-2], v.shape[-1]))
+    operands = (q.data, k_t.data, v.data, weights, None if bias is None else bias.data)
+    units = lead[: len(shape) - weights.ndim]
     if recording:  # kept whole for the backward pass
         slope, coef = np.empty(shape), np.empty(shape)
-    else:  # the coefficients overwrite the raw scores
-        coef = scores
-    out = np.empty(lead + (shape[-2], v.shape[-1]))
-    qs, ks, vs, ws, bs = q.data, k_t.data, v.data, weights, None if bias is None else bias.data
-    if len(blocks) > 1:  # views over the full leading axes: one index selects a block
-        qs, ks, vs, ws = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (qs, ks, vs, ws))
-        bs = None if bias is None else np.broadcast_to(bs, shape)
-    for index, local in blocks:
-        s = np.matmul(qs[index], ks[index], out=scores[local])
-        if bias is not None:
-            s += bs[index]
-        c = _gelu_cdf(s, out=cdf[local])
-        if recording:
-            _gelu_slope(s, c, out=slope[index])
-        gelu_out = np.multiply(s, c, out=c)
-        a = _softmax_rows(gelu_out, ws[index], out=coef[index if recording else local])
-        np.matmul(a, vs[index], out=out[index])
+        _attend_blocks(*operands, shape, out, slope, coef)
+    elif 8 * math.prod(shape[len(units) :]) >= _MEMO_MIN_UNIT_BYTES:
+        _attend_units(*operands, shape, units, out)
+    else:
+        _attend_blocks(*operands, shape, out)
 
     def backward(g):
         grads = []
@@ -867,10 +1002,12 @@ def _bank_product(bank: DiffTensor, x, op: str) -> DiffTensor:
             gb = np.matmul(gf.transpose(0, 2, 1), xf)  # (n, h, d)
             out.append((bank, np.ascontiguousarray(gb)))
         if x.requires_grad:
-            gx = np.matmul(gf, bank.data).transpose(1, 0, 2)
-            out.append((x, np.ascontiguousarray(gx.reshape(x.shape))))
+            gx = np.empty(x.shape)
+            np.matmul(gf, bank.data, out=gx.reshape(-1, n, d).transpose(1, 0, 2))
+            out.append((x, gx))
         return out
 
-    data = np.matmul(xf, bank.data.transpose(0, 2, 1))  # (n, b, h)
-    data = np.ascontiguousarray(data.transpose(1, 0, 2).reshape(lead + (n, h)))
+    # the products land in the (..., n, h) layout: no (n, b, h) result to transpose
+    data = np.empty(lead + (n, h))
+    np.matmul(xf, bank.data.transpose(0, 2, 1), out=data.reshape(-1, n, h).transpose(1, 0, 2))
     return _make(data, (bank, x), backward, op)

@@ -87,6 +87,11 @@ class StackConfig:
             raise ConfigError("head configuration values must be positive")
         if self.h_pe < 0 or self.h_e < 0 or self.t_p < 0 or self.t_q < 0:
             raise ConfigError("h_pe, h_e, t_p, t_q must be non-negative")
+        if self.variant in ("full", "ablation2") and self.h_adj != 2:
+            raise ConfigError(
+                f"variant {self.variant!r} wires the up- and down-event matrices: "
+                f"h_adj must be 2, got {self.h_adj}"
+            )
         if self.pe_enabled and self.h_pe != DEFAULT_H_PE:
             raise ConfigError(
                 f"variant {self.variant!r} needs h_pe = {DEFAULT_H_PE} (the pairwise "
@@ -147,8 +152,6 @@ def build_adjacency_set(
     a_up, a_down = build_event_adjacency(log, config.t_p, config.t_q)
     if config.variant == "ablation3":
         return ((a_up > 0.0) | (a_down > 0.0)).astype(np.float64)
-    if config.h_adj != 2:
-        raise ConfigError("event-based wiring provides exactly 2 adjacency matrices")
     return np.stack([a_up, a_down])
 
 

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import importlib.util
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -687,6 +688,179 @@ def test_reuse_recomputes_after_a_write_to_any_array_argument():
         assert len(calls) == 4
         assert ad.reuse(floor, params, x, table, 1.0) is not last  # other values compare
     assert last.data.tolist() == [2.0, 7.0, 4.0]  # 2 * 2 + 3 at the written entry
+
+
+# ---------------------------------------------------------- attend's memo
+
+
+def _group_sequence(rng, groups, n=48):
+    """attend() operands of a GLGAT floor for ``groups`` consecutive time
+    groups: leading axes (group, H_adj=2, H_head=2), a bias per group and
+    matrix, and weights shared by the groups and heads. A unit, every
+    slice of one group, holds 4 * 48 * 48 * 8 bytes (72 KiB) of scores."""
+    q = rng.standard_normal((groups, 2, 2, n, 3))
+    k_t = rng.standard_normal((groups, 2, 2, 3, n))
+    v = rng.standard_normal((groups, 2, 2, n, 5))
+    bias = rng.standard_normal((groups, 2, 1, n, n))
+    weights = rng.uniform(0.0, 1.0, (2, 1, n, n))
+    weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
+    weights[..., 0] = 1.0
+    assert 8 * 4 * n * n >= ad._MEMO_MIN_UNIT_BYTES
+    return q, k_t, v, weights, bias
+
+
+def _window(operands, start, width):
+    q, k_t, v, weights, bias = operands
+    span = slice(start, start + width)
+    return q[span], k_t[span], v[span], weights, bias[span]
+
+
+def _fresh(*operands):
+    """attend() under no_grad() with this thread's memo emptied first."""
+    ad._slice_memo().clear()
+    with ad.no_grad():
+        return ad.attend(*operands).data
+
+
+@pytest.fixture
+def computed_units(monkeypatch):
+    """A list that gains an entry for every unit attend's memo path computes."""
+    units = []
+    blocks = ad._attend_blocks
+
+    def counting(*args, **kwargs):
+        units.append(None)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_attend_blocks", counting)
+    ad._slice_memo().clear()
+    return units
+
+
+def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(computed_units):
+    rng = np.random.default_rng(60)
+    operands = _group_sequence(rng, groups=12)
+    windows = [_window(operands, start, 4) for start in range(8)]
+    with ad.no_grad():
+        outs = [ad.attend(*window).data for window in windows]
+    assert len(computed_units) == 4 + 7  # one new group per shift
+    for window, out in zip(windows, outs):
+        assert out.tobytes() == ad.attend(*window).data.tobytes()  # recorded: no memo
+    assert outs[-1].tobytes() == _fresh(*windows[-1]).tobytes()
+
+
+def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
+    rng = np.random.default_rng(61)
+    q, k_t, v, weights, bias = operands = _group_sequence(rng, groups=4)
+    with ad.no_grad():
+        ad.attend(*operands)
+        ad.attend(*operands)
+        assert len(computed_units) == 4
+        weights[1, 0, 3, 5] *= 0.5  # in place: every unit is recomputed
+        out = ad.attend(*operands).data
+        assert len(computed_units) == 8
+        bias[2] += 1.0  # in place: that group alone
+        ad.attend(*operands)
+        assert len(computed_units) == 9
+        bias[3, 1, 0, 7, 9] = np.nextafter(bias[3, 1, 0, 7, 9], np.inf)  # one ulp
+        ad.attend(*operands)
+        assert len(computed_units) == 10
+        bias[0, 0, 0, 1, 1] = 0.0
+        ad.attend(*operands)
+        bias[0, 0, 0, 1, 1] = -0.0  # equal as floats, not as bytes
+        out = ad.attend(*operands).data
+        assert len(computed_units) == 12
+    assert out.tobytes() == _fresh(*operands).tobytes()
+
+
+def test_attend_memo_computes_a_repeated_unit_of_one_call_once(monkeypatch, computed_units):
+    monkeypatch.setattr(ad, "_MEMO_BYTES", 0)  # nothing is kept between units or calls
+    rng = np.random.default_rng(62)
+    q, k_t, v, weights, bias = _group_sequence(rng, groups=5)
+    for a in (q, k_t, v, bias):
+        a[3] = a[1]  # unit 3 repeats unit 1
+    q[4], k_t[4], v[4] = q[0], k_t[0], v[0]  # unit 4 repeats unit 0 but its bias
+    with ad.no_grad():
+        out = ad.attend(q, k_t, v, weights, bias).data
+    assert len(computed_units) == 4 and ad._slice_memo().held == 0
+    assert out.tobytes() == ad.attend(q, k_t, v, weights, bias).data.tobytes()
+    assert out[3].tobytes() == out[1].tobytes()
+
+
+def test_recorded_attend_never_consults_the_memo(monkeypatch):
+    def no_memo():
+        raise AssertionError("the memo was consulted")
+
+    monkeypatch.setattr(ad, "_slice_memo", no_memo)
+    rng = np.random.default_rng(63)
+    q, k_t, v, weights, bias = _group_sequence(rng, groups=3)
+    tensors = [ad.parameter(a) for a in (q, k_t, v, bias)]
+    ad.reduce_sum(ad.attend(*tensors[:3], weights, tensors[3])).backward()
+    assert all(t.grad is not None for t in tensors)
+    with ad.no_grad(), pytest.raises(AssertionError, match="consulted"):
+        ad.attend(q, k_t, v, weights, bias)
+
+
+def _memo_bytes(memo) -> int:
+    """The bytes of keys and copies ``memo`` holds, counted from its entries."""
+    held = 0 if memo.weights is None else len(memo.weights[1])
+    for key, (bias, out, _) in memo.entries.items():
+        held += sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
+        held += 0 if bias is None else bias.nbytes
+    return held
+
+
+def test_attend_memo_holds_at_most_its_byte_cap(monkeypatch, computed_units):
+    rng = np.random.default_rng(64)
+    operands = _group_sequence(rng, groups=10)
+    windows = [_window(operands, start, 4) for start in range(6)]
+    expected = [ad.attend(*window).data.tobytes() for window in windows]  # recorded
+    memo = ad._slice_memo()
+    with ad.no_grad():
+        ad.attend(*windows[0])
+        entry = (_memo_bytes(memo) - 8 * operands[3].size) // 4
+        two_and_a_half = 8 * operands[3].size + int(2.5 * entry)
+        for cap in (ad._MEMO_BYTES, two_and_a_half, 1000):
+            monkeypatch.setattr(ad, "_MEMO_BYTES", cap)
+            memo.clear()
+            for window, want in zip(windows, expected):
+                assert ad.attend(*window).data.tobytes() == want
+                assert _memo_bytes(memo) == memo.held <= cap
+        assert memo.held == 0  # the weights alone exceed 1000 bytes
+        monkeypatch.setattr(ad, "_MEMO_BYTES", two_and_a_half)
+        ad.attend(*windows[0])
+        del computed_units[:]
+        ad.attend(*_window(operands, 2, 2))  # the call's last two units were kept
+    assert not computed_units
+
+
+def test_attend_memo_is_per_thread_and_gives_each_thread_the_same_bytes():
+    rng = np.random.default_rng(65)
+    operands = _group_sequence(rng, groups=10)
+    expected = [_fresh(*_window(operands, s, 4)).tobytes() for s in range(7)]
+    ad._slice_memo().clear()
+    results = {}
+
+    def run(name):
+        with ad.no_grad():
+            results[name] = [ad.attend(*_window(operands, s, 4)).data.tobytes() for s in range(7)]
+        results[name, "held"] = ad._slice_memo().held
+
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results.pop((0, "held")) > 0 and results.pop((1, "held")) > 0
+    assert results == {0: expected, 1: expected}
+    assert ad._slice_memo().held == 0  # the threads kept their own
 
 
 # -------------------------------------------------------------- errors

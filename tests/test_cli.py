@@ -257,11 +257,16 @@ def test_train_rejects_h_pe_the_pairwise_table_lacks(tmp_path, dataset, monkeypa
     assert not (out / "checkpoint.bin").exists()
 
 
-@pytest.mark.parametrize("flag", [("--lr", "-1"), ("--h-pe", "5")], ids=["lr", "h_pe"])
+@pytest.mark.parametrize(
+    "flag", [("--lr", "-1"), ("--h-pe", "5"), ("--h-adj", "3")], ids=["lr", "h_pe", "h_adj"]
+)
 def test_train_checks_its_configuration_before_reading_data(tmp_path, flag):
+    """Each of these is refused before the data is read and before
+    config_used.txt is written; the full variant wires two event matrices."""
     rc = cli.main(["train", "--series", str(tmp_path / "no.csv"),
                    "--locations", str(tmp_path / "no2.csv"), "--out", str(tmp_path / "o"), *flag])
     assert rc == 2
+    assert not (tmp_path / "o" / "config_used.txt").exists()
 
 
 class _Stop(Exception):
@@ -306,6 +311,9 @@ FIELD_KEYS = {
     "h_e": ("stack", "h_e", 6),
     "smoothing": ("stack", "smoothing", 0.2),
 }
+# values a key's non-default value needs beside it: full (the default
+# variant) wires exactly two event matrices, ablation1 any number
+COMPANIONS = {"h_adj": {"variant": "ablation1"}}
 STACK_DEFAULT = gmodel.StackConfig(n=6)
 TRAIN_DEFAULT = gtrain.TrainConfig()
 
@@ -318,20 +326,23 @@ def test_train_key_reaches_its_config_field(tmp_path, dataset, captured, key, so
     assert getattr(default, field) != value
     argv = ["train", "--series", str(dataset / "series.csv"),
             "--locations", str(dataset / "locations.csv"), "--out", str(tmp_path / "o")]
+    given = {key: value, **COMPANIONS.get(key, {})}
     if source == "flag":
-        argv += ["--" + key.replace("_", "-"), str(value)]
+        for k, val in given.items():
+            argv += ["--" + k.replace("_", "-"), str(val)]
     else:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text("".join(f"{k} = {val}\n" for k, val in given.items()))
         argv += ["--config", str(cfg)]
     with pytest.raises(_Stop):
         cli.main(argv)
     assert getattr(captured[owner], field) == value
-    # every other field keeps its default
+    # every other field keeps its default, or the value given beside the key
     for other, (o, f, _) in FIELD_KEYS.items():
         if other != key:
             expect = STACK_DEFAULT if o == "stack" else TRAIN_DEFAULT
-            assert getattr(captured[o], f) == getattr(expect, f), other
+            want = given.get(other, getattr(expect, f))
+            assert getattr(captured[o], f) == want, other
     assert captured["model_seed"] == captured["train"].seed
 
 

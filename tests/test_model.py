@@ -228,6 +228,12 @@ def test_config_validation():
             gmodel.StackConfig(n=6, variant=variant, h_pe=5)
         assert not gmodel.StackConfig(n=6, variant=variant, h_pe=0).pe_enabled
     assert gmodel.StackConfig(n=6, variant="ablation2", h_pe=5).dims_deep.h_pe == 0
+    # the event variants wire two matrices; the others take any count
+    for variant in ("full", "ablation2"):
+        with pytest.raises(gmodel.ConfigError, match="h_adj must be 2"):
+            gmodel.StackConfig(n=6, variant=variant, h_adj=3)
+    for variant in ("ablation1", "ablation3"):
+        assert gmodel.StackConfig(n=6, variant=variant, h_adj=3).h_adj == 3
     for smoothing in (2.0, 1.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(gmodel.ConfigError):
             gmodel.StackConfig(n=6, smoothing=smoothing)

@@ -446,6 +446,44 @@ def test_predict_over_windows_matches_their_stacked_inputs(setup, count):
     assert gtrain.predict(model, windows).tobytes() == stacked.tobytes()
 
 
+def test_predict_does_not_depend_on_what_was_predicted_before(monkeypatch):
+    """At N=64 each time group of floors 1-2 holds 128 KiB of scores, so
+    attend's memo serves the groups that consecutive windows share. Single
+    windows in order, and a chunked predict after them, give the bytes of
+    the same calls made with the memo emptied first."""
+    graph, series, _ = gdata.generate_synthetic(n=64, t=480, seed=13)
+    splits = gdata.split_and_window(series, p=12, q=12)
+    cfg = gmodel.StackConfig(
+        n=64, group_width=4, h_head=2, h_temporal=2, h_deep=4, h_pe=10, h_e=4
+    )
+    assert 8 * cfg.h_adj * cfg.h_head * 64 * 64 >= ad._MEMO_MIN_UNIT_BYTES
+    train_series = series.slice(0, splits.split_sizes[0])
+    model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
+    windows = splits.test[:70]
+    assert len(windows) == 70
+    computed = []
+    blocks = ad._attend_blocks
+
+    def counting(*args, **kwargs):
+        computed.append(None)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_attend_blocks", counting)
+
+    def fresh(inputs, batch_size):
+        ad._slice_memo().clear()
+        return gtrain.predict(model, inputs, batch_size=batch_size)
+
+    ad._slice_memo().clear()
+    singles = [gtrain.predict(model, windows[k : k + 1], batch_size=1) for k in range(20)]
+    chunked = gtrain.predict(model, windows, batch_size=64)
+    with_memo = len(computed)
+    for k, single in enumerate(singles):
+        assert single.tobytes() == fresh(windows[k : k + 1], 1).tobytes()
+    assert chunked.tobytes() == fresh(windows, 64).tobytes()
+    assert with_memo < len(computed) - with_memo  # the memo was used
+
+
 def test_predict_rejects_non_finite_forecasts(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
