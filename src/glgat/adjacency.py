@@ -44,18 +44,16 @@ class EventLog:
             raise ValueError("dividers must be finite")
 
 
-def detect_events(series: TrafficSeries, feature: int = 0) -> EventLog:
-    """Find divider crossings per vertex on one feature of a training series.
+def detect_events(series: TrafficSeries) -> EventLog:
+    """Find divider crossings per vertex on the first feature of a training series.
 
     The divider is the midpoint of the observed range. An up-event fires at
     t when the reading rises from strictly below the divider to at or above
     it; a down-event mirrors that for drops. Both readings of the pair must
     be observed, so crossings hidden by missing data produce no event.
     """
-    if not 0 <= feature < series.n_features:
-        raise ValueError(f"feature index {feature} out of range")
-    x = series.data[:, :, feature]
-    obs = series.mask[:, :, feature]
+    x = series.data[:, :, 0]
+    obs = series.mask[:, :, 0]
     seen = obs.sum(axis=0)
     top = x.max(axis=0, where=obs, initial=-np.inf)
     bottom = x.min(axis=0, where=obs, initial=np.inf)

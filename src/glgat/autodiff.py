@@ -24,13 +24,13 @@ the elementwise passes. It never holds whole raw scores: a recorded call
 keeps the two score-shaped arrays its backward reads, and a call inside
 ``no_grad()`` keeps none.
 
-The only module state is per thread: the switch of ``no_grad()``, the
-results held by ``reuse_scope()``, both restored when their block exits,
-and the memo of ``attend`` (``_SliceMemo``), which keeps at most
-``_MEMO_BYTES`` of unrecorded results, keys and copies and gives each
-call the bytes a fresh computation would. A graph belongs to whichever
-thread built it, and independent graphs over shared read-only leaves may
-run concurrently.
+The only module state is one per-thread object, ``_recording``. It holds
+the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
+both restored when their block exits, and the memo of ``attend``
+(``_SliceMemo``), which keeps at most ``_MEMO_BYTES`` of unrecorded
+results, keys and copies and gives each call the bytes a fresh
+computation would. A graph belongs to whichever thread built it, and
+independent graphs over shared read-only leaves may run concurrently.
 """
 
 from __future__ import annotations
@@ -70,10 +70,20 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-_recording = threading.local()  # per-thread state of no_grad() and reuse_scope()
+_recording = threading.local()  # per thread: off (no_grad), reused (reuse_scope), memo (attend)
 
 
 @contextlib.contextmanager
+def _thread_setting(name: str, value):
+    """Give this thread's ``name`` the value ``value`` for the block."""
+    previous = getattr(_recording, name, None)
+    setattr(_recording, name, value)
+    try:
+        yield
+    finally:
+        setattr(_recording, name, previous)
+
+
 def no_grad():
     """Evaluate without building a graph, for values no gradient is taken of.
 
@@ -83,15 +93,9 @@ def no_grad():
     ``require_finite``. Leaves built inside the block are not scanned
     either.
     """
-    previous = getattr(_recording, "off", False)
-    _recording.off = True
-    try:
-        yield
-    finally:
-        _recording.off = previous
+    return _thread_setting("off", True)
 
 
-@contextlib.contextmanager
 def reuse_scope():
     """Let ``reuse`` hand back earlier results for the length of the block.
 
@@ -100,12 +104,7 @@ def reuse_scope():
     keeps only its last call and result; all of them are dropped when the
     block exits.
     """
-    previous = getattr(_recording, "reused", None)
-    _recording.reused = {}
-    try:
-        yield
-    finally:
-        _recording.reused = previous
+    return _thread_setting("reused", {})
 
 
 def reuse(fn, params, *args) -> DiffTensor:
@@ -851,20 +850,19 @@ class _SliceMemo:
             self.clear()
 
 
-_memos = threading.local()  # per-thread _SliceMemo of attend
-
-
 def _slice_memo() -> _SliceMemo:
-    memo = getattr(_memos, "memo", None)
+    """This thread's memo of ``attend``, made on first use."""
+    memo = getattr(_recording, "memo", None)
     if memo is None:
-        memo = _memos.memo = _SliceMemo()
+        memo = _recording.memo = _SliceMemo()
     return memo
 
 
 def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
     """``_attend_blocks`` unit by unit over the leading axes ``units``,
-    taking from this thread's memo every unit it holds and computing a unit
-    that repeats an earlier one of the call once."""
+    taking from this thread's memo every unit it holds. A computed unit is
+    stored before the next lookup, so a later repeat in the same call is a
+    hit while the memo still holds it."""
     memo = _slice_memo()
     memo.use_weights(ws)
     rank, unit_shape = len(shape), shape[len(units) :]
@@ -875,16 +873,10 @@ def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
             a = np.broadcast_to(a, units + a.shape[len(units) :])
         rows.append(a)
     qr, kr, vr, br = rows
-    seen: dict = {}  # key -> units of this call that hold its result
     for u in np.ndindex(*units):
         operands = (qr[u], kr[u], vr[u])
         key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
         b = None if br is None else br[u]
-        twin = next((t for t in seen.get(key, ()) if b is None or _same_bytes(br[t], b)), None)
-        if twin is not None:
-            out[u] = out[twin]
-            continue
-        seen.setdefault(key, []).append(u)
         held = memo.get(key, b)
         if held is not None:
             out[u] = held
@@ -912,8 +904,12 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     Under ``no_grad()``, a call whose units (see ``_SliceMemo``) hold at
     least ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit through this
     thread's memo, so consecutive sliding windows compute only the time
-    groups they do not share. Its result is the same bytes whatever was
-    computed before.
+    groups they do not share. A unit that repeats an earlier one of the
+    same call is a memo hit too, but only while the memo still holds it. In
+    a GLGAT group floor a repeat comes 11 units after the unit it repeats,
+    and 11 units fit in ``_MEMO_BYTES`` up to N=354 at acceptance widths
+    and N=347 at reference widths; past that, such repeats are recomputed.
+    Its result is the same bytes whatever was computed before.
     """
     q, k_t, v = constant(q), constant(k_t), constant(v)
     shape = _score_shape(q.shape, k_t.shape, v.shape)

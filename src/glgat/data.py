@@ -309,15 +309,14 @@ def load_series(
     series_file,
     locations_file,
     edges_file=None,
-    zero_is_missing: bool = True,
 ) -> tuple[SensorGraph, TrafficSeries]:
     """Read a timestamped readings CSV plus sensor locations (and edges).
 
     The series CSV has an ISO-8601 timestamp first column and one column per
     sensor id; its column order defines vertex indexing. The locations CSV
     has columns sensor_id, x, y and must cover exactly the same ids. The
-    optional edges CSV has columns from_id, to_id. Empty cells are missing;
-    readings equal to 0 are missing too unless ``zero_is_missing`` is off.
+    optional edges CSV has columns from_id, to_id. Empty cells and
+    readings equal to 0 are missing.
     """
     # a row per line after the header, fewer where a quoted newline joins lines
     capacity = _count_lines(series_file) - 1
@@ -341,8 +340,7 @@ def load_series(
             if chunk.endswith("\n"):
                 lines.pop()
             stamps, readings, observed = _parse_block(lines, rows + 2, n)
-            if zero_is_missing:
-                observed &= readings != 0.0
+            observed &= readings != 0.0
             readings[~observed] = 0.0  # also turns a missing -0.0 into 0.0
             end = rows + len(stamps)
             timestamps[rows:end] = stamps

@@ -237,10 +237,10 @@ def glgat_forward(
     q_at = _split_heads(q[..., : dims.h_prime], dims)
     bias = None
     if dims.h_pe:
-        q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, dims.h_pe))
-        q_pe = ad.swap_axes(q_pe, -3, -2)  # (..., H_adj, N, H_PE)
-        pe_scores = ad.pairwise_scores(q_pe, pe)  # (..., H_adj, N, N)
-        bias = ad.reshape(pe_scores, pe_scores.shape[:-2] + (1, n, n))  # over heads
+        q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, 1, dims.h_pe))
+        d = q.ndim - 2  # axes of q_pe: (*lead, N, H_adj, 1, H_PE) with N at d
+        q_pe = ad.permute(q_pe, (*range(d), d + 1, d + 2, d, d + 3))  # (..., H_adj, 1, N, H_PE)
+        bias = ad.pairwise_scores(q_pe, pe)  # (..., H_adj, 1, N, N), over heads
 
     weights = adjs.reshape(dims.h_adj, 1, n, n)
     hidden = ad.attend(q_at, k_t, v, weights, bias)  # (..., H_adj, H_head, N, H)

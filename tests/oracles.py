@@ -179,7 +179,7 @@ def windows_reference(series, p, q, ratios=(0.7, 0.1, 0.2), stats=None):
     return parts
 
 
-def load_series_rows_scalar(series_file, zero_is_missing=True):
+def load_series_rows_scalar(series_file):
     """(timestamps, data, mask) of a readings CSV, parsed row by row and
     cell by cell through ``csv.reader``: the reference for the block parser
     of ``load_series``, with the same ``DataError`` messages."""
@@ -209,7 +209,7 @@ def load_series_rows_scalar(series_file, zero_is_missing=True):
                 v = float(cell)
             except ValueError:
                 raise DataError(f"line {t}: unparseable reading {cell!r}") from None
-            if zero_is_missing and v == 0.0:
+            if v == 0.0:
                 continue
             data[t - 2, j, 0] = v
             mask[t - 2, j, 0] = True

@@ -106,11 +106,6 @@ def test_detection_matches_scan_oracle_on_random_series():
         assert list(log.down_events[0]) == down
 
 
-def test_detect_events_feature_index_checked():
-    with pytest.raises(ValueError):
-        detect_events(series_from([[1.0, 2.0]]), feature=3)
-
-
 # ---------------------------------------------------- event adjacency
 
 

@@ -92,8 +92,6 @@ def test_load_zero_reading_is_missing_unless_disabled(tmp_path):
     series_f, loc_f, _ = toy_files(tmp_path, rows)
     _, series = load_series(series_f, loc_f)
     assert not series.mask[0, 0, 0]
-    _, kept = load_series(series_f, loc_f, zero_is_missing=False)
-    assert kept.mask[0, 0, 0] and kept.data[0, 0, 0] == 0.0
 
 
 def test_load_sensor_id_mismatch(tmp_path):
@@ -170,12 +168,11 @@ def test_block_parser_matches_per_cell_reference(tmp_path, monkeypatch, newline,
     # T just below, at and above multiples of the block size
     for t in (1, 3, 4, 7, 8, 29):
         series_f = random_series_csv(tmp_path / f"s{t}.csv", rng, n, t, newline)
-        for zero_is_missing in (True, False):
-            _, series = load_series(series_f, loc_f, zero_is_missing=zero_is_missing)
-            stamps, data, mask = load_series_rows_scalar(series_f, zero_is_missing)
-            assert series.timestamps.tobytes() == stamps.tobytes()
-            assert series.data.tobytes() == data.tobytes()
-            assert series.mask.tobytes() == mask.tobytes()
+        _, series = load_series(series_f, loc_f)
+        stamps, data, mask = load_series_rows_scalar(series_f)
+        assert series.timestamps.tobytes() == stamps.tobytes()
+        assert series.data.tobytes() == data.tobytes()
+        assert series.mask.tobytes() == mask.tobytes()
 
 
 def traced_peak(fn) -> int:

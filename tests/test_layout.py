@@ -109,3 +109,25 @@ def test_every_backward_rule_is_recorded_by_some_variant():
         f"recorded by no variant: {sorted(declared - REFERENCE_OPS - union)}; "
         f"recorded but not declared: {sorted(union - declared)}"
     )
+
+
+def test_autodiff_keeps_one_per_thread_state():
+    """autodiff.py creates exactly one ``threading.local``: the switch of
+    ``no_grad()``, the results of ``reuse_scope()`` and the memo of
+    ``attend`` are all read from one per-thread object, in the calling
+    thread."""
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    made = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "local"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "threading"
+    ]
+    imported = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "threading"
+    ]
+    assert len(made) == 1 and not imported, f"threading.local at lines {made + imported}"
