@@ -1,14 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small, eager engine: each operation computes its result immediately and
-records its inputs plus a backward rule on the result node.
-``DiffTensor.backward`` materializes the recorded graph as a ``Tape``
-(topological order, inputs before consumers) and replays it in reverse,
-visiting every node exactly once. The sweep consumes the graph: each
-interior node drops its rule, its inputs and the arrays the rule saved as
-soon as the rule has run, so the backward's gradients reuse the memory of
-the forward's record. A consumed node refuses a second backward and any
-new operation that would record it.
+A small, eager engine: each operation computes its result immediately. A
+recorded result's ``DiffTensor`` holds its value and a ``_Node``, the
+graph record: the inputs' nodes, the op name and a backward rule that
+closes over the arrays and shapes it reads, never over a tensor. The
+graph therefore keeps only what the rules save, and any other value,
+such as an input only a sum or a concatenation read, is freed as soon
+as the caller drops its tensor. ``DiffTensor.backward`` materializes the
+recorded graph as a ``Tape`` of nodes (topological order, inputs before
+consumers) and replays it in reverse, visiting every node exactly once.
+The sweep consumes the graph: each interior node drops its rule, its
+inputs and the arrays the rule saved as soon as the rule has run, so the
+backward's gradients reuse the memory of the forward's record. A consumed
+node refuses a second backward and any new operation that would record
+it.
 
 All arrays are row-major float64. Every arithmetic operation checks that its
 output is finite and raises ``NonFiniteError`` instead of letting NaN or Inf
@@ -40,6 +45,7 @@ import contextlib
 import functools
 import math
 import threading
+import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -142,12 +148,31 @@ def require_finite(data: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what}: result contains NaN or Inf")
 
 
+class _Node:
+    """A recorded tensor's place in the graph, without its value.
+
+    ``parents`` are the nodes of the inputs a gradient reaches, ``rule``
+    maps the output gradient to ``(parent, gradient)`` pairs, and ``op``
+    names the operation. A leaf has no rule and keeps in ``leaf`` a weak
+    reference to the tensor that receives the gradient, so a dropped
+    parameter is freed at once, not left in a cycle for the collector.
+    """
+
+    __slots__ = ("parents", "rule", "op", "leaf")
+
+    def __init__(self, parents: tuple, rule, op: str, leaf: weakref.ref | None = None):
+        self.parents = parents
+        self.rule = rule
+        self.op = op
+        self.leaf = leaf
+
+
 class DiffTensor:
     """N-dimensional float64 array participating in a reverse-mode graph.
 
-    Leaves are built directly (``constant`` / ``parameter``); interior nodes
-    are built by the operations below and carry references to their inputs
-    and a backward rule until ``backward()`` consumes them. ``grad`` is
+    Leaves are built directly (``constant`` / ``parameter``); recorded
+    results are built by the operations below. A tensor that gradients
+    reach has a ``_Node`` in the graph; a constant has none. ``grad`` is
     populated on leaves with ``requires_grad=True`` by ``backward()`` and
     accumulates across graphs until ``zero_grad()``.
     """
@@ -157,11 +182,12 @@ class DiffTensor:
         if not getattr(_recording, "off", False):
             require_finite(data, "tensor")
         self.data = data
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[DiffTensor, ...] = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = _Node((), None, "leaf", weakref.ref(self)) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -239,13 +265,14 @@ class DiffTensor:
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"DiffTensor(shape={self.data.shape}, op={self._op!r}{flag})"
+        op = "constant" if self._node is None else self._node.op
+        return f"DiffTensor(shape={self.data.shape}, op={op!r}{flag})"
 
 
 class Tape:
-    """Topologically ordered record of the operations reachable from a root.
+    """Topologically ordered nodes of the operations reachable from a root.
 
-    Only gradient-relevant nodes are recorded (constants are pruned). The
+    Only gradient-relevant nodes are recorded (constants have none). The
     order guarantees every operation's inputs precede it, so the reverse
     sweep in ``run_backward`` visits each node exactly once with its output
     gradient fully accumulated, after every consumer of the node has been
@@ -253,9 +280,10 @@ class Tape:
     """
 
     def __init__(self, root: DiffTensor):
-        nodes: list[DiffTensor] = []
-        visited = {id(root)}
-        stack = [(root, iter(root._parents))]
+        nodes: list[_Node] = []
+        start = root._node
+        visited = {id(start)}
+        stack = [] if start is None else [(start, iter(start.parents))]
         while stack:
             node, parents = stack[-1]
             child = next(parents, None)
@@ -264,24 +292,25 @@ class Tape:
                 stack.pop()
             elif id(child) not in visited:
                 visited.add(id(child))
-                stack.append((child, iter(child._parents)))
+                stack.append((child, iter(child.parents)))
         self.nodes = nodes
 
     def run_backward(self, root: DiffTensor, seed: np.ndarray) -> None:
         """Sweep the nodes in reverse, releasing each interior node after
         its rule has run; the tape is empty afterwards."""
-        grads: dict[int, np.ndarray] = {id(root): seed}
+        grads: dict[int, np.ndarray] = {id(root._node): seed}
         nodes = self.nodes
         while nodes:
             node = nodes.pop()
             g = grads.pop(id(node), None)
-            rule = node._backward
+            rule = node.rule
             if rule is None:
-                if g is not None:
-                    node.grad = np.array(g) if node.grad is None else node.grad + g
+                t = node.leaf()
+                if g is not None and t is not None:
+                    t.grad = np.array(g) if t.grad is None else t.grad + g
                 continue
             # the node's record dies with ``rule``, which the next pass rebinds
-            node._backward, node._parents = _consumed, ()
+            node.rule, node.parents = _consumed, ()
             if g is None:
                 continue
             for parent, pg in rule(g):
@@ -304,22 +333,21 @@ def parameter(values) -> DiffTensor:
 
 
 def _make(data, parents, backward, op: str, check_finite: bool = True) -> DiffTensor:
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if getattr(_recording, "off", False):
-        parents = ()
-    elif check_finite:
-        require_finite(data, op)
-    live = tuple([p for p in parents if p.requires_grad])
-    for p in live:
-        if p._backward is _consumed:
-            raise ConsumedGraphError(f"{op}: an input is part of a graph backward() consumed")
+    """A tensor of ``data``, recorded as ``op`` with rule ``backward`` over
+    ``parents``, the inputs' nodes (``None`` for an input no gradient
+    reaches), unless no input has a node or recording is off."""
     out = DiffTensor.__new__(DiffTensor)
-    out.data = data
-    out.requires_grad = bool(live)
-    out.grad = None
-    out._parents = live
-    out._backward = backward if live else None
-    out._op = op
+    out.data = data = np.ascontiguousarray(data, dtype=np.float64)
+    out.grad = out._node = None
+    if not getattr(_recording, "off", False):
+        if check_finite:
+            require_finite(data, op)
+        live = tuple([p for p in parents if p is not None])
+        for p in live:
+            if p.rule is _consumed:
+                raise ConsumedGraphError(f"{op}: an input is part of a graph backward() consumed")
+        if live:
+            out._node = _Node(live, backward, op)
     return out
 
 
@@ -357,33 +385,38 @@ def _add(a, b, op: str) -> DiffTensor:
     a, b = constant(a), constant(b)
     _check_broadcast(a.shape, b.shape, op)
     negate = op == "sub"
+    a_node, b_node, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def backward(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _sum_to_shape(g, a.shape)))
-        if b.requires_grad:
-            out.append((b, _sum_to_shape(-g if negate else g, b.shape)))
+        if a_node is not None:
+            out.append((a_node, _sum_to_shape(g, a_shape)))
+        if b_node is not None:
+            out.append((b_node, _sum_to_shape(-g if negate else g, b_shape)))
         return out
 
     data = a.data - b.data if negate else a.data + b.data
-    return _make(data, (a, b), backward, op)
+    return _make(data, (a_node, b_node), backward, op)
 
 
 def mul(a, b) -> DiffTensor:
     """Elementwise product with numpy broadcasting."""
     a, b = constant(a), constant(b)
     _check_broadcast(a.shape, b.shape, "mul")
+    a_node, b_node, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    # each operand is saved only for the other's gradient
+    a_data = None if b_node is None else a.data
+    b_data = None if a_node is None else b.data
 
     def backward(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _sum_to_shape(g * b.data, a.shape)))
-        if b.requires_grad:
-            out.append((b, _sum_to_shape(g * a.data, b.shape)))
+        if a_node is not None:
+            out.append((a_node, _sum_to_shape(g * b_data, a_shape)))
+        if b_node is not None:
+            out.append((b_node, _sum_to_shape(g * a_data, b_shape)))
         return out
 
-    return _make(a.data * b.data, (a, b), backward, "mul")
+    return _make(a.data * b.data, (a_node, b_node), backward, "mul")
 
 
 def scale(a, c: float) -> DiffTensor:
@@ -399,18 +432,21 @@ def matmul(a, b) -> DiffTensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     _check_broadcast(a.shape[:-2], b.shape[:-2], "matmul")
+    a_node, b_node, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    a_data = None if b_node is None else a.data
+    b_data = None if a_node is None else b.data
 
     def backward(g):
         out = []
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            out.append((a, _sum_to_shape(ga, a.shape)))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            out.append((b, _sum_to_shape(gb, b.shape)))
+        if a_node is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            out.append((a_node, _sum_to_shape(ga, a_shape)))
+        if b_node is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            out.append((b_node, _sum_to_shape(gb, b_shape)))
         return out
 
-    return _make(np.matmul(a.data, b.data), (a, b), backward, "matmul")
+    return _make(np.matmul(a.data, b.data), (a_node, b_node), backward, "matmul")
 
 
 def affine(x, w, b) -> DiffTensor:
@@ -428,19 +464,23 @@ def affine(x, w, b) -> DiffTensor:
     wt = np.ascontiguousarray(w.data.T)
     data = np.matmul(x.data, wt)
     data += b.data
+    x_node, w_node, b_node = x._node, w._node, b._node
+    x_shape, wt_shape, b_shape = x.shape, wt.shape, b.shape
+    x_data = None if w_node is None else x.data  # for the weight's gradient
+    wt_kept = None if x_node is None else wt  # for the input's
 
     def backward(g):
         out = []
-        if x.requires_grad:
-            out.append((x, _sum_to_shape(np.matmul(g, wt.T), x.shape)))
-        if w.requires_grad:
-            gwt = _sum_to_shape(np.matmul(np.swapaxes(x.data, -1, -2), g), wt.shape)
-            out.append((w, gwt.T))
-        if b.requires_grad:
-            out.append((b, _sum_to_shape(g, b.shape)))
+        if x_node is not None:
+            out.append((x_node, _sum_to_shape(np.matmul(g, wt_kept.T), x_shape)))
+        if w_node is not None:
+            gwt = _sum_to_shape(np.matmul(np.swapaxes(x_data, -1, -2), g), wt_shape)
+            out.append((w_node, gwt.T))
+        if b_node is not None:
+            out.append((b_node, _sum_to_shape(g, b_shape)))
         return out
 
-    return _make(data, (x, w, b), backward, "affine")
+    return _make(data, (x_node, w_node, b_node), backward, "affine")
 
 
 def permute(a, axes) -> DiffTensor:
@@ -456,10 +496,12 @@ def permute(a, axes) -> DiffTensor:
         inverse[axis % a.ndim] = position
     inverse = tuple(inverse)
 
-    def backward(g):
-        return [(a, np.transpose(g, inverse))]
+    a_node = a._node
 
-    return _make(data, (a,), backward, "permute", check_finite=False)
+    def backward(g):
+        return [(a_node, np.transpose(g, inverse))]
+
+    return _make(data, (a_node,), backward, "permute", check_finite=False)
 
 
 def transpose_last(a) -> DiffTensor:
@@ -484,10 +526,12 @@ def reshape(a, shape) -> DiffTensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
 
-    def backward(g):
-        return [(a, g.reshape(a.shape))]
+    a_node, a_shape = a._node, a.shape
 
-    return _make(a.data.reshape(shape), (a,), backward, "reshape", check_finite=False)
+    def backward(g):
+        return [(a_node, g.reshape(a_shape))]
+
+    return _make(a.data.reshape(shape), (a_node,), backward, "reshape", check_finite=False)
 
 
 def broadcast_to(a, shape) -> DiffTensor:
@@ -495,11 +539,13 @@ def broadcast_to(a, shape) -> DiffTensor:
     shape = tuple(int(s) for s in shape)
     _check_broadcast(a.shape, shape, "broadcast_to")
 
+    a_node, a_shape = a._node, a.shape
+
     def backward(g):
-        return [(a, _sum_to_shape(g, a.shape))]
+        return [(a_node, _sum_to_shape(g, a_shape))]
 
     return _make(
-        np.broadcast_to(a.data, shape), (a,), backward, "broadcast_to", check_finite=False
+        np.broadcast_to(a.data, shape), (a_node,), backward, "broadcast_to", check_finite=False
     )
 
 
@@ -511,12 +557,14 @@ def slice_tensor(a, idx) -> DiffTensor:
     except IndexError as exc:
         raise ShapeError(f"slice: invalid index for shape {a.shape}: {exc}") from None
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] += g
-        return [(a, full)]
+    a_node, a_shape = a._node, a.shape
 
-    return _make(view, (a,), backward, "slice", check_finite=False)
+    def backward(g):
+        full = np.zeros(a_shape)
+        full[idx] += g
+        return [(a_node, full)]
+
+    return _make(view, (a_node,), backward, "slice", check_finite=False)
 
 
 def concat(tensors, axis: int = -1) -> DiffTensor:
@@ -530,35 +578,37 @@ def concat(tensors, axis: int = -1) -> DiffTensor:
         raise ShapeError(f"concat: {exc}") from None
     ax = axis if axis >= 0 else data.ndim + axis
     widths = [t.shape[ax] for t in ts]
+    nodes = [t._node for t in ts]
 
     def backward(g):
         out = []
         offset = 0
         index = [slice(None)] * g.ndim
-        for t, w in zip(ts, widths):
-            if t.requires_grad:
+        for node, w in zip(nodes, widths):
+            if node is not None:
                 index[ax] = slice(offset, offset + w)
-                out.append((t, g[tuple(index)]))
+                out.append((node, g[tuple(index)]))
             offset += w
         return out
 
-    return _make(data, ts, backward, "concat", check_finite=False)
+    return _make(data, nodes, backward, "concat", check_finite=False)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> DiffTensor:
     a = constant(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    a_node, a_shape = a._node, a.shape
 
     def backward(g):
         if axis is None:
-            full = np.broadcast_to(g.reshape((1,) * a.ndim), a.shape)
+            full = np.broadcast_to(g.reshape((1,) * len(a_shape)), a_shape)
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             g_exp = g if keepdims else np.expand_dims(g, axes)
-            full = np.broadcast_to(g_exp, a.shape)
-        return [(a, np.ascontiguousarray(full))]
+            full = np.broadcast_to(g_exp, a_shape)
+        return [(a_node, np.ascontiguousarray(full))]
 
-    return _make(data, (a,), backward, "reduce_sum")
+    return _make(data, (a_node,), backward, "reduce_sum")
 
 
 def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -590,27 +640,29 @@ def gelu(x) -> DiffTensor:
     full float64 precision.
     """
     x = constant(x)
-    cdf = _gelu_cdf(x.data)
+    x_node, x_data = x._node, x.data
+    cdf = _gelu_cdf(x_data)
 
     def backward(g):
-        d = _gelu_slope(x.data, cdf)
+        d = _gelu_slope(x_data, cdf)
         d *= g
-        return [(x, d)]
+        return [(x_node, d)]
 
     # |gelu(x)| <= |x|, so finite inputs give finite outputs
-    return _make(x.data * cdf, (x,), backward, "gelu", check_finite=False)
+    return _make(x_data * cdf, (x_node,), backward, "gelu", check_finite=False)
 
 
 def huber(x) -> DiffTensor:
     """Elementwise smooth-L1 kernel: 0.5 x^2 inside |x| < 1, |x| - 0.5 beyond."""
     x = constant(x)
-    a = np.abs(x.data)
-    data = np.where(a < 1.0, 0.5 * x.data * x.data, a - 0.5)
+    x_node, x_data = x._node, x.data
+    a = np.abs(x_data)
+    data = np.where(a < 1.0, 0.5 * x_data * x_data, a - 0.5)
 
     def backward(g):
-        return [(x, g * np.clip(x.data, -1.0, 1.0))]
+        return [(x_node, g * np.clip(x_data, -1.0, 1.0))]
 
-    return _make(data, (x,), backward, "huber")
+    return _make(data, (x_node,), backward, "huber")
 
 
 # A weighted row sum at least this large has its largest live term at or
@@ -701,12 +753,13 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     scores = constant(scores)
     weights = _check_weights(weights, scores.shape, "masked_softmax")
     out_data = _softmax_rows(scores.data, weights)
+    scores_node = scores._node
 
     def backward(g):
-        return [(scores, _softmax_grad(g, out_data))]
+        return [(scores_node, _softmax_grad(g, out_data))]
 
     # every output lies in [0, 1]: no live row sums to less than its largest term
-    return _make(out_data, (scores,), backward, "masked_softmax", check_finite=False)
+    return _make(out_data, (scores_node,), backward, "masked_softmax", check_finite=False)
 
 
 # Score bytes per block of ``attend`` (three (N, N) slices at N=207); bounds
@@ -931,25 +984,30 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     else:
         _attend_blocks(*operands, shape, out)
 
+    q_node, k_node, v_node = q._node, k_t._node, v._node
+    b_node, b_shape = (None, None) if bias is None else (bias._node, bias.shape)
+    q_data, k_data, v_data = q.data, k_t.data, v.data
+
     def backward(g):
         grads = []
-        if v.requires_grad:
-            grads.append((v, _sum_to_shape(np.matmul(np.swapaxes(coef, -1, -2), g), v.shape)))
-        g = _softmax_grad(np.matmul(g, np.swapaxes(v.data, -1, -2)), coef)
+        if v_node is not None:
+            gv = np.matmul(np.swapaxes(coef, -1, -2), g)
+            grads.append((v_node, _sum_to_shape(gv, v_data.shape)))
+        g = _softmax_grad(np.matmul(g, np.swapaxes(v_data, -1, -2)), coef)
         g *= slope
-        if bias is not None and bias.requires_grad:
-            grads.append((bias, _sum_to_shape(g, bias.shape)))
-        if q.requires_grad:
-            grads.append((q, _sum_to_shape(np.matmul(g, np.swapaxes(k_t.data, -1, -2)), q.shape)))
-        if k_t.requires_grad:
-            gk = np.matmul(np.swapaxes(q.data, -1, -2), g)
-            grads.append((k_t, _sum_to_shape(gk, k_t.shape)))
+        if b_node is not None:
+            grads.append((b_node, _sum_to_shape(g, b_shape)))
+        if q_node is not None:
+            gq = np.matmul(g, np.swapaxes(k_data, -1, -2))
+            grads.append((q_node, _sum_to_shape(gq, q_data.shape)))
+        if k_node is not None:
+            gk = np.matmul(np.swapaxes(q_data, -1, -2), g)
+            grads.append((k_node, _sum_to_shape(gk, k_data.shape)))
         return grads
 
     # parents in the order the composed graph reaches them, so the tape
     # accumulates shared gradients in the same order
-    parents = (q, k_t, v) if bias is None else (q, k_t, bias, v)
-    return _make(out, parents, backward, "attend")
+    return _make(out, (q_node, k_node, b_node, v_node), backward, "attend")
 
 
 def bank_apply(bank, x) -> DiffTensor:
@@ -962,7 +1020,7 @@ def bank_apply(bank, x) -> DiffTensor:
     bank = constant(bank)
     if bank.ndim != 3:
         raise ShapeError("bank_apply: bank must have shape (N, H, D)")
-    return _bank_product(bank, x, "bank_apply")
+    return _bank_product(bank.data, x, "bank_apply", bank._node)
 
 
 def pairwise_scores(q, table: np.ndarray) -> DiffTensor:
@@ -973,37 +1031,39 @@ def pairwise_scores(q, table: np.ndarray) -> DiffTensor:
     ``table`` as a constant bank, row i applying its own (N, H) matrix.
     The table is taken as it is, without ``constant``'s finiteness scan.
     """
-    table = np.asarray(table, dtype=np.float64)
+    table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 3 or table.shape[0] != table.shape[1]:
         raise ShapeError("pairwise_scores: table must have shape (N, N, H)")
-    bank = _make(table, (), None, "pairwise_table", check_finite=False)
-    return _bank_product(bank, q, "pairwise_scores")
+    return _bank_product(table, q, "pairwise_scores")
 
 
-def _bank_product(bank: DiffTensor, x, op: str) -> DiffTensor:
-    """``bank_apply`` with a checked (N, H, D) bank, recorded as ``op``."""
+def _bank_product(bank: np.ndarray, x, op: str, bank_node: _Node | None = None) -> DiffTensor:
+    """``bank_apply`` with a checked (N, H, D) bank array, whose node is
+    ``bank_node`` (none for a constant bank), recorded as ``op``."""
     x = constant(x)
     n, h, d = bank.shape
     if x.ndim < 2 or x.shape[-2:] != (n, d):
         raise ShapeError(f"{op}: input shape {x.shape} incompatible with {bank.shape}")
 
     # batched matmul over the row axis keeps this on BLAS
-    lead = x.shape[:-2]
+    x_node, x_shape = x._node, x.shape
     xf = x.data.reshape(-1, n, d).transpose(1, 0, 2)  # (n, b, d)
+    xf_kept = None if bank_node is None else xf  # for the bank's gradient
+    bank_kept = None if x_node is None else bank  # for the input's
 
     def backward(g):
         gf = g.reshape(-1, n, h).transpose(1, 0, 2)  # (n, b, h)
         out = []
-        if bank.requires_grad:
-            gb = np.matmul(gf.transpose(0, 2, 1), xf)  # (n, h, d)
-            out.append((bank, np.ascontiguousarray(gb)))
-        if x.requires_grad:
-            gx = np.empty(x.shape)
-            np.matmul(gf, bank.data, out=gx.reshape(-1, n, d).transpose(1, 0, 2))
-            out.append((x, gx))
+        if bank_node is not None:
+            gb = np.matmul(gf.transpose(0, 2, 1), xf_kept)  # (n, h, d)
+            out.append((bank_node, np.ascontiguousarray(gb)))
+        if x_node is not None:
+            gx = np.empty(x_shape)
+            np.matmul(gf, bank_kept, out=gx.reshape(-1, n, d).transpose(1, 0, 2))
+            out.append((x_node, gx))
         return out
 
     # the products land in the (..., n, h) layout: no (n, b, h) result to transpose
-    data = np.empty(lead + (n, h))
-    np.matmul(xf, bank.data.transpose(0, 2, 1), out=data.reshape(-1, n, h).transpose(1, 0, 2))
-    return _make(data, (bank, x), backward, op)
+    data = np.empty(x_shape[:-2] + (n, h))
+    np.matmul(xf, bank.transpose(0, 2, 1), out=data.reshape(-1, n, h).transpose(1, 0, 2))
+    return _make(data, (bank_node, x_node), backward, op)

@@ -443,10 +443,13 @@ def fit_norm_stats(data: np.ndarray, mask: np.ndarray) -> NormStats:
     mean = np.zeros(k)
     std = np.full(k, STD_FLOOR)
     for f in range(k):
-        vals = data[:, :, f][mask[:, :, f]]
+        vals = data[:, :, f][mask[:, :, f]]  # a gathered copy
         if vals.size:
-            mean[f] = vals.mean()
-            std[f] = max(float(vals.std()), STD_FLOOR)
+            mean[f] = np.add.reduce(vals) / vals.size
+            # numpy's std in numpy's own steps, inside the copy: no second temporary
+            vals -= mean[f]
+            vals *= vals
+            std[f] = max(float(np.sqrt(np.add.reduce(vals) / vals.size)), STD_FLOOR)
     return NormStats(mean=mean, std=std)
 
 

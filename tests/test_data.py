@@ -444,6 +444,19 @@ def test_normalization_round_trip():
     np.testing.assert_allclose(back, data, rtol=0, atol=1e-12)
 
 
+def test_norm_stats_equal_numpy_mean_and_std_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for t, n, k in ((50, 3, 2), (400, 7, 1), (1000, 20, 3)):
+        data = rng.normal(rng.uniform(-50, 50), rng.uniform(0.5, 20), (t, n, k))
+        mask = rng.uniform(size=data.shape) > rng.uniform(0.05, 0.6)
+        data *= mask
+        stats = fit_norm_stats(data, mask)
+        for f in range(k):
+            vals = data[:, :, f][mask[:, :, f]]
+            assert stats.mean[f].tobytes() == vals.mean().tobytes()
+            assert stats.std[f].tobytes() == vals.std().tobytes()
+
+
 def test_stats_ignore_val_and_test_data():
     rng = np.random.default_rng(3)
     data = rng.uniform(30, 70, (100, 3, 1))

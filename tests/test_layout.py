@@ -5,6 +5,8 @@ import tomllib
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from glgat import autodiff as ad
 from glgat.model import VARIANTS, model_forward
 from glgat.training import batch_smooth_l1, stack_inputs, stack_targets
@@ -68,16 +70,15 @@ REFERENCE_OPS = {"matmul", "gelu", "masked_softmax"}
 
 def _declared_ops() -> set[str]:
     """Every op name autodiff.py records with a backward rule: the constant
-    op of each ``_make`` call given a rule, and of each ``_add`` and
-    ``_bank_product`` call."""
+    op of each ``_make`` call, and of each ``_add`` and ``_bank_product``
+    call."""
     names = set()
     for node in ast.walk(ast.parse((SRC / "autodiff.py").read_text())):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
             continue
         args = node.args
         if node.func.id == "_make":
-            rule_less = isinstance(args[2], ast.Constant) and args[2].value is None
-            op = None if rule_less else args[3]
+            op = args[3]
         elif node.func.id in ("_add", "_bank_product"):
             op = args[2]
         else:
@@ -87,21 +88,28 @@ def _declared_ops() -> set[str]:
     return names
 
 
-def _recorded_ops(variant: str) -> set[str]:
-    """The op names with a backward rule on the tape of one training step."""
-    _, _, _, splits, model = pipeline(variant=variant)
-    batch = splits.train[:2]
-    loss = batch_smooth_l1(model_forward(model, stack_inputs(batch)), *stack_targets(batch))
-    return {node._op for node in ad.Tape(loss).nodes if node._backward is not None}
+@pytest.fixture(scope="module")
+def step_tapes() -> dict[str, list]:
+    """Per variant, the tape nodes of one recorded training step."""
+    tapes = {}
+    for variant in VARIANTS:
+        _, _, _, splits, model = pipeline(variant=variant)
+        batch = splits.train[:2]
+        loss = batch_smooth_l1(model_forward(model, stack_inputs(batch)), *stack_targets(batch))
+        tapes[variant] = ad.Tape(loss).nodes
+    return tapes
 
 
-def test_every_backward_rule_is_recorded_by_some_variant():
+def test_every_backward_rule_is_recorded_by_some_variant(step_tapes):
     """A training step of some variant records each op autodiff.py defines a
     backward rule for, the reference ops excepted, which no variant records;
     a rule nothing records fails here."""
     declared = _declared_ops()
     assert REFERENCE_OPS <= declared
-    recorded = {variant: _recorded_ops(variant) for variant in VARIANTS}
+    recorded = {
+        variant: {node.op for node in nodes if node.rule is not None}
+        for variant, nodes in step_tapes.items()
+    }
     for variant, ops in recorded.items():
         assert not ops & REFERENCE_OPS, f"{variant} records {sorted(ops & REFERENCE_OPS)}"
     union = set().union(*recorded.values())
@@ -109,6 +117,21 @@ def test_every_backward_rule_is_recorded_by_some_variant():
         f"recorded by no variant: {sorted(declared - REFERENCE_OPS - union)}; "
         f"recorded but not declared: {sorted(union - declared)}"
     )
+
+
+def test_no_backward_rule_holds_a_tensor(step_tapes):
+    """A recorded rule closes over the arrays, shapes and parent nodes it
+    reads, never over a ``DiffTensor``, directly or inside a list or tuple:
+    a tensor would keep its value alive for as long as the graph."""
+    held = set()
+    for variant, nodes in step_tapes.items():
+        for node in nodes:
+            for cell in (node.rule.__closure__ or ()) if node.rule is not None else ():
+                value = cell.cell_contents
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                if any(isinstance(item, ad.DiffTensor) for item in items):
+                    held.add(f"{variant}: {node.op} holds {type(value).__name__}")
+    assert not held, sorted(held)
 
 
 def test_autodiff_keeps_one_per_thread_state():
