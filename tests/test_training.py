@@ -2,7 +2,13 @@
 
 import csv
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,6 +635,45 @@ def test_train_holds_one_step_graph_at_a_time(small_shape):
     one_step = _traced_peak(lambda: gtrain.train(build(), splits.train[:32], val, config))
     three_steps = _traced_peak(lambda: gtrain.train(build(), splits.train[:96], val, config))
     assert three_steps < 1.3 * one_step
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+@pytest.mark.parametrize("keep", [False, True])
+def test_freed_step_memory_stays_in_the_heap(keep):
+    """A fresh process that allocates and frees 16 MiB of arrays per step
+    faults every step's pages in again under glibc's default thresholds,
+    and none once ``keep_freed_heap`` (which ``train`` calls) has run."""
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        import numpy as np
+        from glgat.training import keep_freed_heap
+        if sys.argv[1] == "1":
+            keep_freed_heap()
+        def step():
+            arrays = [np.ones(1 << 18) for _ in range(8)]  # 8 arrays of 2 MiB
+            del arrays
+        for _ in range(3):
+            step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            step()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    src = str(Path(gtrain.__file__).resolve().parents[1])
+    # glibc's defaults, whatever the environment asks of its allocator
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(int(keep))],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    faults = int(out.stdout.split()[-1])
+    if keep:
+        assert faults < 100
+    else:
+        assert faults > 1000  # the default heuristic this guards against
 
 
 def test_train_copies_one_batch_of_windows_at_a_time():
