@@ -117,8 +117,8 @@ def reuse(fn, params, *args) -> DiffTensor:
     """``fn(params, *args)``, or the result that call gave last time.
 
     Inside ``reuse_scope()`` and ``no_grad()`` together, the earlier result
-    for ``params`` is returned when ``fn`` is the same function and every
-    ``DiffTensor`` attribute of ``params`` and every array or tensor in
+    for ``params``, a dict of tensors, is returned when ``fn`` is the same
+    function and every tensor in ``params`` and every array or tensor in
     ``args`` holds the same shape, dtype and bytes as when it was computed;
     other arguments must compare equal. Identity does not count, so an
     in-place write or a swapped-in array forces a recompute. ``fn`` must
@@ -128,9 +128,8 @@ def reuse(fn, params, *args) -> DiffTensor:
     held = getattr(_recording, "reused", None)
     if held is None or not getattr(_recording, "off", False):
         return fn(params, *args)
-    tensors = [v for v in vars(params).values() if isinstance(v, DiffTensor)]
     key = [fn]
-    for a in (*tensors, *args):
+    for a in (*params.values(), *args):
         a = a.data if isinstance(a, DiffTensor) else a
         key.append((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a)
     last = held.get(id(params))
@@ -233,14 +232,8 @@ class DiffTensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -251,17 +244,8 @@ class DiffTensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_tensor(self, idx)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -8,13 +8,14 @@ a query path that mixes one shared ("global") projection with a per-vertex
 
 Both accept inputs with arbitrary leading batch axes, (..., N, K); all
 graph-level objects (adjacency, pairwise table, encodings) are fixed per
-layer.
+layer. A layer's parameters are a plain ``{name: DiffTensor}`` dict whose
+names and shapes ``gat_shapes`` and ``glgat_shapes`` declare.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,47 +51,11 @@ class LayerDims:
         return self.h_prime + self.h_adj * self.h_pe
 
 
-@dataclass
-class GatLayerParams:
-    w_q: ad.DiffTensor  # (H, K + H_E)
-    b_q: ad.DiffTensor  # (H,)
-    w_k: ad.DiffTensor  # (H, K + H_E)
-    b_k: ad.DiffTensor  # (H,)
-    w_v: ad.DiffTensor  # (H, K)
-    b_v: ad.DiffTensor  # (H,)
-    w_ff: ad.DiffTensor  # (K', H)
-    b_ff: ad.DiffTensor  # (K',)
-
-    def named(self) -> dict[str, ad.DiffTensor]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class GlgatLayerParams:
-    dims: LayerDims
-    w_q_global: ad.DiffTensor  # (H_Q, K + H_E)
-    b_q_global: ad.DiffTensor  # (H_Q,)
-    w_q_local: ad.DiffTensor  # (N, H_Q, K + H_E), row i owned by vertex i
-    b_q_local: ad.DiffTensor  # (N, H_Q)
-    w_q_compress: ad.DiffTensor  # (H_Q, 2 * H_Q)
-    b_q_compress: ad.DiffTensor  # (H_Q,)
-    w_k: ad.DiffTensor  # (H', K + H_E)
-    b_k: ad.DiffTensor  # (H',)
-    w_v: ad.DiffTensor  # (H', K)
-    b_v: ad.DiffTensor  # (H',)
-    w_ff: ad.DiffTensor  # (K', H')
-    b_ff: ad.DiffTensor  # (K',)
-
-    def named(self) -> dict[str, ad.DiffTensor]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dims"}
-
-    @property
-    def n_vertices(self) -> int:
-        return self.w_q_local.shape[0]
-
-
 def gat_shapes(k_in: int, k_out: int, h: int, h_e: int) -> dict[str, tuple[int, ...]]:
-    """``GatLayerParams`` field shapes, in the order ``init_gat_layer`` draws them."""
+    """The parameters of a ``gat_forward`` layer, name to shape, in the order
+    ``init_gat_layer`` draws them: H-channel queries and keys over the input
+    and its H_E-channel encoding, values over the input, and a K'-channel
+    output map."""
     f = k_in + h_e
     return dict(
         w_q=(h, f), b_q=(h,), w_k=(h, f), b_k=(h,),
@@ -101,8 +66,10 @@ def gat_shapes(k_in: int, k_out: int, h: int, h_e: int) -> dict[str, tuple[int, 
 def glgat_shapes(
     dims: LayerDims, n: int, k_in: int, k_out: int, h_e: int
 ) -> dict[str, tuple[int, ...]]:
-    """``GlgatLayerParams`` field shapes, in the order ``init_glgat_layer``
-    draws them; ``w_q_local`` holds vertex i's (H_Q, K + H_E) matrix in row i."""
+    """The parameters of a ``glgat_forward`` layer over ``n`` vertices, name
+    to shape, in the order ``init_glgat_layer`` draws them: the global query
+    projection, the local bank (vertex i's (H_Q, K + H_E) matrix in row i),
+    the query compression, then keys, values and the output map."""
     f = k_in + h_e
     hp, hq = dims.h_prime, dims.h_q
     return dict(
@@ -128,16 +95,16 @@ def _glorot(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, ad.DiffT
 
 def init_gat_layer(
     k_in: int, k_out: int, h: int, h_e: int, seed: int
-) -> GatLayerParams:
+) -> dict[str, ad.DiffTensor]:
     """Glorot-uniform weights, zero biases, deterministic under seed."""
     if min(k_in, k_out, h) < 1 or h_e < 0:
         raise ValueError("invalid layer sizes")
-    return GatLayerParams(**_glorot(gat_shapes(k_in, k_out, h, h_e), seed))
+    return _glorot(gat_shapes(k_in, k_out, h, h_e), seed)
 
 
 def init_glgat_layer(
     dims: LayerDims, n: int, k_in: int, k_out: int, h_e: int, seed: int
-) -> GlgatLayerParams:
+) -> dict[str, ad.DiffTensor]:
     """Glorot-uniform weights with the local query bank damped by 1/2.
 
     The damping keeps the shared global path dominant early in training;
@@ -145,8 +112,8 @@ def init_glgat_layer(
     """
     if n < 1 or min(k_in, k_out) < 1 or h_e < 0:
         raise ValueError("invalid layer sizes")
-    params = GlgatLayerParams(dims=dims, **_glorot(glgat_shapes(dims, n, k_in, k_out, h_e), seed))
-    params.w_q_local.data *= 0.5
+    params = _glorot(glgat_shapes(dims, n, k_in, k_out, h_e), seed)
+    params["w_q_local"].data *= 0.5
     return params
 
 
@@ -159,7 +126,7 @@ def _with_encoding(x: ad.DiffTensor, enc: ad.DiffTensor | None) -> ad.DiffTensor
 
 
 def gat_forward(
-    params: GatLayerParams,
+    params: dict[str, ad.DiffTensor],
     x_in: ad.DiffTensor,
     enc: ad.DiffTensor | None,
     adj: np.ndarray,
@@ -173,11 +140,11 @@ def gat_forward(
     attention-mixed values, shape (..., N, K').
     """
     xe = _with_encoding(x_in, enc)
-    q = ad.affine(xe, params.w_q, params.b_q)
-    k = ad.affine(xe, params.w_k, params.b_k)
-    v = ad.affine(x_in, params.w_v, params.b_v)
+    q = ad.affine(xe, params["w_q"], params["b_q"])
+    k = ad.affine(xe, params["w_k"], params["b_k"])
+    v = ad.affine(x_in, params["w_v"], params["b_v"])
     k_t = ad.transpose_last(k)
-    return ad.affine(ad.attend(q, k_t, v, adj), params.w_ff, params.b_ff)
+    return ad.affine(ad.attend(q, k_t, v, adj), params["w_ff"], params["b_ff"])
 
 
 def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.DiffTensor:
@@ -190,7 +157,8 @@ def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.Di
 
 
 def glgat_forward(
-    params: GlgatLayerParams,
+    params: dict[str, ad.DiffTensor],
+    dims: LayerDims,
     x_in: ad.DiffTensor,
     enc: ad.DiffTensor | None,
     adjs: np.ndarray,
@@ -206,17 +174,17 @@ def glgat_forward(
     of the pair (i, j), one H_PE block per matrix. GELU'd scores are
     softmax-normalized with A_n[i, j] as multiplicative weight, mix the
     values, and the flattened heads pass through the output affine map.
+    ``dims`` says how the parameters' H' channels split into heads.
     Returns (..., N, K').
     """
-    dims = params.dims
     n = x_in.shape[-2]
     if adjs.shape != (dims.h_adj, n, n):
         raise ad.ShapeError(
             f"expected {dims.h_adj} adjacency matrices of size {n}, got {adjs.shape}"
         )
-    if params.n_vertices != n:
+    if params["w_q_local"].shape[0] != n:
         raise ad.ShapeError(
-            f"layer is bound to {params.n_vertices} vertices, input has {n}"
+            f"layer is bound to {params['w_q_local'].shape[0]} vertices, input has {n}"
         )
     if dims.h_pe:
         if pe is None or pe.shape != (n, n, dims.h_pe):
@@ -225,16 +193,17 @@ def glgat_forward(
             )
 
     xe = _with_encoding(x_in, enc)
-    q_global = ad.affine(xe, params.w_q_global, params.b_q_global)
-    q_local = ad.bank_apply(params.w_q_local, xe) + params.b_q_local
+    q_global = ad.affine(xe, params["w_q_global"], params["b_q_global"])
+    q_local = ad.bank_apply(params["w_q_local"], xe) + params["b_q_local"]
     q = ad.affine(
-        ad.concat([q_global, q_local], axis=-1), params.w_q_compress, params.b_q_compress
+        ad.concat([q_global, q_local], axis=-1), params["w_q_compress"], params["b_q_compress"]
     )
 
-    k_t = _split_heads(ad.affine(xe, params.w_k, params.b_k), dims, keys=True)
-    v = _split_heads(ad.affine(x_in, params.w_v, params.b_v), dims)
+    k_t = _split_heads(ad.affine(xe, params["w_k"], params["b_k"]), dims, keys=True)
+    v = _split_heads(ad.affine(x_in, params["w_v"], params["b_v"]), dims)
 
-    q_at = _split_heads(q[..., : dims.h_prime], dims)
+    # without a pairwise term the query is all attention channels
+    q_at = _split_heads(q[..., : dims.h_prime] if dims.h_pe else q, dims)
     bias = None
     if dims.h_pe:
         q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, 1, dims.h_pe))
@@ -247,4 +216,4 @@ def glgat_forward(
     d = hidden.ndim - 4
     hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)
     flat = ad.reshape(hidden, hidden.shape[:-4] + (n, dims.h_prime))
-    return ad.affine(flat, params.w_ff, params.b_ff)
+    return ad.affine(flat, params["w_ff"], params["b_ff"])

@@ -15,7 +15,9 @@ the model configuration, so ablation runs differ only in configuration.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -29,8 +31,6 @@ from .adjacency import build_connectivity_adjacency, build_event_adjacency, dete
 from .data import NormStats, SensorGraph, TrafficSeries
 from .encoding import DEFAULT_H_PE, DEFAULT_SMOOTHING, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
-    GatLayerParams,
-    GlgatLayerParams,
     LayerDims,
     gat_forward,
     gat_shapes,
@@ -122,7 +122,7 @@ class StackConfig:
         h_pe = self.h_pe if self.pe_enabled else 0
         return LayerDims(self.h_deep, self.h_adj, self.h_head, h_pe)
 
-    @property
+    @functools.cached_property  # every forward reads the floors' dims
     def floor_widths(self) -> list[tuple[int, int, LayerDims]]:
         """(input width, output width, dims) of each floor, in model order."""
         deep = (self.flatten_width, self.flatten_width, self.dims_deep)
@@ -155,10 +155,41 @@ def build_adjacency_set(
     return np.stack([a_up, a_down])
 
 
+@functools.lru_cache(maxsize=16)
+def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int, ...]]:
+    """Every array of a checkpoint of ``config``, name to shape, in file order.
+
+    ``n_stats`` is the length of the normalization statistics, the one shape
+    the config does not fix. Floor i's parameters are ``layer{i}.<name>``,
+    with the names and shapes of ``gat_shapes`` or ``glgat_shapes``. The
+    result is cached, since every save, load and ``named_params`` reads it;
+    callers must not change it.
+    """
+    n = config.n
+    layout = {
+        "stats.mean": (n_stats,),
+        "stats.std": (n_stats,),
+        "adj": (n, n) if config.uses_gat else (config.h_adj, n, n),
+    }
+    if config.pe_enabled:
+        layout["pe"] = (n, n, config.h_pe)
+    for idx, (k_in, k_out, dims) in zip(FLOOR_NUMBERS, config.floor_widths):
+        if config.uses_gat:
+            shapes = gat_shapes(k_in, k_out, dims.h_prime, config.h_e)
+        else:
+            shapes = glgat_shapes(dims, n, k_in, k_out, config.h_e)
+        layout.update((f"layer{idx}.{key}", shape) for key, shape in shapes.items())
+    layout["head.w"] = (config.q, config.flatten_width)
+    layout["head.b"] = (config.q,)
+    if config.h_e > 0:
+        layout["vertex_encoding"] = (n, config.h_e)
+    return layout
+
+
 @dataclass
 class GlgatModel:
     config: StackConfig
-    blocks: list  # 5 layer-parameter sets: groups x2, deep x3
+    blocks: list[dict[str, ad.DiffTensor]]  # the 5 floors' parameters: groups x2, deep x3
     head_w: ad.DiffTensor  # (Q, flatten_width)
     head_b: ad.DiffTensor  # (Q,)
     enc: ad.DiffTensor | None  # (N, H_E) learnable vertex table
@@ -167,27 +198,25 @@ class GlgatModel:
     stats: NormStats
 
     def named_params(self) -> dict[str, ad.DiffTensor]:
-        out: dict[str, ad.DiffTensor] = {}
+        """Every parameter under its checkpoint name, in checkpoint order."""
+        params = {"head.w": self.head_w, "head.b": self.head_b, "vertex_encoding": self.enc}
         for idx, block in zip(FLOOR_NUMBERS, self.blocks):
-            for key, tensor in block.named().items():
-                out[f"layer{idx}.{key}"] = tensor
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        if self.enc is not None:
-            out["vertex_encoding"] = self.enc
-        return out
+            params.update((f"layer{idx}.{key}", t) for key, t in block.items())
+        layout = checkpoint_layout(self.config, self.stats.mean.size)
+        return {name: params[name] for name in layout if name in params}
 
     def zero_grad(self) -> None:
         for t in self.named_params().values():
             t.zero_grad()
 
 
-def _check_tables(config: StackConfig, adj: np.ndarray, pe: np.ndarray | None) -> None:
+def _check_tables(
+    config: StackConfig, layout: dict, adj: np.ndarray, pe: np.ndarray | None
+) -> None:
     """Check a model's adjacency and pairwise table against ``config``: the
-    shapes the variant needs, then adjacency entries in [0, 1] on a unit
-    diagonal, so every attention row has itself to attend to."""
-    n = config.n
-    want_adj = (n, n) if config.uses_gat else (config.h_adj, n, n)
+    shapes of its checkpoint ``layout``, then adjacency entries in [0, 1] on
+    a unit diagonal, so every attention row has itself to attend to."""
+    want_adj = layout["adj"]
     if adj.shape != want_adj:
         raise ConfigError(
             f"variant {config.variant!r} needs adjacency of shape {want_adj}, got {adj.shape}"
@@ -196,7 +225,7 @@ def _check_tables(config: StackConfig, adj: np.ndarray, pe: np.ndarray | None) -
         raise ConfigError("adjacency has entries outside [0, 1]")
     if np.any(np.diagonal(adj, axis1=-2, axis2=-1) != 1.0):
         raise ConfigError("adjacency lacks a unit diagonal")
-    want_pe = (n, n, config.h_pe) if config.pe_enabled else None
+    want_pe = layout.get("pe")
     if (None if pe is None else pe.shape) != want_pe:
         got = "none" if pe is None else f"shape {pe.shape}"
         raise ConfigError(
@@ -214,25 +243,22 @@ def build_model(
     """Initialize every floor deterministically from one seed, after checking
     the adjacency and the pairwise table against ``config``."""
     n = config.n
-    _check_tables(config, adj, pe)
-    blocks = []
-    for i, (k_in, k_out, dims) in enumerate(config.floor_widths):
-        if config.uses_gat:
-            blocks.append(
-                init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
-            )
-        else:
-            blocks.append(
-                init_glgat_layer(dims, n, k_in, k_out, config.h_e, seed=seed * 31 + i)
-            )
+    layout = checkpoint_layout(config, stats.mean.size)
+    _check_tables(config, layout, adj, pe)
+    blocks = [
+        init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
+        if config.uses_gat
+        else init_glgat_layer(dims, n, k_in, k_out, config.h_e, seed=seed * 31 + i)
+        for i, (k_in, k_out, dims) in enumerate(config.floor_widths)
+    ]
 
     rng = np.random.default_rng(seed * 31 + 7)
-    limit = np.sqrt(6.0 / (config.flatten_width + config.q))
-    head_w = ad.parameter(rng.uniform(-limit, limit, (config.q, config.flatten_width)))
-    head_b = ad.parameter(np.zeros(config.q))
+    limit = np.sqrt(6.0 / sum(layout["head.w"]))
+    head_w = ad.parameter(rng.uniform(-limit, limit, layout["head.w"]))
+    head_b = ad.parameter(np.zeros(layout["head.b"]))
     enc = None
-    if config.h_e > 0:
-        enc = ad.parameter(init_vertex_encoding(n, config.h_e, seed=seed * 31 + 8))
+    if "vertex_encoding" in layout:
+        enc = ad.parameter(init_vertex_encoding(*layout["vertex_encoding"], seed=seed * 31 + 8))
     return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)
 
 
@@ -264,12 +290,12 @@ def group_timesteps(x: np.ndarray) -> np.ndarray:
     return np.concatenate(shifted, axis=-1)
 
 
-def _block_forward(model: GlgatModel, block, x: ad.DiffTensor) -> ad.DiffTensor:
+def _block_forward(model: GlgatModel, block: dict, dims: LayerDims, x) -> ad.DiffTensor:
     """One floor; inside ``ad.reuse_scope()`` its last output is reused while
     the floor is called with the same bytes."""
     if model.config.uses_gat:
         return ad.reuse(gat_forward, block, x, model.enc, model.adj)
-    return ad.reuse(glgat_forward, block, x, model.enc, model.adj, model.pe)
+    return ad.reuse(glgat_forward, block, dims, x, model.enc, model.adj, model.pe)
 
 
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
@@ -280,12 +306,13 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
             f"input shape {inputs.shape} does not match N={cfg.n}, K_in={cfg.k_in}"
         )
     grouped = ad.constant(group_timesteps(inputs))  # (..., 12, N, 3K)
-    h = _block_forward(model, model.blocks[0], grouped)
-    h = _block_forward(model, model.blocks[1], h)  # (..., 12, N, W)
+    floors = [(block, dims) for block, (_, _, dims) in zip(model.blocks, cfg.floor_widths)]
+    h = _block_forward(model, *floors[0], grouped)
+    h = _block_forward(model, *floors[1], h)  # (..., 12, N, W)
     h = ad.swap_axes(h, -3, -2)  # (..., N, 12, W)
     h = ad.reshape(h, h.shape[:-2] + (cfg.flatten_width,))  # time-flatten
-    for block in model.blocks[2:]:
-        h = _block_forward(model, block, h)
+    for floor in floors[2:]:
+        h = _block_forward(model, *floor, h)
     pred = ad.affine(h, model.head_w, model.head_b)
     # back to raw scale: targets and metrics live in physical units
     return ad.scale(pred, float(model.stats.std[0])) + float(model.stats.mean[0])
@@ -296,42 +323,53 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
 # One line of compact JSON with sorted keys, {"arrays": [[name, shape], ...],
 # "config": {...}, "format_version": 3}, then the listed arrays' C-order
 # little-endian float64 bytes in list order and nothing after them. No float
-# goes through text, so values round-trip bit for bit.
+# goes through text, so values round-trip bit for bit. The list is the
+# config's ``checkpoint_layout``, and the loader accepts no other.
 
 
-def _read_arrays(entries, fh) -> dict[str, np.ndarray]:
-    """A writable float64 array for every array the header lists, by name,
-    read from ``fh`` in list order; ConfigError unless the entries are well
-    formed and cover the rest of the file exactly."""
-    if not isinstance(entries, list):
-        raise ConfigError("checkpoint arrays must be a list of [name, shape] pairs")
+def _checked_layout(config: StackConfig, entries) -> dict[str, tuple[int, ...]]:
+    """``config``'s checkpoint layout, once ``entries``, the header's list of
+    arrays, is found to be exactly that layout. Entries compare as JSON, so
+    a shape of ``12.0`` or ``true`` is not ``12``."""
+    try:  # the statistics' length, the one shape read from the header
+        (_, (k,)), *_ = entries
+    except (TypeError, ValueError):
+        k = None
+    if type(k) is not int or k < 1:
+        raise ConfigError("checkpoint arrays must open with ['stats.mean', [K]] for some K >= 1")
+    layout = checkpoint_layout(config, k)
+    want = [[name, list(shape)] for name, shape in layout.items()]
+    # equal as Python values, with every dimension an int, is equal as JSON
+    if entries == want and all(type(d) is int for _, shape in entries for d in shape):
+        return layout
+    names = list(layout)
+    dumped = itertools.zip_longest(map(json.dumps, want), map(json.dumps, entries))
+    for i, (w, g) in enumerate(dumped):
+        if w != g:
+            what = "adjacency" if names[i : i + 1] == ["adj"] else "array"
+            raise ConfigError(
+                f"checkpoint {what} entry {i} is not in the layout of its config: "
+                f"expected {w or 'no entry'}, found {g or 'no entry'}"
+            )
+
+
+def _read_arrays(layout: dict[str, tuple[int, ...]], fh) -> dict[str, np.ndarray]:
+    """A writable float64 array for every entry of ``layout``, read from
+    ``fh`` in layout order; ConfigError, before anything is allocated,
+    unless the rest of the file holds exactly those arrays' bytes."""
     if not fh.seekable():  # a pipe: its size is known only once it is read
         fh = io.BytesIO(fh.read())
     start = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - start  # body bytes no array has claimed
+    size = fh.seek(0, io.SEEK_END) - start
     fh.seek(start)
+    want = 8 * sum(math.prod(shape) for shape in layout.values())
+    if size != want:
+        raise ConfigError(f"checkpoint body has {size} bytes, its arrays take {want}")
     arrays = {}
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise ConfigError(f"checkpoint array entry {entry!r} is not a [name, shape] pair")
-        name, shape = entry
-        if name in arrays:
-            raise ConfigError(f"checkpoint lists array {name!r} twice")
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}")
-        nbytes = 8 * math.prod(shape)
-        if nbytes > left:  # checked before allocating what the header declares
-            raise ConfigError(f"checkpoint body ends inside array {name!r}")
-        left -= nbytes
-        try:
-            raw = np.empty(shape, dtype="<f8")
-        except ValueError:  # an empty shape with an axis beyond numpy's range
-            raise ConfigError(f"checkpoint array {name!r} has invalid shape {shape!r}") from None
-        if fh.readinto(raw) != nbytes:
-            raise ConfigError(f"checkpoint body ends inside array {name!r}")
+    for name, shape in layout.items():
+        raw = np.empty(shape, dtype="<f8")
+        fh.readinto(raw)
         arrays[name] = raw.astype(np.float64, copy=False)
-    if left:
-        raise ConfigError(f"checkpoint body has {left} bytes after its arrays")
     return arrays
 
 
@@ -360,12 +398,12 @@ def save_checkpoint(model: GlgatModel, path) -> None:
     (METR-LA shape) checkpoint took about 5, 6 and 14-20 ms that way, and
     3-6 ms each this way.
     """
-    arrays = {"stats.mean": model.stats.mean, "stats.std": model.stats.std, "adj": model.adj}
-    if model.pe is not None:
-        arrays["pe"] = model.pe
+    stats = model.stats
+    arrays = {"stats.mean": stats.mean, "stats.std": stats.std, "adj": model.adj, "pe": model.pe}
     arrays.update((name, t.data) for name, t in model.named_params().items())
+    order = checkpoint_layout(model.config, stats.mean.size)
     header = {
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
+        "arrays": [[name, list(arrays[name].shape)] for name in order],
         "config": asdict(model.config),
         "format_version": CHECKPOINT_VERSION,
     }
@@ -374,8 +412,8 @@ def save_checkpoint(model: GlgatModel, path) -> None:
             os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        for name in order:
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
 
 
 def load_checkpoint(path) -> GlgatModel:
@@ -404,44 +442,18 @@ def load_checkpoint(path) -> GlgatModel:
                 f"checkpoint header must have keys {sorted(keys)}, got {sorted(header)}"
             )
         config = _config_from(header["config"])
-        arrays = _read_arrays(header["arrays"], fh)
+        layout = _checked_layout(config, header["arrays"])
+        arrays = _read_arrays(layout, fh)
 
-    def take(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ConfigError(f"checkpoint is missing array {name!r}")
-        return arrays.pop(name)
-
-    stats = NormStats(mean=take("stats.mean"), std=take("stats.std"))
-    if stats.mean.ndim != 1 or stats.mean.size == 0 or stats.std.shape != stats.mean.shape:
-        raise ConfigError(
-            f"checkpoint stats have shapes {stats.mean.shape} and {stats.std.shape}, "
-            "expected two equal non-empty vectors"
-        )
-
-    adj = take("adj")
-    pe = arrays.pop("pe", None)
-    _check_tables(config, adj, pe)
-
-    def param(name: str, shape: tuple[int, ...]) -> ad.DiffTensor:
-        arr = take(name)
-        if arr.shape != shape:
-            raise ConfigError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        with ad.no_grad():  # unscanned: the file's bits, NaN payloads included
-            return ad.parameter(arr)
-
-    blocks, gat = [], config.uses_gat
-    for idx, (k_in, k_out, dims) in zip(FLOOR_NUMBERS, config.floor_widths):
-        if gat:
-            shapes = gat_shapes(k_in, k_out, dims.h_prime, config.h_e)
-        else:
-            shapes = glgat_shapes(dims, config.n, k_in, k_out, config.h_e)
-        named = {key: param(f"layer{idx}.{key}", shape) for key, shape in shapes.items()}
-        blocks.append(GatLayerParams(**named) if gat else GlgatLayerParams(dims, **named))
-    head_w = param("head.w", (config.q, config.flatten_width))
-    head_b = param("head.b", (config.q,))
-    enc = param("vertex_encoding", (config.n, config.h_e)) if config.h_e > 0 else None
-    if arrays:
-        raise ConfigError(f"checkpoint has arrays this model lacks: {sorted(arrays)}")
-    return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)
+    stats = NormStats(mean=arrays.pop("stats.mean"), std=arrays.pop("stats.std"))
+    adj, pe = arrays.pop("adj"), arrays.pop("pe", None)
+    _check_tables(config, layout, adj, pe)
+    with ad.no_grad():  # unscanned: the file's bits, NaN payloads included
+        params = {name: ad.parameter(arr) for name, arr in arrays.items()}
+    floors = {f"layer{i}": {} for i in FLOOR_NUMBERS}
+    for name, t in params.items():
+        floor, _, key = name.partition(".")
+        if floor in floors:
+            floors[floor][key] = t
+    blocks, enc = list(floors.values()), params.get("vertex_encoding")
+    return GlgatModel(config, blocks, params["head.w"], params["head.b"], enc, adj, pe, stats)

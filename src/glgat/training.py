@@ -84,14 +84,17 @@ def batch_smooth_l1(pred: ad.DiffTensor, target, mask) -> ad.DiffTensor:
 # --------------------------------------------------------------- optimizer
 
 
+# Adam's moment decay rates and denominator floor, Kingma and Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for a named parameter set."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -125,8 +128,8 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for name in names:
         p = params[name]
         g = grads[name]
@@ -140,17 +143,17 @@ def adam_step(
         # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
         # p -= lr * m_hat / (sqrt(v_hat) + eps)
         d = g - m
-        d *= 1.0 - state.beta1
+        d *= 1.0 - ADAM_BETA1
         m += d
         d = g * g
         d -= v
-        d *= 1.0 - state.beta2
+        d *= 1.0 - ADAM_BETA2
         v += d
         step = m / correction1
         step *= state.lr
         d = v / correction2
         np.sqrt(d, out=d)
-        d += state.eps
+        d += ADAM_EPS
         step /= d
         p.data -= step
 

@@ -103,7 +103,7 @@ def test_criterion_2_attention_rows_normalized_and_masked():
             rng, n=n, k_in=int(rng.integers(1, 4)), k_out=3,
             h_e=int(rng.integers(0, 5)), dims=dims, seed=int(rng.integers(10_000)),
         )
-        _, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
+        _, coef = with_coefficients(glgat_forward, params, dims, x, enc, adjs, pe)
         dev = float(np.abs(coef.data.sum(axis=-1) - 1.0).max())
         worst = max(worst, dev)
         if dev > 1e-12:
@@ -143,7 +143,7 @@ def test_criterion_3_reduction_to_single_matrix_attention():
         pe = random_pe(rng, n, 10)
 
         a = gat_forward(gat, x, enc, adj)
-        b = glgat_forward(big, x, enc, adj[None], pe)
+        b = glgat_forward(big, dims, x, enc, adj[None], pe)
         err = float(np.abs(b.data - a.data).max())
         worst = max(worst, err)
         if err > 1e-12:
@@ -238,18 +238,19 @@ def test_criterion_6_permutation_consistency():
     params, x, enc, adjs, pe = random_instance(
         rng, n=n, k_in=3, k_out=5, h_e=8, dims=dims, seed=61
     )
-    base = glgat_forward(params, x, enc, adjs, pe).data
+    base = glgat_forward(params, dims, x, enc, adjs, pe).data
     failures = []
     worst = 0.0
     for trial in range(10):
         perm = rng.permutation(n)
         permuted = init_glgat_layer(dims, n, 3, 5, 8, seed=61)
-        for key, t in permuted.named().items():
-            t.data[:] = params.named()[key].data
-        permuted.w_q_local.data[:] = params.w_q_local.data[perm]
-        permuted.b_q_local.data[:] = params.b_q_local.data[perm]
+        for key, t in permuted.items():
+            t.data[:] = params[key].data
+        permuted["w_q_local"].data[:] = params["w_q_local"].data[perm]
+        permuted["b_q_local"].data[:] = params["b_q_local"].data[perm]
         out = glgat_forward(
             permuted,
+            dims,
             ad.constant(x.data[perm]),
             ad.constant(enc.data[perm]),
             adjs[:, perm][:, :, perm],
@@ -298,7 +299,7 @@ def test_criterion_7_width_contract_and_lossless_reshapes():
             "w_ff": (k_out, dims.h_prime),
         }
         for key, want in expected.items():
-            if params.named()[key].shape != want:
+            if params[key].shape != want:
                 failures.append(f"trial {trial}: {key} shape")
 
         flat = rng.standard_normal((n, dims.h_prime))

@@ -9,7 +9,6 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -410,6 +409,26 @@ def test_check_gradients_rejects_fewer_than_one_entry_per_tensor(entries):
         )
 
 
+REFUSED_CHECKS = {
+    "a tensor without gradients": (
+        lambda x: ({"x": x, "c": ad.constant([1.0])}, lambda: ad.reduce_sum(x * x), {}),
+        "'c' must require gradients",
+    ),
+    "a non-scalar fn": (lambda x: ({"x": x}, lambda: x * x, {}), "fn must return a scalar"),
+    "sampling without an rng": (
+        lambda x: ({"x": x}, lambda: ad.reduce_sum(x * x), {"max_entries_per_tensor": 1}),
+        "sampling requires an rng",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, message", REFUSED_CHECKS.values(), ids=REFUSED_CHECKS.keys())
+def test_check_gradients_refuses_what_it_cannot_check(case, message):
+    tensors, fn, kw = case(ad.parameter(np.array([1.0, 2.0])))
+    with pytest.raises(ValueError, match=message):
+        check_gradients(fn, tensors, **kw)
+
+
 # ------------------------------------------------------------ gradients
 
 
@@ -714,18 +733,18 @@ def test_recorded_acceptance_loss_keeps_only_what_backward_reads():
 
 
 def test_reuse_recomputes_after_a_write_to_any_array_argument():
-    params = SimpleNamespace(w=ad.parameter(np.ones(3)), label="toy")
+    params = {"w": ad.parameter(np.ones(3))}
     x, table = ad.constant(np.arange(3.0)), np.full(3, 2.0)
     calls = []
 
     def floor(p, x, table, extra):
         calls.append(None)
-        return ad.constant(p.w.data * x.data + table)
+        return ad.constant(p["w"].data * x.data + table)
 
     with ad.no_grad(), ad.reuse_scope():
         last = ad.reuse(floor, params, x, table, None)
         assert ad.reuse(floor, params, x, table.copy(), None) is last  # same bytes
-        for array in (params.w.data, x.data, table):
+        for array in (params["w"].data, x.data, table):
             array[1] += 1.0  # in place, through the same object
             out = ad.reuse(floor, params, x, table, None)
             assert out is not last and ad.reuse(floor, params, x, table, None) is out
@@ -829,6 +848,23 @@ def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
     assert len(computed_units) == 4  # the repeat of unit 1 is a memo hit
     assert out.tobytes() == ad.attend(q, k_t, v, weights, bias).data.tobytes()
     assert out[3].tobytes() == out[1].tobytes()
+
+
+def test_attend_memo_serves_units_without_a_bias(computed_units):
+    """A GAT floor passes no bias; from N=91 one (N, N) unit reaches the
+    memo's floor, and a repeated call takes every unit from the memo."""
+    rng = np.random.default_rng(63)
+    n = 96
+    q, k_t, v = (rng.standard_normal(s) for s in ((3, n, 4), (3, 4, n), (3, n, 5)))
+    weights = (rng.uniform(size=(n, n)) > 0.3).astype(float)
+    np.fill_diagonal(weights, 1.0)
+    assert 8 * n * n >= ad._MEMO_MIN_UNIT_BYTES > 8 * 90 * 90
+    with ad.no_grad():
+        first = ad.attend(q, k_t, v, weights).data
+        again = ad.attend(q, k_t, v, weights).data
+    assert len(computed_units) == 3  # the second call was all hits
+    assert first.tobytes() == again.tobytes() == ad.attend(q, k_t, v, weights).data.tobytes()
+    assert first.tobytes() == _fresh(q, k_t, v, weights).tobytes()
 
 
 def test_recorded_attend_never_consults_the_memo(monkeypatch):

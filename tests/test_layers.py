@@ -10,8 +10,6 @@ from glgat import autodiff as ad
 from glgat.encoding import init_vertex_encoding
 from glgat.gradcheck import check_gradients
 from glgat.layers import (
-    GatLayerParams,
-    GlgatLayerParams,
     LayerDims,
     gat_forward,
     glgat_forward,
@@ -47,8 +45,8 @@ def random_pe(rng, n, h_pe):
     return rng.uniform(0.0, 1.0, (n, n, h_pe))
 
 
-def to_arrays(params: GlgatLayerParams):
-    return {k: t.data for k, t in params.named().items()}
+def to_arrays(params):
+    return {k: t.data for k, t in params.items()}
 
 
 # ------------------------------------------------------------- baseline
@@ -59,14 +57,15 @@ def test_gat_single_vertex_is_affine_of_value_path():
     x = np.array([[0.3, -1.2, 0.8]])
     out, coef = with_coefficients(gat_forward, params, ad.constant(x), None, np.ones((1, 1)))
     assert coef.data.item() == 1.0
-    expected = params.w_ff.data @ (params.w_v.data @ x[0] + params.b_v.data) + params.b_ff.data
+    w_ff, b_ff, w_v, b_v = (params[key].data for key in ("w_ff", "b_ff", "w_v", "b_v"))
+    expected = w_ff @ (w_v @ x[0] + b_v) + b_ff
     np.testing.assert_allclose(out.data[0], expected, atol=1e-14)
 
 
 def test_gat_zero_keys_give_uniform_coefficients():
     params = init_gat_layer(k_in=3, k_out=2, h=4, h_e=0, seed=2)
-    params.w_k.data[:] = 0.0
-    params.b_k.data[:] = 0.0
+    params["w_k"].data[:] = 0.0
+    params["b_k"].data[:] = 0.0
     x = ad.constant(np.random.default_rng(0).standard_normal((5, 3)))
     _, coef = with_coefficients(gat_forward, params, x, None, np.ones((5, 5)))
     np.testing.assert_allclose(coef.data, np.full((5, 5), 0.2), atol=1e-15)
@@ -86,10 +85,10 @@ def test_gat_matches_scalar_oracle():
         )
         ref_out, ref_coef = gat_attention_scalar(
             x, enc, adj,
-            params.w_q.data, params.b_q.data,
-            params.w_k.data, params.b_k.data,
-            params.w_v.data, params.b_v.data,
-            params.w_ff.data, params.b_ff.data,
+            params["w_q"].data, params["b_q"].data,
+            params["w_k"].data, params["b_k"].data,
+            params["w_v"].data, params["b_v"].data,
+            params["w_ff"].data, params["b_ff"].data,
         )
         np.testing.assert_allclose(coef.data, ref_coef, atol=1e-12, rtol=0)
         np.testing.assert_allclose(out.data, ref_out, atol=1e-12, rtol=0)
@@ -120,14 +119,14 @@ def test_dims_arithmetic():
     assert dims.h_q == 84
     params = init_glgat_layer(dims, n=3, k_in=5, k_out=7, h_e=8, seed=0)
     f = 5 + 8
-    assert params.w_q_global.shape == (84, f)
-    assert params.w_q_local.shape == (3, 84, f)
-    assert params.b_q_local.shape == (3, 84)
-    assert params.w_q_compress.shape == (84, 168)
-    assert params.w_k.shape == (64, f)
-    assert params.w_v.shape == (64, 5)
-    assert params.w_ff.shape == (7, 64)
-    assert params.b_ff.shape == (7,)
+    assert params["w_q_global"].shape == (84, f)
+    assert params["w_q_local"].shape == (3, 84, f)
+    assert params["b_q_local"].shape == (3, 84)
+    assert params["w_q_compress"].shape == (84, 168)
+    assert params["w_k"].shape == (64, f)
+    assert params["w_v"].shape == (64, 5)
+    assert params["w_ff"].shape == (7, 64)
+    assert params["b_ff"].shape == (7,)
 
 
 def test_dims_validation():
@@ -152,16 +151,16 @@ def test_parameter_count_closed_form():
         + hp * k_in + hp  # values
         + k_out * hp + k_out  # output map
     )
-    assert sum(t.size for t in params.named().values()) == expected
+    assert sum(t.size for t in params.values()) == expected
 
 
 def test_init_deterministic():
     a = init_glgat_layer(DIMS, n=4, k_in=3, k_out=3, h_e=8, seed=9)
     b = init_glgat_layer(DIMS, n=4, k_in=3, k_out=3, h_e=8, seed=9)
-    for k in a.named():
-        assert a.named()[k].data.tobytes() == b.named()[k].data.tobytes()
+    for k in a:
+        assert a[k].data.tobytes() == b[k].data.tobytes()
     c = init_glgat_layer(DIMS, n=4, k_in=3, k_out=3, h_e=8, seed=10)
-    assert a.w_q_global.data.tobytes() != c.w_q_global.data.tobytes()
+    assert a["w_q_global"].data.tobytes() != c["w_q_global"].data.tobytes()
 
 
 # ------------------------------------------------------------ multi-adj
@@ -170,7 +169,7 @@ def test_init_deterministic():
 def test_glgat_matches_scalar_oracle():
     rng = np.random.default_rng(20)
     params, x, enc, adjs, pe = random_instance(rng)
-    out, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
+    out, coef = with_coefficients(glgat_forward, params, DIMS, x, enc, adjs, pe)
     ref_out, ref_scores, ref_coef = glgat_forward_scalar(
         x.data, enc.data, adjs, pe, to_arrays(params), (4, 2, 2, 10)
     )
@@ -183,7 +182,7 @@ def test_glgat_matches_scalar_oracle():
 def test_glgat_matches_oracle_without_vertex_encoding():
     rng = np.random.default_rng(21)
     params, x, _, adjs, pe = random_instance(rng, h_e=0, seed=4)
-    out, coef = with_coefficients(glgat_forward, params, x, None, adjs, pe)
+    out, coef = with_coefficients(glgat_forward, params, DIMS, x, None, adjs, pe)
     ref_out, _, ref_coef = glgat_forward_scalar(
         x.data, None, adjs, pe, to_arrays(params), (4, 2, 2, 10)
     )
@@ -195,7 +194,7 @@ def test_glgat_pe_free_dims():
     rng = np.random.default_rng(22)
     dims = LayerDims(h=4, h_adj=2, h_head=2, h_pe=0)
     params, x, enc, adjs, _ = random_instance(rng, dims=dims, seed=6)
-    out, coef = with_coefficients(glgat_forward, params, x, enc, adjs, None)
+    out, coef = with_coefficients(glgat_forward, params, dims, x, enc, adjs, None)
     ref_out, _, ref_coef = glgat_forward_scalar(
         x.data, enc.data, adjs, None, to_arrays(params), (4, 2, 2, 0)
     )
@@ -207,7 +206,7 @@ def test_glgat_rows_sum_to_one_and_respect_zeros():
     rng = np.random.default_rng(23)
     for trial in range(10):
         params, x, enc, adjs, pe = random_instance(rng, seed=30 + trial)
-        _, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
+        _, coef = with_coefficients(glgat_forward, params, DIMS, x, enc, adjs, pe)
         np.testing.assert_allclose(coef.data.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
         for a in range(2):
             zero_at = adjs[a] == 0.0
@@ -218,10 +217,10 @@ def test_glgat_single_vertex_ignores_local_bank():
     rng = np.random.default_rng(24)
     params, x, enc, _, pe = random_instance(rng, n=1, seed=8)
     adjs = np.ones((2, 1, 1))
-    out1, coef = with_coefficients(glgat_forward, params, x, enc, adjs, pe[:1, :1])
+    out1, coef = with_coefficients(glgat_forward, params, DIMS, x, enc, adjs, pe[:1, :1])
     assert np.all(coef.data == 1.0)
-    params.w_q_local.data[:] = rng.standard_normal(params.w_q_local.shape)
-    out2 = glgat_forward(params, x, enc, adjs, pe[:1, :1])
+    params["w_q_local"].data[:] = rng.standard_normal(params["w_q_local"].shape)
+    out2 = glgat_forward(params, DIMS, x, enc, adjs, pe[:1, :1])
     assert out1.data.tobytes() == out2.data.tobytes()
 
 
@@ -241,11 +240,11 @@ def test_glgat_reduces_to_gat():
         pe = random_pe(rng, n, 10)
 
         a = gat_forward(gat, ad.constant(x), ad.constant(enc), adj)
-        b = glgat_forward(big, ad.constant(x), ad.constant(enc), adj[None], pe)
+        b = glgat_forward(big, dims, ad.constant(x), ad.constant(enc), adj[None], pe)
         np.testing.assert_allclose(b.data, a.data, atol=1e-12, rtol=0)
 
 
-def wire_reduction(big: GlgatLayerParams, gat: GatLayerParams, dims: LayerDims):
+def wire_reduction(big: dict, gat: dict, dims: LayerDims):
     """Configure the multi-adjacency layer to compute exactly the baseline.
 
     One matrix, one head; the compression passes the global query through
@@ -253,34 +252,35 @@ def wire_reduction(big: GlgatLayerParams, gat: GatLayerParams, dims: LayerDims):
     the pairwise term vanishes.
     """
     hq = dims.h_q
-    big.w_q_global.data[:] = 0.0
-    big.w_q_global.data[: dims.h, :] = gat.w_q.data
-    big.b_q_global.data[:] = 0.0
-    big.b_q_global.data[: dims.h] = gat.b_q.data
-    big.w_q_compress.data[:] = np.concatenate([np.eye(hq), np.zeros((hq, hq))], axis=1)
-    big.b_q_compress.data[:] = 0.0
-    big.w_k.data[:] = gat.w_k.data
-    big.b_k.data[:] = gat.b_k.data
-    big.w_v.data[:] = gat.w_v.data
-    big.b_v.data[:] = gat.b_v.data
-    big.w_ff.data[:] = gat.w_ff.data
-    big.b_ff.data[:] = gat.b_ff.data
+    big["w_q_global"].data[:] = 0.0
+    big["w_q_global"].data[: dims.h, :] = gat["w_q"].data
+    big["b_q_global"].data[:] = 0.0
+    big["b_q_global"].data[: dims.h] = gat["b_q"].data
+    big["w_q_compress"].data[:] = np.concatenate([np.eye(hq), np.zeros((hq, hq))], axis=1)
+    big["b_q_compress"].data[:] = 0.0
+    big["w_k"].data[:] = gat["w_k"].data
+    big["b_k"].data[:] = gat["b_k"].data
+    big["w_v"].data[:] = gat["w_v"].data
+    big["b_v"].data[:] = gat["b_v"].data
+    big["w_ff"].data[:] = gat["w_ff"].data
+    big["b_ff"].data[:] = gat["b_ff"].data
 
 
 def test_glgat_permutation_consistency():
     rng = np.random.default_rng(26)
     n = 8
     params, x, enc, adjs, pe = random_instance(rng, n=n, seed=50)
-    out = glgat_forward(params, x, enc, adjs, pe)
+    out = glgat_forward(params, DIMS, x, enc, adjs, pe)
 
     perm = rng.permutation(n)
     params_p = init_glgat_layer(DIMS, n, 3, 5, 8, seed=50)
-    for key, t in params_p.named().items():
-        t.data[:] = params.named()[key].data
-    params_p.w_q_local.data[:] = params.w_q_local.data[perm]
-    params_p.b_q_local.data[:] = params.b_q_local.data[perm]
+    for key, t in params_p.items():
+        t.data[:] = params[key].data
+    params_p["w_q_local"].data[:] = params["w_q_local"].data[perm]
+    params_p["b_q_local"].data[:] = params["b_q_local"].data[perm]
     out_p = glgat_forward(
         params_p,
+        DIMS,
         ad.constant(x.data[perm]),
         ad.constant(enc.data[perm]),
         adjs[:, perm][:, :, perm],
@@ -292,11 +292,11 @@ def test_glgat_permutation_consistency():
 def test_local_bank_perturbation_only_touches_own_row():
     rng = np.random.default_rng(27)
     params, x, enc, adjs, pe = random_instance(rng, seed=60)
-    _, coef_before = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
+    _, coef_before = with_coefficients(glgat_forward, params, DIMS, x, enc, adjs, pe)
     target = 2
-    params.w_q_local.data[target] += rng.standard_normal(params.w_q_local.shape[1:])
-    params.b_q_local.data[target] += 0.3
-    _, coef_after = with_coefficients(glgat_forward, params, x, enc, adjs, pe)
+    params["w_q_local"].data[target] += rng.standard_normal(params["w_q_local"].shape[1:])
+    params["b_q_local"].data[target] += 0.3
+    _, coef_after = with_coefficients(glgat_forward, params, DIMS, x, enc, adjs, pe)
     for i in range(6):
         same = coef_before.data[:, :, i, :].tobytes() == coef_after.data[:, :, i, :].tobytes()
         assert same == (i != target)
@@ -311,10 +311,10 @@ def test_glgat_batched_input_matches_per_sample(monkeypatch):
     xs = rng.standard_normal((3, 7, 6, 3))  # two leading batch axes
     for mode in (contextlib.nullcontext, ad.no_grad):
         with mode():
-            batched = glgat_forward(params, ad.constant(xs), enc, adjs, pe)
+            batched = glgat_forward(params, DIMS, ad.constant(xs), enc, adjs, pe)
             for a in range(3):
                 for b in range(7):
-                    single = glgat_forward(params, ad.constant(xs[a, b]), enc, adjs, pe)
+                    single = glgat_forward(params, DIMS, ad.constant(xs[a, b]), enc, adjs, pe)
                     np.testing.assert_allclose(batched.data[a, b], single.data, atol=1e-12, rtol=0)
 
 
@@ -344,7 +344,7 @@ def test_no_grad_glgat_peaks_below_one_score_tensor():
     tracemalloc.start()
     try:
         with ad.no_grad():
-            glgat_forward(params, x, enc, adjs, pe)
+            glgat_forward(params, dims, x, enc, adjs, pe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,11 +355,15 @@ def test_glgat_shape_validation():
     rng = np.random.default_rng(30)
     params, x, enc, adjs, pe = random_instance(rng, seed=90)
     with pytest.raises(ad.ShapeError):
-        glgat_forward(params, x, enc, adjs[:1], pe)  # wrong matrix count
+        glgat_forward(params, DIMS, x, enc, adjs[:1], pe)  # wrong matrix count
     with pytest.raises(ad.ShapeError):
-        glgat_forward(params, x, enc, adjs, pe[:, :, :4])  # wrong pe width
+        glgat_forward(params, DIMS, x, enc, adjs, pe[:, :, :4])  # wrong pe width
     with pytest.raises(ad.ShapeError):
-        glgat_forward(params, ad.constant(x.data[:4]), enc, adjs, pe)  # wrong N
+        glgat_forward(params, DIMS, ad.constant(x.data[:4]), enc, adjs, pe)  # wrong N
+    # tables of the input's N, but a local bank built for 6 vertices
+    small = (ad.constant(x.data[:4]), ad.constant(enc.data[:4]), adjs[:, :4, :4], pe[:4, :4])
+    with pytest.raises(ad.ShapeError, match="bound to 6 vertices, input has 4"):
+        glgat_forward(params, DIMS, *small)
 
 
 # ------------------------------------------------------------ gradients
@@ -372,10 +376,10 @@ def test_glgat_parameter_gradients():
     sel = rng.standard_normal((6, 5))
 
     def loss():
-        out = glgat_forward(params, x, enc, adjs, pe)
+        out = glgat_forward(params, DIMS, x, enc, adjs, pe)
         return ad.reduce_sum(out * ad.constant(sel))
 
-    tensors = dict(params.named())
+    tensors = dict(params)
     tensors["enc"] = enc
     report = check_gradients(
         loss, tensors, h=1e-5, rel_tol=1e-4, abs_tol=1e-6, small=1e-3,
@@ -395,7 +399,7 @@ def test_gat_parameter_gradients():
     def loss():
         return ad.reduce_sum(gat_forward(params, x, enc, adj) * ad.constant(sel))
 
-    tensors = dict(params.named())
+    tensors = dict(params)
     tensors["enc"] = enc
     report = check_gradients(
         loss, tensors, h=1e-5, rel_tol=1e-4, abs_tol=1e-6, small=1e-3,

@@ -119,6 +119,14 @@ def test_every_backward_rule_is_recorded_by_some_variant(step_tapes):
     )
 
 
+def test_a_step_without_a_pairwise_term_slices_no_query(step_tapes):
+    """ablation2's query holds attention channels only, so its floors take
+    it whole; the variants with a pairwise term slice it in two."""
+    slices = {v: sum(node.op == "slice" for node in nodes) for v, nodes in step_tapes.items()}
+    assert slices["ablation2"] == slices["ablation3"] == 0
+    assert slices["full"] == slices["ablation1"] == 2 * 5
+
+
 def test_no_backward_rule_holds_a_tensor(step_tapes):
     """A recorded rule closes over the arrays, shapes and parent nodes it
     reads, never over a ``DiffTensor``, directly or inside a list or tuple:

@@ -15,7 +15,7 @@ from glgat import model as gmodel
 from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
 from glgat.encoding import DEFAULT_H_PE, build_pairwise_encoding
 from glgat.gradcheck import check_gradients
-from glgat.layers import GatLayerParams, GlgatLayerParams, glgat_forward
+from glgat.layers import gat_shapes, glgat_forward, glgat_shapes
 
 
 def tiny_config(n=6, variant="full", **kw):
@@ -87,14 +87,15 @@ def test_reference_width_shape_trace():
     x = splits.train[0].input
     grouped = ad.constant(gmodel.group_timesteps(x))
     assert grouped.shape == (12, n, 9)
-    h1 = glgat_forward(model.blocks[0], grouped, model.enc, model.adj, model.pe)
+    dims = [d for _, _, d in cfg.floor_widths]
+    h1 = glgat_forward(model.blocks[0], dims[0], grouped, model.enc, model.adj, model.pe)
     assert h1.shape == (12, n, 16)
-    h2 = glgat_forward(model.blocks[1], h1, model.enc, model.adj, model.pe)
+    h2 = glgat_forward(model.blocks[1], dims[1], h1, model.enc, model.adj, model.pe)
     assert h2.shape == (12, n, 16)
     flat = ad.reshape(ad.swap_axes(h2, -3, -2), (n, 192))
     deep = flat
-    for block in model.blocks[2:]:
-        deep = glgat_forward(block, deep, model.enc, model.adj, model.pe)
+    for block, d in zip(model.blocks[2:], dims[2:]):
+        deep = glgat_forward(block, d, deep, model.enc, model.adj, model.pe)
         assert deep.shape == (n, 192)
     pred = gmodel.model_forward(model, x)
     assert pred.shape == (n, 12)
@@ -145,16 +146,16 @@ def test_shared_block_gradient_is_sum_over_groups():
     pe = rng.normal(size=(n, n, 3))
     x = rng.normal(size=(12, n, k))
 
-    out = glgat_forward(params, ad.constant(x), None, adj, pe)
+    out = glgat_forward(params, dims, ad.constant(x), None, adj, pe)
     ad.reduce_sum(out).backward()
-    batched = {name: t.grad.copy() for name, t in params.named().items()}
+    batched = {name: t.grad.copy() for name, t in params.items()}
 
-    for t in params.named().values():
+    for t in params.values():
         t.zero_grad()
     for g in range(12):
-        out_g = glgat_forward(params, ad.constant(x[g]), None, adj, pe)
+        out_g = glgat_forward(params, dims, ad.constant(x[g]), None, adj, pe)
         ad.reduce_sum(out_g).backward()
-    for name, t in params.named().items():
+    for name, t in params.items():
         assert np.allclose(t.grad, batched[name], rtol=0, atol=1e-10), name
 
 
@@ -185,13 +186,16 @@ def test_ablation2_drops_pairwise_term(tiny):
     assert cfg.dims_temporal.h_q == cfg.dims_temporal.h_prime
     _, _, _, _, model = pipeline(variant="ablation2")
     assert model.pe is None
-    assert isinstance(model.blocks[0], GlgatLayerParams)
+    k_in, k_out, dims = cfg.floor_widths[0]
+    assert model.blocks[0].keys() == glgat_shapes(dims, cfg.n, k_in, k_out, cfg.h_e).keys()
 
 
 def test_ablation3_uses_plain_attention_and_fewer_parameters(tiny):
     _, _, _, splits, full_model = tiny
     _, _, _, _, gat_model = pipeline(variant="ablation3")
-    assert isinstance(gat_model.blocks[0], GatLayerParams)
+    k_in, k_out, dims = gat_model.config.floor_widths[0]
+    h_e = gat_model.config.h_e
+    assert gat_model.blocks[0].keys() == gat_shapes(k_in, k_out, dims.h_prime, h_e).keys()
     assert gat_model.adj.ndim == 2
     n_full = sum(t.size for t in full_model.named_params().values())
     n_gat = sum(t.size for t in gat_model.named_params().values())
@@ -427,7 +431,7 @@ def test_load_checkpoint_allocates_no_array_its_body_cannot_fill(tmp_path, tiny)
     pack(path, header, arrays)
     tracemalloc.start()
     try:
-        with pytest.raises(gmodel.ConfigError, match="ends inside array 'head.b'"):
+        with pytest.raises(gmodel.ConfigError, match=r'found \["head.b", \[300000000\]\]'):
             gmodel.load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -479,7 +483,7 @@ def test_checkpoint_version_and_contents_validated(tmp_path, tiny):
     header["arrays"] = [entry for entry in header["arrays"] if entry[0] != "head.w"]
     del arrays["head.w"]
     pack(path, header, arrays)
-    with pytest.raises(gmodel.ConfigError, match="missing array 'head.w'"):
+    with pytest.raises(gmodel.ConfigError, match=r'expected \["head.w", \[12, 48\]\]'):
         gmodel.load_checkpoint(path)
 
 
@@ -626,6 +630,61 @@ MALFORMED = {
 }
 
 
+def _swap(a, b):
+    """Swap the header entries of arrays ``a`` and ``b``; the body stays."""
+    def apply(header, arrays):
+        entries = header["arrays"]
+        i, j = ([e[0] for e in entries].index(name) for name in (a, b))
+        entries[i], entries[j] = entries[j], entries[i]
+    return apply
+
+
+# One header entry changed, the body left as it was; the first three keep
+# the body's length, so only the comparison with the layout can refuse them.
+LAYOUT_EDITS = {
+    "name": ({}, _entry("layer1.w_k", lambda e: ["layer1.w_key", e[1]])),
+    "shape of the same size": ({}, _entry("head.w", lambda e: [e[0], e[1][::-1]])),
+    "order": ({}, _swap("layer2.w_k", "layer2.w_v")),
+    "12.0 for 12": ({}, _entry("head.b", lambda e: [e[0], [12.0]])),
+    "float statistics length": ({}, _entry("stats.std", lambda e: [e[0], [float(e[1][0])]])),
+    "true for 1": (
+        {"variant": "ablation1", "h_adj": 1},
+        _entry("adj", lambda e: [e[0], [True, *e[1][1:]]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kw, edit", LAYOUT_EDITS.values(), ids=LAYOUT_EDITS.keys())
+def test_checkpoint_header_must_list_the_layout_of_its_config(tmp_path, kw, edit):
+    """The loader derives every array's name, shape and place from the
+    config and refuses any other list, compared as JSON; the error gives
+    the first entry that differs as expected and as found."""
+    path = _saved(tmp_path, pipeline(**kw)[4])
+    header, arrays = unpack(path)
+    before = [json.dumps(e) for e in header["arrays"]]
+    edit(header, arrays)
+    pack(path, header, arrays)
+    after = [json.dumps(e) for e in header["arrays"]]
+    i = next(i for i, (a, b) in enumerate(zip(before, after)) if a != b)
+    with pytest.raises(gmodel.ConfigError) as refused:
+        gmodel.load_checkpoint(path)
+    assert f"entry {i} " in str(refused.value)
+    assert f"expected {before[i]}, found {after[i]}" in str(refused.value)
+    assert ("adjacency" in str(refused.value)) == before[i].startswith('["adj"')
+
+
+@pytest.mark.parametrize("variant", gmodel.VARIANTS)
+def test_checkpoint_layout_is_the_file_and_parameter_order(tmp_path, variant):
+    model = pipeline(variant=variant)[4]
+    header, arrays = unpack(_saved(tmp_path, model))
+    layout = gmodel.checkpoint_layout(model.config, model.stats.mean.size)
+    assert header["arrays"] == [[name, list(shape)] for name, shape in layout.items()]
+    tables = ["stats.mean", "stats.std", "adj", "pe"][: 4 if model.pe is not None else 3]
+    params = model.named_params()
+    assert list(layout) == tables + list(params)
+    assert all(t.shape == layout[name] for name, t in params.items())
+
+
 @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_checkpoint_malformed_contents_rejected(tmp_path, tiny, edit):
     path = _saved(tmp_path, tiny[4])
@@ -755,7 +814,7 @@ def test_reuse_recomputes_after_an_in_place_write(monkeypatch, target, rerun):
         "pairwise table": model.pe,
         "input": x,
         "vertex encoding": model.enc.data,
-        "layer4.w_k": model.blocks[2].w_k.data,
+        "layer4.w_k": model.blocks[2]["w_k"].data,
     }
     floors = count_floors(monkeypatch)
     with ad.no_grad(), ad.reuse_scope():
@@ -804,7 +863,7 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
     _, _, _, splits, model = pipeline()
     xs = np.stack([s.input for s in splits.val[:3]])
     before = gmodel.model_forward(model, xs).data.tobytes()
-    fields_before = [dict(vars(o)) for o in (model, *model.blocks)]
+    fields_before = [dict(vars(model)), *map(dict, model.blocks)]
     params = model.named_params()
     contents = {k: t.data.copy() for k, t in params.items()}
 
@@ -813,7 +872,7 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
 
     check_gradients(fn, params, max_entries_per_tensor=1, rng=np.random.default_rng(2))
     assert getattr(ad._recording, "reused", None) is None
-    assert [dict(vars(o)) for o in (model, *model.blocks)] == fields_before
+    assert [dict(vars(model)), *map(dict, model.blocks)] == fields_before
     for k, t in params.items():
         assert t.data.tobytes() == contents[k].tobytes(), k
     with ad.no_grad():
