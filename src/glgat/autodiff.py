@@ -23,11 +23,11 @@ GELU and the masked softmax, whose outputs are bounded by construction.
 Inside ``no_grad()`` nothing is recorded and nothing is scanned; the caller
 checks the result it keeps.
 
-``attend`` takes attention from the scores to the mixed values in one node,
-over blocks of at most ``_BLOCK_BYTES`` of scores that stay in cache through
-the elementwise passes. It never holds whole raw scores: a recorded call
-keeps the two score-shaped arrays its backward reads, and a call inside
-``no_grad()`` keeps none.
+``attend`` takes attention from the query, key and value rows to the merged
+heads in one node, over blocks of at most ``_BLOCK_BYTES`` of scores that
+stay in cache through the elementwise passes. It never holds whole raw
+scores: a recorded call keeps the two score-shaped arrays its backward
+reads, and a call inside ``no_grad()`` keeps none.
 
 The only module state is one per-thread object, ``_recording``. It holds
 the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
@@ -779,26 +779,48 @@ def _score_blocks(lead: tuple[int, ...], slice_bytes: int, block_bytes: int | No
 
 
 @functools.lru_cache(maxsize=1024)
-def _score_shape(q_shape, k_shape, v_shape) -> tuple[int, ...]:
-    """The (..., N, M) score shape of ``attend`` for operands of these shapes."""
+def _score_shape(q_shape, k_shape, v_shape, heads) -> tuple[int, ...]:
+    """The (..., *heads, N, M) score shape of ``attend`` for operands of these shapes."""
     if min(len(q_shape), len(k_shape), len(v_shape)) < 2:
         raise ShapeError("attend: operands must have at least 2 dimensions")
-    if q_shape[-1] != k_shape[-2] or k_shape[-1] != v_shape[-2]:
-        raise ShapeError(f"attend: shapes {q_shape}, {k_shape}, {v_shape} do not chain")
-    try:
-        lead = np.broadcast_shapes(q_shape[:-2], k_shape[:-2], v_shape[:-2])
-    except ValueError:
-        raise ShapeError(
-            f"attend: leading axes of {q_shape}, {k_shape}, {v_shape} do not broadcast"
-        ) from None
-    return lead + (q_shape[-2], k_shape[-1])
+    if not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]:
+        raise ShapeError(f"attend: leading axes of {q_shape}, {k_shape}, {v_shape} differ")
+    split, (m, width) = math.prod(heads), k_shape[-2:]
+    chained = m == v_shape[-2] and q_shape[-1] >= width
+    if min(heads, default=1) < 1 or width % split or v_shape[-1] % split or not chained:
+        raise ShapeError(f"attend: {q_shape}, {k_shape}, {v_shape} do not chain in heads {heads}")
+    return q_shape[:-2] + heads + (q_shape[-2], m)
+
+
+@functools.lru_cache(maxsize=64)
+def _head_axes(ndim: int, n_heads: int, keys: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that takes split rows (*lead, N, *heads, H), ``ndim``
+    axes in all, to the head layout (*lead, *heads, N, H), or to (*lead,
+    *heads, H, N) with ``keys``, and its inverse."""
+    d = ndim - n_heads - 2  # the axis of N
+    tail = (d + n_heads + 1, d) if keys else (d, d + n_heads + 1)
+    axes = (*range(d), *range(d + 1, d + n_heads + 1), *tail)
+    return axes, tuple(sorted(range(ndim), key=axes.__getitem__))
+
+
+def _head_view(a: np.ndarray, heads: tuple[int, ...], keys: bool = False) -> np.ndarray:
+    """(..., N, prod(heads) * H) rows as a view in the head layout of ``_head_axes``."""
+    split = a.reshape(a.shape[:-1] + heads + (-1,))
+    return split.transpose(_head_axes(split.ndim, len(heads), keys)[0])
+
+
+def _rows(a: np.ndarray, heads: tuple[int, ...], keys: bool = False) -> np.ndarray:
+    """``_head_view`` undone: a view where the two layouts agree, a copy otherwise."""
+    split = a.transpose(_head_axes(a.ndim, len(heads), keys)[1])
+    return split.reshape(split.shape[: a.ndim - len(heads) - 1] + (-1,))
 
 
 def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_bytes=None):
     """The forward of ``attend`` over (..., N, M) scores of ``shape`` into
-    ``out``, in blocks of ``_score_blocks(..., block_bytes)``; the operands
-    broadcast to it. A recorded call passes whole ``slope`` and ``coef``
-    arrays to be filled as well."""
+    ``out``, in blocks of ``_score_blocks(..., block_bytes)``; ``qs``,
+    ``ks`` and ``vs`` have its leading axes, and ``ws`` and ``bs`` broadcast
+    to it. A recorded call passes whole ``slope`` and ``coef`` arrays to be
+    filled as well."""
     lead = shape[:-2]
     block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1], block_bytes)
     block_shape = block_lead + shape[-2:]
@@ -807,7 +829,7 @@ def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_
     if not recording:  # the coefficients overwrite the raw scores
         coef = scores
     if len(blocks) > 1:  # views over the full leading axes: one index selects a block
-        qs, ks, vs, ws = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (qs, ks, vs, ws))
+        ws = np.broadcast_to(ws, lead + ws.shape[-2:])
         bs = None if bs is None else np.broadcast_to(bs, shape)
     for index, local in blocks:
         s = np.matmul(qs[index], ks[index], out=scores[local])
@@ -903,17 +925,13 @@ def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
     memo = _slice_memo()
     memo.use_weights(ws)
     rank, unit_shape = len(shape), shape[len(units) :]
-    rows = []  # per operand, one compact operand per unit index
-    for a in (qs, ks, vs, bs):
-        if a is not None:
-            a = a.reshape((1,) * (rank - a.ndim) + a.shape)
-            a = np.broadcast_to(a, units + a.shape[len(units) :])
-        rows.append(a)
-    qr, kr, vr, br = rows
+    if bs is not None:  # one compact bias per unit index
+        bs = bs.reshape((1,) * (rank - bs.ndim) + bs.shape)
+        bs = np.broadcast_to(bs, units + bs.shape[len(units) :])
     for u in np.ndindex(*units):
-        operands = (qr[u], kr[u], vr[u])
+        operands = (qs[u], ks[u], vs[u])
         key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
-        b = None if br is None else br[u]
+        b = None if bs is None else bs[u]
         held = memo.get(key, b)
         if held is not None:
             out[u] = held
@@ -923,20 +941,26 @@ def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
             memo.put(key, b, out[u])
 
 
-def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
-    """``masked_softmax(gelu(q @ k_t + bias), weights) @ v`` as one node.
+def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ()) -> DiffTensor:
+    """``masked_softmax(gelu(q @ k^T + bias), weights) @ v`` per head, as one node.
 
-    ``q`` is (..., N, H), ``k_t`` (..., H, M) and ``v`` (..., M, H_v), with
-    leading axes that broadcast; ``bias`` (optional) and ``weights`` end in
-    (N, M) and broadcast to the (..., N, M) scores, and ``weights`` follows
-    the rules of ``masked_softmax``. The scores are computed block by block
-    over the flattened leading axes (see ``_score_blocks``), so under
-    ``no_grad()`` no whole score tensor is made: a call holds two blocks
-    of at most ``_BLOCK_BYTES`` each besides its inputs and output. A
-    recorded call also fills the two whole arrays its backward pass reads,
-    the GELU slope and the coefficients. Values and gradients are bit for
-    bit those of the composed ``matmul``, ``add``, ``gelu``,
-    ``masked_softmax`` and ``matmul``.
+    ``q`` (..., N, H_q), ``k`` (..., M, H') and ``v`` (..., M, H_v) are rows,
+    such as affine outputs, with the same leading axes. The head axes of
+    shape ``heads`` split the channels of ``k``, ``v`` and the first H' of
+    ``q`` in row-major order; later ``q`` channels get a zero gradient.
+    ``bias`` (optional) and ``weights`` end in (N, M) and broadcast to the
+    (..., *heads, N, M) scores, and ``weights`` follows the rules of
+    ``masked_softmax``. Returns (..., N, H_v), the heads merged back. The
+    products read one contiguous head-layout copy of each operand, forward
+    and backward, as ``np.matmul`` over strided views can round otherwise.
+    The scores are computed block by block over the flattened leading axes
+    (see ``_score_blocks``), so under ``no_grad()`` no whole score tensor
+    is made: a call holds two blocks of at most ``_BLOCK_BYTES`` each
+    besides its inputs, their copies and its output. A recorded call also
+    fills the two whole arrays its backward pass reads, the GELU slope and
+    the coefficients. Values and gradients are bit for bit those of the
+    composed head split (``slice``, ``reshape``, ``permute``), ``matmul``,
+    ``add``, ``gelu``, ``masked_softmax``, ``matmul`` and merge.
 
     Under ``no_grad()``, a call whose units (see ``_SliceMemo``) hold at
     least ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit through this
@@ -948,17 +972,22 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     and N=347 at reference widths; past that, such repeats are recomputed.
     Its result is the same bytes whatever was computed before.
     """
-    q, k_t, v = constant(q), constant(k_t), constant(v)
-    shape = _score_shape(q.shape, k_t.shape, v.shape)
+    q, k, v = constant(q), constant(k), constant(v)
+    shape = _score_shape(q.shape, k.shape, v.shape, heads)
     lead = shape[:-2]
     if bias is not None:
         bias = constant(bias)
         _check_fits(bias.shape, shape, "bias", "attend")
     weights = _check_weights(weights, shape, "attend")
 
+    q_shape, width = q.shape, k.shape[-1]
+    q_heads = np.ascontiguousarray(_head_view(q.data[..., :width], heads))
+    k_heads = np.ascontiguousarray(_head_view(k.data, heads, keys=True))
+    v_heads = np.ascontiguousarray(_head_view(v.data, heads))
+
     recording = not getattr(_recording, "off", False)
-    out = np.empty(lead + (shape[-2], v.shape[-1]))
-    operands = (q.data, k_t.data, v.data, weights, None if bias is None else bias.data)
+    out = np.empty(lead + (shape[-2], v_heads.shape[-1]))
+    operands = (q_heads, k_heads, v_heads, weights, None if bias is None else bias.data)
     units = lead[: len(shape) - weights.ndim]
     if recording:  # kept whole for the backward pass
         slope, coef = np.empty(shape), np.empty(shape)
@@ -968,30 +997,33 @@ def attend(q, k_t, v, weights: np.ndarray, bias=None) -> DiffTensor:
     else:
         _attend_blocks(*operands, shape, out)
 
-    q_node, k_node, v_node = q._node, k_t._node, v._node
+    q_node, k_node, v_node = q._node, k._node, v._node
     b_node, b_shape = (None, None) if bias is None else (bias._node, bias.shape)
-    q_data, k_data, v_data = q.data, k_t.data, v.data
 
     def backward(g):
+        g = _head_view(g, heads)
         grads = []
         if v_node is not None:
             gv = np.matmul(np.swapaxes(coef, -1, -2), g)
-            grads.append((v_node, _sum_to_shape(gv, v_data.shape)))
-        g = _softmax_grad(np.matmul(g, np.swapaxes(v_data, -1, -2)), coef)
+            grads.append((v_node, _rows(gv, heads)))
+        g = _softmax_grad(np.matmul(g, np.swapaxes(v_heads, -1, -2)), coef)
         g *= slope
         if b_node is not None:
             grads.append((b_node, _sum_to_shape(g, b_shape)))
         if q_node is not None:
-            gq = np.matmul(g, np.swapaxes(k_data, -1, -2))
-            grads.append((q_node, _sum_to_shape(gq, q_data.shape)))
+            gq = _rows(np.matmul(g, np.swapaxes(k_heads, -1, -2)), heads)
+            if q_shape[-1] > width:  # zero-filled as slice_tensor's rule fills, signed zeros too
+                gq, part = np.zeros(q_shape), gq
+                gq[..., :width] += part
+            grads.append((q_node, gq))
         if k_node is not None:
-            gk = np.matmul(np.swapaxes(q_data, -1, -2), g)
-            grads.append((k_node, _sum_to_shape(gk, k_data.shape)))
+            gk = np.matmul(np.swapaxes(q_heads, -1, -2), g)
+            grads.append((k_node, _rows(gk, heads, keys=True)))
         return grads
 
     # parents in the order the composed graph reaches them, so the tape
     # accumulates shared gradients in the same order
-    return _make(out, (q_node, k_node, b_node, v_node), backward, "attend")
+    return _make(_rows(out, heads), (q_node, k_node, b_node, v_node), backward, "attend")
 
 
 def bank_apply(bank, x) -> DiffTensor:

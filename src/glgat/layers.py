@@ -143,17 +143,7 @@ def gat_forward(
     q = ad.affine(xe, params["w_q"], params["b_q"])
     k = ad.affine(xe, params["w_k"], params["b_k"])
     v = ad.affine(x_in, params["w_v"], params["b_v"])
-    k_t = ad.transpose_last(k)
-    return ad.affine(ad.attend(q, k_t, v, adj), params["w_ff"], params["b_ff"])
-
-
-def _split_heads(t: ad.DiffTensor, dims: LayerDims, keys: bool = False) -> ad.DiffTensor:
-    """(..., N, H') -> (..., H_adj, H_head, N, H), or (..., H_adj, H_head, H, N)
-    with ``keys``, the transposed layout the score product takes."""
-    r = ad.reshape(t, t.shape[:-1] + (dims.h_adj, dims.h_head, dims.h))
-    d = t.ndim - 2  # axes of r: (*lead, N, H_adj, H_head, H) with N at d
-    tail = (d + 1, d + 2, d + 3, d) if keys else (d + 1, d + 2, d, d + 3)
-    return ad.permute(r, (*range(d), *tail))
+    return ad.affine(ad.attend(q, k, v, adj), params["w_ff"], params["b_ff"])
 
 
 def glgat_forward(
@@ -199,11 +189,9 @@ def glgat_forward(
         ad.concat([q_global, q_local], axis=-1), params["w_q_compress"], params["b_q_compress"]
     )
 
-    k_t = _split_heads(ad.affine(xe, params["w_k"], params["b_k"]), dims, keys=True)
-    v = _split_heads(ad.affine(x_in, params["w_v"], params["b_v"]), dims)
+    k = ad.affine(xe, params["w_k"], params["b_k"])
+    v = ad.affine(x_in, params["w_v"], params["b_v"])
 
-    # without a pairwise term the query is all attention channels
-    q_at = _split_heads(q[..., : dims.h_prime] if dims.h_pe else q, dims)
     bias = None
     if dims.h_pe:
         q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, 1, dims.h_pe))
@@ -211,9 +199,7 @@ def glgat_forward(
         q_pe = ad.permute(q_pe, (*range(d), d + 1, d + 2, d, d + 3))  # (..., H_adj, 1, N, H_PE)
         bias = ad.pairwise_scores(q_pe, pe)  # (..., H_adj, 1, N, N), over heads
 
+    # attend reads q's first H' channels, split like k and v: H_head heads per matrix
     weights = adjs.reshape(dims.h_adj, 1, n, n)
-    hidden = ad.attend(q_at, k_t, v, weights, bias)  # (..., H_adj, H_head, N, H)
-    d = hidden.ndim - 4
-    hidden = ad.permute(hidden, (*range(d), d + 2, d, d + 1, d + 3))  # (..., N, H_adj, H_head, H)
-    flat = ad.reshape(hidden, hidden.shape[:-4] + (n, dims.h_prime))
-    return ad.affine(flat, params["w_ff"], params["b_ff"])
+    hidden = ad.attend(q, k, v, weights, bias, heads=(dims.h_adj, dims.h_head))  # (..., N, H')
+    return ad.affine(hidden, params["w_ff"], params["b_ff"])

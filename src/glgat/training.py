@@ -200,19 +200,26 @@ class EvalReport:
         return float(np.mean([m.mae for m in self.horizons.values()]))
 
 
+def unobserved_horizons(masks: np.ndarray) -> list[int]:
+    """The horizons at which the (samples, N, Q) ``masks`` observe no target:
+    ``evaluate`` reports NaN there, and ``train`` refuses such a validation split."""
+    return [h for h in HORIZONS if not masks[:, :, h - 1].any()]
+
+
 def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalReport:
     """MAE / RMSE / MAPE per horizon over mask-true elements.
 
     All three arrays are (samples, N, Q). The metric at horizon h uses
     column h-1. MAPE excludes elements whose true value is below
-    ``MAPE_FLOOR`` in magnitude; a horizon with no valid elements reports
-    NaN.
+    ``MAPE_FLOOR`` in magnitude; a horizon with no valid elements (see
+    ``unobserved_horizons``) reports NaN.
     """
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
     if preds.shape != targets.shape or preds.shape != masks.shape:
         raise ad.ShapeError("evaluate: preds, targets, masks must share a shape")
+    unobserved = unobserved_horizons(masks)
     out = {}
     for h in HORIZONS:
         y = targets[:, :, h - 1]
@@ -220,7 +227,7 @@ def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalR
         m = masks[:, :, h - 1]
         n_obs = int(m.sum())
         n_hidden = int(m.size - n_obs)
-        if n_obs == 0:
+        if h in unobserved:
             out[h] = HorizonMetrics(math.nan, math.nan, math.nan, 0, n_hidden)
             continue
         diff = yhat[m] - y[m]
@@ -320,7 +327,9 @@ def train(
     epochs are rolled back if they did not improve). When there are no
     validation windows, the smooth-L1 loss of the parameters at the end of
     each epoch over all training windows drives stopping instead. Either
-    way the value ranked is logged as ``stop_metric``.
+    way the value ranked is logged as ``stop_metric``. Validation windows
+    with no observed target at some horizon would rank a NaN metric every
+    epoch, so they raise ``DataError`` before the first epoch.
     """
     if not train_samples:
         raise DataError("training requires at least one window")
@@ -331,6 +340,12 @@ def train(
     have_val = bool(val_samples)
     if have_val:
         y_val, m_val = stack_targets(val_samples)
+        unobserved = unobserved_horizons(m_val)
+        if unobserved:
+            raise DataError(
+                f"the validation split observes no target at the {unobserved[0] * 5} min "
+                "horizon, so early stopping would rank a NaN metric"
+            )
     else:
         y_fit, m_fit = stack_targets(train_samples)
 

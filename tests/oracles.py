@@ -332,28 +332,35 @@ def with_coefficients(forward, *args):
     """``forward(*args)`` for a layer function that calls ``ad.attend``
     once, and the attention coefficients of that call.
 
-    The call's own ``q``, ``k_t``, ``weights`` and ``bias`` are kept, and
-    ``attend`` runs on them again with the identity as the values: the
-    coefficients times I are the coefficients exactly, computed by the
-    same blocks as the layer's output. Returns (output, coefficients); the
-    coefficients have the call's score shape, (..., N_row, N_col) for
-    ``gat_forward`` and (..., H_adj, H_head, N_row, N_col) for
-    ``glgat_forward``.
+    The call's own ``q``, ``k``, ``weights``, ``bias`` and ``heads`` are
+    kept, and ``attend`` runs on them again with per-head identity values
+    in row layout: every head's M value channels are the (M, M) identity,
+    so each head's coefficients times I are its coefficients exactly,
+    computed by the same blocks as the layer's output. Returns (output,
+    coefficients); the coefficients have the call's score shape,
+    (..., N_row, N_col) for ``gat_forward`` and (..., H_adj, H_head, N_row,
+    N_col) for ``glgat_forward``.
     """
     attend = ad.attend
     calls = []
 
-    def kept(q, k_t, v, weights, bias=None):
-        calls.append((q, k_t, weights, bias))
-        return attend(q, k_t, v, weights, bias)
+    def kept(q, k, v, weights, bias=None, heads=()):
+        calls.append((q, k, weights, bias, heads))
+        return attend(q, k, v, weights, bias, heads)
 
     ad.attend = kept
     try:
         out = forward(*args)
     finally:
         ad.attend = attend
-    ((q, k_t, weights, bias),) = calls
-    return out, attend(q, k_t, np.eye(k_t.shape[-1]), weights, bias)
+    ((q, k, weights, bias, heads),) = calls
+    m, split = k.shape[-2], math.prod(heads)
+    identity = np.broadcast_to(np.tile(np.eye(m), split), k.shape[:-1] + (split * m,))
+    rows = attend(q, k, identity, weights, bias, heads).data  # (..., N_row, heads * N_col)
+    d, n_heads = rows.ndim - 2, len(heads)
+    coef = rows.reshape(rows.shape[:-1] + heads + (m,))  # (..., N_row, *heads, N_col)
+    heads_first = (*range(d), *range(d + 1, d + 1 + n_heads), d, d + 1 + n_heads)
+    return out, ad.constant(coef.transpose(heads_first))
 
 
 def metrics_scalar(y_true, y_pred, mask, mape_floor=1.0):

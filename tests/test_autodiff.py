@@ -4,6 +4,7 @@ derived oracles, gradients against central differences."""
 import ast
 import contextlib
 import importlib.util
+import math
 import sys
 import threading
 import tracemalloc
@@ -241,47 +242,76 @@ def test_pairwise_scores_is_the_bank_product_bit_for_bit(n, lead):
     assert _grads_after_backward(out, (q,), seed) == _grads_after_backward(ref, (q,), seed)
 
 
-def _composed_attend(q, k_t, v, weights, bias=None):
-    scores = ad.matmul(q, k_t)
+def _as_rows(a: np.ndarray, n_heads: int, keys: bool = False) -> np.ndarray:
+    """A head-layout array, (..., *heads, N, H) or with ``keys`` (..., *heads,
+    H, N), as the (..., N, prod(heads) * H) rows that attend() takes."""
+    if keys:
+        a = np.swapaxes(a, -1, -2)
+    d = a.ndim - n_heads - 2
+    rows = np.moveaxis(a, -2, d)  # (..., N, *heads, H)
+    return rows.reshape(rows.shape[: d + 1] + (-1,))
+
+
+def _split_heads(t, heads, keys=False):
+    """(..., N, prod(heads) * H) rows in the contiguous head layout, through
+    the reshape and permute nodes a floor recorded before attend() took
+    rows."""
+    d, n = t.ndim - 2, len(heads)
+    r = ad.reshape(t, t.shape[:-1] + heads + (t.shape[-1] // math.prod(heads),))
+    tail = (d + n + 1, d) if keys else (d, d + n + 1)
+    return ad.permute(r, (*range(d), *range(d + 1, d + n + 1), *tail))
+
+
+def _composed_attend(q, k, v, weights, bias=None, heads=()):
+    """attend() as separate ops: the head split (a slice of a wider query,
+    reshape, permute), matmul, add, gelu, masked_softmax, matmul, and the
+    merge (permute, reshape)."""
+    if q.shape[-1] > k.shape[-1]:
+        q = q[..., : k.shape[-1]]
+    scores = ad.matmul(_split_heads(q, heads), _split_heads(k, heads, keys=True))
     if bias is not None:
         scores = scores + bias
-    return ad.matmul(ad.masked_softmax(ad.gelu(scores), weights), v)
+    out = ad.matmul(ad.masked_softmax(ad.gelu(scores), weights), _split_heads(v, heads))
+    d, n = out.ndim - len(heads) - 2, len(heads)
+    merged = ad.permute(out, (*range(d), d + n, *range(d, d + n), d + n + 1))
+    return ad.reshape(merged, merged.shape[: d + 1] + (v.shape[-1],))
 
 
-def _floor_operands(rng, batch=3, h_adj=2, h_head=4, n=6):
-    """attend() operands laid out as in a GLGAT floor: leading axes
-    (batch, H_adj, H_head), a bias shared by the heads and weights shared
-    by the batch and the heads."""
+def _floor_operands(rng, batch=3, h_adj=2, h_head=4, n=6, h=3, h_v=5):
+    """attend() operands laid out as in a GLGAT floor: (batch, N, channels)
+    rows of H_adj * H_head heads of ``h`` query and key channels and ``h_v``
+    value channels, a bias per batch row and matrix shared by the heads,
+    weights shared by the batch and the heads, and the heads."""
     lead = (batch, h_adj, h_head)
-    q = rand_param(rng, *lead, n, 3)
-    k_t = rand_param(rng, *lead, 3, n)
-    v = rand_param(rng, *lead, n, 5)
+    q = ad.parameter(_as_rows(rng.standard_normal((*lead, n, h)), 2))
+    k = ad.parameter(_as_rows(rng.standard_normal((*lead, h, n)), 2, keys=True))
+    v = ad.parameter(_as_rows(rng.standard_normal((*lead, n, h_v)), 2))
     bias = rand_param(rng, batch, h_adj, 1, n, n)
     weights = rng.uniform(0.0, 1.0, (h_adj, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
-    return q, k_t, v, weights, bias
+    return q, k, v, weights, bias, (h_adj, h_head)
 
 
-def _assert_attend_matches_composed(rng, q, k_t, v, weights, bias=None):
-    tensors = (q, k_t, v) if bias is None else (q, k_t, v, bias)
-    fused = ad.attend(q, k_t, v, weights, bias)
-    composed = _composed_attend(q, k_t, v, weights, bias)
+def _assert_attend_matches_composed(rng, q, k, v, weights, bias=None, heads=()):
+    tensors = (q, k, v) if bias is None else (q, k, v, bias)
+    fused = ad.attend(q, k, v, weights, bias, heads)
+    composed = _composed_attend(q, k, v, weights, bias, heads)
     assert fused.data.tobytes() == composed.data.tobytes()
     seed = rng.standard_normal(fused.shape)
     assert _grads_after_backward(fused, tensors, seed) == _grads_after_backward(
         composed, tensors, seed
     )
     with ad.no_grad():
-        plain = ad.attend(q, k_t, v, weights, bias)
+        plain = ad.attend(q, k, v, weights, bias, heads)
     assert plain.data.tobytes() == composed.data.tobytes()
 
 
 def test_attend_matches_composed_ops_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(5)
     with_bias = _floor_operands(rng)
-    q, k_t, v, weights, _ = _floor_operands(rng)
-    plain = (q, k_t, v, weights[0, 0])  # the single-matrix layer: no bias
+    q, k, v, weights, _, heads = _floor_operands(rng)
+    plain = (q, k, v, weights[0, 0], None, heads)  # the single-matrix layer: no bias
     slice_bytes = 8 * 6 * 6
     # runs of 3 and 1 slices on the head axis: 12 blocks; then one block
     assert len(ad._score_blocks((3, 2, 4), slice_bytes)[1]) == 1
@@ -298,47 +328,78 @@ def test_attend_faint_row_in_one_block_matches_composed_ops(monkeypatch):
     # the F1 fallback runs for the one block that holds the faint row
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
     rng = np.random.default_rng(9)
-    q, k_t, v, weights, _ = _floor_operands(rng)
+    q, k, v, weights, _, heads = _floor_operands(rng)
     bias = rand_param(rng, 3, 2, 4, 6, 6)  # one bias per slice
     weights[1, 0, 2, 4] = 0.0
     bias.data[1, 1, 2, 2, 4] = 1000.0 + np.abs(bias.data).max() + 20.0
-    _assert_attend_matches_composed(rng, q, k_t, v, weights, bias)
-    assert np.all(np.isfinite(ad.attend(q, k_t, v, weights, bias).data))
+    _assert_attend_matches_composed(rng, q, k, v, weights, bias, heads)
+    assert np.all(np.isfinite(ad.attend(q, k, v, weights, bias, heads).data))
 
 
 def test_attend_batched_matches_per_window_bit_for_bit(monkeypatch):
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
     rng = np.random.default_rng(11)
-    q, k_t, v, weights, bias = (
-        t if isinstance(t, np.ndarray) else t.data for t in _floor_operands(rng)
-    )
+    *operands, heads = _floor_operands(rng)
+    q, k, v, weights, bias = (t if isinstance(t, np.ndarray) else t.data for t in operands)
     for mode in (contextlib.nullcontext, ad.no_grad):
         with mode():
-            batched = ad.attend(q, k_t, v, weights, bias).data
+            batched = ad.attend(q, k, v, weights, bias, heads).data
             for b in range(3):
-                single = ad.attend(q[b], k_t[b], v[b], weights, bias[b]).data
+                single = ad.attend(q[b], k[b], v[b], weights, bias[b], heads).data
                 assert single.tobytes() == batched[b].tobytes()
+
+
+def test_attend_products_read_contiguous_head_copies():
+    """``np.matmul`` over a strided head view of the keys can round
+    differently from a contiguous copy: with numpy 2.4.6 and OpenBLAS
+    0.3.31 at h=2, it does for N from 196 up whenever N mod 8 is 4 to 7,
+    and N=207 is one of those. The fused call still gives the bits of the
+    composed ops on contiguous head layouts, values and gradients, recorded
+    and under no_grad()."""
+    rng = np.random.default_rng(14)
+    operands = _floor_operands(rng, batch=1, h_adj=2, h_head=2, n=207, h=2, h_v=2)
+    _assert_attend_matches_composed(rng, *operands)
+
+
+def test_attend_reads_the_first_channels_of_a_wider_query():
+    """A GLGAT query carries the pairwise channels after the attention
+    ones. attend() reads only the first H' and gives the rest the zero
+    gradient a slice scatters, bit for bit."""
+    rng = np.random.default_rng(13)
+    q, k, v, weights, bias, heads = _floor_operands(rng)
+    wide = ad.parameter(np.concatenate([q.data, rng.standard_normal((3, 6, 4))], axis=-1))
+    out = ad.attend(wide, k, v, weights, bias, heads)
+    assert out.data.tobytes() == ad.attend(q, k, v, weights, bias, heads).data.tobytes()
+    _assert_attend_matches_composed(rng, wide, k, v, weights, bias, heads)
+    assert np.signbit(wide.grad[..., 24:]).sum() == 0 and not wide.grad[..., 24:].any()
 
 
 @pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
 def test_attend_rejects_bad_weights(mode):
     rng = np.random.default_rng(12)
     q, k_t, v = rand_param(rng, 2, 4, 3), rand_param(rng, 2, 3, 4), rand_param(rng, 2, 4, 2)
+    k = ad.parameter(np.swapaxes(k_t.data, -1, -2))
     nan = np.ones((4, 4))
     nan[2, 3] = np.nan
     zero_row = np.ones((4, 4))
     zero_row[1] = 0.0
     with mode():
         with pytest.raises(ValueError, match="in \\[0, 1\\]"):
-            ad.attend(q, k_t, v, np.full((4, 4), 1.5))
+            ad.attend(q, k, v, np.full((4, 4), 1.5))
         with pytest.raises(ValueError, match="in \\[0, 1\\]"):
-            ad.attend(q, k_t, v, nan)
+            ad.attend(q, k, v, nan)
         with pytest.raises(ad.DegenerateRowError, match="row 1"):
-            ad.attend(q, k_t, v, zero_row)
+            ad.attend(q, k, v, zero_row)
         with pytest.raises(ad.ShapeError):
-            ad.attend(q, k_t, v, np.ones((4, 4)), bias=np.zeros((4, 3)))
-        with pytest.raises(ad.ShapeError):
-            ad.attend(q, q, v, np.ones((4, 4)))
+            ad.attend(q, k, v, np.ones((4, 4)), bias=np.zeros((4, 3)))
+        with pytest.raises(ad.ShapeError, match="chain"):
+            ad.attend(q, k_t, v, np.ones((4, 4)))  # keys in the transposed layout
+        with pytest.raises(ad.ShapeError, match="chain"):
+            ad.attend(v, k, v, np.ones((4, 4)))  # 2 query channels for 3 key channels
+        with pytest.raises(ad.ShapeError, match="chain"):
+            ad.attend(q, k, v, np.ones((4, 4)), heads=(2,))  # 3 key channels in 2 heads
+        with pytest.raises(ad.ShapeError, match="differ"):
+            ad.attend(q, k, v[0], np.ones((4, 4)))
 
 
 def test_permute_matches_numpy_transpose():
@@ -547,17 +608,17 @@ def test_grad_permute():
 def test_grad_attend(monkeypatch):
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 5 * 5)  # two blocks
     rng = np.random.default_rng(25)
-    q = rand_param(rng, 2, 3, 5, 3)
-    k_t = rand_param(rng, 2, 3, 3, 5)
-    v = rand_param(rng, 2, 3, 5, 4)
+    q = ad.parameter(_as_rows(rng.standard_normal((2, 3, 5, 3)), 1))
+    k = ad.parameter(_as_rows(rng.standard_normal((2, 3, 3, 5)), 1, keys=True))
+    v = ad.parameter(_as_rows(rng.standard_normal((2, 3, 5, 4)), 1))
     bias = rand_param(rng, 2, 1, 5, 5)
     weights = rng.uniform(0.2, 1.0, (5, 5))
     weights[rng.uniform(size=(5, 5)) < 0.25] = 0.0
     np.fill_diagonal(weights, 1.0)
-    sel = ad.constant(rng.standard_normal((2, 3, 5, 4)))
+    sel = ad.constant(_as_rows(rng.standard_normal((2, 3, 5, 4)), 1))
     fd_check(
-        lambda: ad.reduce_sum(ad.attend(q, k_t, v, weights, bias) * sel),
-        {"q": q, "k_t": k_t, "v": v, "bias": bias},
+        lambda: ad.reduce_sum(ad.attend(q, k, v, weights, bias, heads=(3,)) * sel),
+        {"q": q, "k": k, "v": v, "bias": bias},
     )
 
 
@@ -674,18 +735,23 @@ def test_backward_consumes_its_graph():
 
 def test_recorded_attend_holds_two_score_tensors():
     """What a recorded call keeps for its backward pass: the GELU slope and
-    the coefficients, not the raw scores or their CDF."""
+    the coefficients, not the raw scores or their CDF. Given a floor's rows,
+    it also keeps one head-layout copy of each operand."""
     rng = np.random.default_rng(44)
-    q, k_t, v, weights, bias = _floor_operands(rng, batch=4, h_adj=2, h_head=2, n=48)
+    q, k, v, weights, bias, heads = _floor_operands(rng, batch=4, h_adj=2, h_head=2, n=48)
     score_bytes = 8 * 4 * 2 * 2 * 48 * 48  # one whole (4, 2, 2, 48, 48) tensor
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ad.attend(q, k_t, v, weights, bias)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held <= 2 * score_bytes + out.data.nbytes + 64 * 1024
+    copies = q.data.nbytes + k.data.nbytes + v.data.nbytes
+    split = [_split_heads(t, heads) for t in (q, k, v)]  # every head a leading row
+    for operands, extra in ((split, 0), ((q, k, v, heads), copies)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.attend(*operands[:3], weights, bias, *operands[3:])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * score_bytes + out.data.nbytes + extra + 64 * 1024
+        del out
 
 
 def test_a_value_no_rule_reads_dies_with_its_tensor():
@@ -759,24 +825,25 @@ def test_reuse_recomputes_after_a_write_to_any_array_argument():
 
 def _group_sequence(rng, groups, n=48):
     """attend() operands of a GLGAT floor for ``groups`` consecutive time
-    groups: leading axes (group, H_adj=2, H_head=2), a bias per group and
-    matrix, and weights shared by the groups and heads. A unit, every
-    slice of one group, holds 4 * 48 * 48 * 8 bytes (72 KiB) of scores."""
-    q = rng.standard_normal((groups, 2, 2, n, 3))
-    k_t = rng.standard_normal((groups, 2, 2, 3, n))
-    v = rng.standard_normal((groups, 2, 2, n, 5))
+    groups: (group, N, channels) rows of heads (H_adj=2, H_head=2), a bias
+    per group and matrix, weights shared by the groups and heads, and the
+    heads. A unit, every slice of one group, holds 4 * 48 * 48 * 8 bytes
+    (72 KiB) of scores."""
+    q = _as_rows(rng.standard_normal((groups, 2, 2, n, 3)), 2)
+    k = _as_rows(rng.standard_normal((groups, 2, 2, 3, n)), 2, keys=True)
+    v = _as_rows(rng.standard_normal((groups, 2, 2, n, 5)), 2)
     bias = rng.standard_normal((groups, 2, 1, n, n))
     weights = rng.uniform(0.0, 1.0, (2, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
     assert 8 * 4 * n * n >= ad._MEMO_MIN_UNIT_BYTES
-    return q, k_t, v, weights, bias
+    return q, k, v, weights, bias, (2, 2)
 
 
 def _window(operands, start, width):
-    q, k_t, v, weights, bias = operands
+    q, k, v, weights, bias, heads = operands
     span = slice(start, start + width)
-    return q[span], k_t[span], v[span], weights, bias[span]
+    return q[span], k[span], v[span], weights, bias[span], heads
 
 
 def _fresh(*operands):
@@ -815,7 +882,7 @@ def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(comput
 
 def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
     rng = np.random.default_rng(61)
-    q, k_t, v, weights, bias = operands = _group_sequence(rng, groups=4)
+    q, k, v, weights, bias, heads = operands = _group_sequence(rng, groups=4)
     with ad.no_grad():
         ad.attend(*operands)
         ad.attend(*operands)
@@ -839,14 +906,14 @@ def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units)
 
 def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
     rng = np.random.default_rng(62)
-    q, k_t, v, weights, bias = _group_sequence(rng, groups=5)
-    for a in (q, k_t, v, bias):
+    q, k, v, weights, bias, heads = _group_sequence(rng, groups=5)
+    for a in (q, k, v, bias):
         a[3] = a[1]  # unit 3 repeats unit 1
-    q[4], k_t[4], v[4] = q[0], k_t[0], v[0]  # unit 4 repeats unit 0 but its bias
+    q[4], k[4], v[4] = q[0], k[0], v[0]  # unit 4 repeats unit 0 but its bias
     with ad.no_grad():
-        out = ad.attend(q, k_t, v, weights, bias).data
+        out = ad.attend(q, k, v, weights, bias, heads).data
     assert len(computed_units) == 4  # the repeat of unit 1 is a memo hit
-    assert out.tobytes() == ad.attend(q, k_t, v, weights, bias).data.tobytes()
+    assert out.tobytes() == ad.attend(q, k, v, weights, bias, heads).data.tobytes()
     assert out[3].tobytes() == out[1].tobytes()
 
 
@@ -856,15 +923,16 @@ def test_attend_memo_serves_units_without_a_bias(computed_units):
     rng = np.random.default_rng(63)
     n = 96
     q, k_t, v = (rng.standard_normal(s) for s in ((3, n, 4), (3, 4, n), (3, n, 5)))
+    k = np.swapaxes(k_t, -1, -2)
     weights = (rng.uniform(size=(n, n)) > 0.3).astype(float)
     np.fill_diagonal(weights, 1.0)
     assert 8 * n * n >= ad._MEMO_MIN_UNIT_BYTES > 8 * 90 * 90
     with ad.no_grad():
-        first = ad.attend(q, k_t, v, weights).data
-        again = ad.attend(q, k_t, v, weights).data
+        first = ad.attend(q, k, v, weights).data
+        again = ad.attend(q, k, v, weights).data
     assert len(computed_units) == 3  # the second call was all hits
-    assert first.tobytes() == again.tobytes() == ad.attend(q, k_t, v, weights).data.tobytes()
-    assert first.tobytes() == _fresh(q, k_t, v, weights).tobytes()
+    assert first.tobytes() == again.tobytes() == ad.attend(q, k, v, weights).data.tobytes()
+    assert first.tobytes() == _fresh(q, k, v, weights).tobytes()
 
 
 def test_recorded_attend_never_consults_the_memo(monkeypatch):
@@ -873,12 +941,12 @@ def test_recorded_attend_never_consults_the_memo(monkeypatch):
 
     monkeypatch.setattr(ad, "_slice_memo", no_memo)
     rng = np.random.default_rng(63)
-    q, k_t, v, weights, bias = _group_sequence(rng, groups=3)
-    tensors = [ad.parameter(a) for a in (q, k_t, v, bias)]
-    ad.reduce_sum(ad.attend(*tensors[:3], weights, tensors[3])).backward()
+    q, k, v, weights, bias, heads = _group_sequence(rng, groups=3)
+    tensors = [ad.parameter(a) for a in (q, k, v, bias)]
+    ad.reduce_sum(ad.attend(*tensors[:3], weights, tensors[3], heads)).backward()
     assert all(t.grad is not None for t in tensors)
     with ad.no_grad(), pytest.raises(AssertionError, match="consulted"):
-        ad.attend(q, k_t, v, weights, bias)
+        ad.attend(q, k, v, weights, bias, heads)
 
 
 def _memo_bytes(memo) -> int:

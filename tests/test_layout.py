@@ -121,10 +121,29 @@ def test_every_backward_rule_is_recorded_by_some_variant(step_tapes):
 
 def test_a_step_without_a_pairwise_term_slices_no_query(step_tapes):
     """ablation2's query holds attention channels only, so its floors take
-    it whole; the variants with a pairwise term slice it in two."""
+    it whole; the variants with a pairwise term slice off its pairwise
+    channels once per floor, and ``attend`` reads the attention channels
+    in place."""
     slices = {v: sum(node.op == "slice" for node in nodes) for v, nodes in step_tapes.items()}
     assert slices["ablation2"] == slices["ablation3"] == 0
-    assert slices["full"] == slices["ablation1"] == 2 * 5
+    assert slices["full"] == slices["ablation1"] == 5
+
+
+# Recorded ops of one training step, leaves excluded, at most.
+STEP_OP_CEILINGS = {"full": 84, "ablation1": 84, "ablation2": 64, "ablation3": 44}
+
+
+def test_a_step_records_no_more_ops_than_its_ceiling(step_tapes):
+    """``attend`` takes the floors' rows and merges its own heads, so the
+    layout ops of a step are the time-flatten's permute and reshape and,
+    per floor with a pairwise term, the pairwise query's slice, reshape and
+    permute."""
+    for variant, nodes in step_tapes.items():
+        ops = Counter(node.op for node in nodes if node.rule is not None)
+        pairwise = 5 if variant in ("full", "ablation1") else 0
+        layout = {op: ops[op] for op in ("permute", "reshape", "slice")}
+        assert layout == {"permute": 1 + pairwise, "reshape": 1 + pairwise, "slice": pairwise}
+        assert sum(ops.values()) <= STEP_OP_CEILINGS[variant], (variant, dict(ops))
 
 
 def test_no_backward_rule_holds_a_tensor(step_tapes):

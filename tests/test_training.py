@@ -412,6 +412,33 @@ def test_loss_improves_within_five_epochs(setup):
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("blank", ["span", "60min"])
+def test_train_refuses_validation_without_an_observed_target(setup, blank):
+    """Validation windows that observe no target at some horizon would rank
+    a NaN metric every epoch and leave the initial parameters behind as the
+    best ones. ``train`` raises before its first epoch instead, naming the
+    split and the horizon, as ``evaluate`` reports NaN for that horizon."""
+    graph, series, splits, train_series = setup
+    n_train, n_val, _ = splits.split_sizes
+    mask = series.mask.copy()
+    if blank == "span":
+        mask[n_train : n_train + n_val] = False
+    else:  # the 60 min targets of every validation window, not the 15 or 30 min ones
+        mask[n_train + 23 : n_train + n_val] = False
+    masked = gdata.TrafficSeries(np.where(mask, series.data, 0.0), mask, series.timestamps)
+    val = gdata.split_and_window(masked, p=12, q=12).val
+    assert len(val) == 3
+    horizon = 15 if blank == "span" else 60
+    report = gtrain.evaluate(np.zeros((3, 5, 12)), *gtrain.stack_targets(val))
+    assert [h * 5 for h, m in report.horizons.items() if math.isnan(m.mae)][0] == horizon
+    model = fresh_model(setup)
+    before = {k: t.data.copy() for k, t in model.named_params().items()}
+    config = gtrain.TrainConfig(lr=5e-3, batch_size=8, max_epochs=3, patience=3, seed=0)
+    with pytest.raises(gdata.DataError, match=f"validation split .* {horizon} min horizon"):
+        gtrain.train(model, splits.train[:16], val, config)
+    assert all(np.array_equal(t.data, before[k]) for k, t in model.named_params().items())
+
+
 def test_best_snapshot_restored(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
