@@ -23,11 +23,12 @@ GELU and the masked softmax, whose outputs are bounded by construction.
 Inside ``no_grad()`` nothing is recorded and nothing is scanned; the caller
 checks the result it keeps.
 
-``attend`` takes attention from the query, key and value rows to the merged
-heads in one node, over blocks of at most ``_BLOCK_BYTES`` of scores that
-stay in cache through the elementwise passes. It never holds whole raw
-scores: a recorded call keeps the two score-shaped arrays its backward
-reads, and a call inside ``no_grad()`` keeps none.
+``attend`` takes attention, pairwise term included, from the query, key
+and value rows to the merged heads in one node, over blocks of at most
+``_BLOCK_BYTES`` of scores that stay in cache through the elementwise
+passes. It never holds whole raw scores: a recorded call keeps the two
+score-shaped arrays its backward reads, and a call inside ``no_grad()``
+keeps none.
 
 The only module state is one per-thread object, ``_recording``. It holds
 the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
@@ -656,28 +657,26 @@ _FAINT_ROW_SUM = 1e-250
 
 
 @functools.lru_cache(maxsize=1024)
-def _check_fits(a_shape: tuple[int, ...], shape: tuple[int, ...], what: str, op: str) -> None:
-    """Raise ``ShapeError`` unless ``a_shape`` ends in the score rows of
+def _check_fits(w_shape: tuple[int, ...], shape: tuple[int, ...], op: str) -> None:
+    """Raise ``ShapeError`` unless ``w_shape`` ends in the score rows of
     ``shape`` and broadcasts to it."""
-    if len(shape) < 2 or len(a_shape) < 2:
-        raise ShapeError(f"{op}: scores and {what} must have >= 2 dimensions")
-    if a_shape[-2:] != shape[-2:]:
-        raise ShapeError(
-            f"{op}: {what} rows {a_shape[-2:]} do not match score rows {shape[-2:]}"
-        )
+    if len(shape) < 2 or len(w_shape) < 2:
+        raise ShapeError(f"{op}: scores and weights must have >= 2 dimensions")
+    if w_shape[-2:] != shape[-2:]:
+        raise ShapeError(f"{op}: weights rows {w_shape[-2:]} do not match score rows {shape[-2:]}")
     try:
-        if np.broadcast_shapes(a_shape, shape) != shape:
+        if np.broadcast_shapes(w_shape, shape) != shape:
             raise ValueError
     except ValueError:
         raise ShapeError(
-            f"{op}: {what} shape {a_shape} does not broadcast to scores shape {shape}"
+            f"{op}: weights shape {w_shape} does not broadcast to scores shape {shape}"
         ) from None
 
 
 def _check_weights(weights, shape: tuple[int, ...], op: str) -> np.ndarray:
     """Validate a weight array against scores of ``shape``; the weights as float64."""
     weights = np.asarray(weights, dtype=np.float64)
-    _check_fits(weights.shape, shape, "weights", op)
+    _check_fits(weights.shape, shape, op)
     if not (np.all(weights >= 0.0) and np.all(weights <= 1.0)):  # NaN fails too
         raise ValueError(f"{op}: weights must lie in [0, 1]")
     row_sums = weights.reshape(-1, weights.shape[-1]).sum(axis=-1)
@@ -779,17 +778,20 @@ def _score_blocks(lead: tuple[int, ...], slice_bytes: int, block_bytes: int | No
 
 
 @functools.lru_cache(maxsize=1024)
-def _score_shape(q_shape, k_shape, v_shape, heads) -> tuple[int, ...]:
-    """The (..., *heads, N, M) score shape of ``attend`` for operands of these shapes."""
+def _score_shape(q_shape, k_shape, v_shape, heads, table_shape) -> tuple[int, ...]:
+    """The (..., *heads, N, M) score shape of ``attend`` for these operand and table shapes."""
     if min(len(q_shape), len(k_shape), len(v_shape)) < 2:
         raise ShapeError("attend: operands must have at least 2 dimensions")
     if not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]:
         raise ShapeError(f"attend: leading axes of {q_shape}, {k_shape}, {v_shape} differ")
-    split, (m, width) = math.prod(heads), k_shape[-2:]
-    chained = m == v_shape[-2] and q_shape[-1] >= width
+    split, n, (m, width) = math.prod(heads), q_shape[-2], k_shape[-2:]
+    if table_shape is not None and (not heads or table_shape[:-1] != (n, m) or n != m):
+        raise ShapeError(f"attend: table {table_shape} does not fit {n} rows in heads {heads}")
+    pairwise = 0 if table_shape is None else heads[0] * table_shape[-1]
+    chained = m == v_shape[-2] and q_shape[-1] == width + pairwise
     if min(heads, default=1) < 1 or width % split or v_shape[-1] % split or not chained:
         raise ShapeError(f"attend: {q_shape}, {k_shape}, {v_shape} do not chain in heads {heads}")
-    return q_shape[:-2] + heads + (q_shape[-2], m)
+    return q_shape[:-2] + heads + (n, m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -862,14 +864,15 @@ def _same_bytes(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 class _SliceMemo:
     """One thread's results of ``attend`` under ``no_grad()``, by unit.
 
-    A unit is every score slice of one index of the leading axes that the
-    weights do not span: in a GLGAT floor, all the matrices and heads of one
-    window's time group. An entry is keyed on the shapes and bytes of the
-    unit's ``q``, ``k_t`` and ``v`` and keeps its own copies of the unit's
-    bias and output. It is used only while the call's weights and the
-    unit's bias are byte-equal to the memo's copies, so a stale entry can
-    only miss, and a hit gives the bytes a recomputation would. Entries are
-    kept newest first, up to ``_MEMO_BYTES`` with the weights copy counted.
+    A unit is every score slice of one index of the operands' leading axes
+    that the weights do not span: in a GLGAT floor, all the matrices and
+    heads of one window's time group. An entry is keyed on the shapes and
+    bytes of the unit's query, key and value head copies and keeps its own
+    copies of the unit's pairwise term (the bias) and output. It is used
+    only while the call's weights and the unit's bias are byte-equal to the
+    memo's copies, so a stale entry can only miss, and a hit gives the bytes
+    a recomputation would. Entries are kept newest first, up to
+    ``_MEMO_BYTES`` with the weights copy counted.
     """
 
     def __init__(self):
@@ -924,10 +927,7 @@ def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
     hit while the memo still holds it."""
     memo = _slice_memo()
     memo.use_weights(ws)
-    rank, unit_shape = len(shape), shape[len(units) :]
-    if bs is not None:  # one compact bias per unit index
-        bs = bs.reshape((1,) * (rank - bs.ndim) + bs.shape)
-        bs = np.broadcast_to(bs, units + bs.shape[len(units) :])
+    unit_shape = shape[len(units) :]
     for u in np.ndindex(*units):
         operands = (qs[u], ks[u], vs[u])
         key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
@@ -941,25 +941,29 @@ def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
             memo.put(key, b, out[u])
 
 
-def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ()) -> DiffTensor:
-    """``masked_softmax(gelu(q @ k^T + bias), weights) @ v`` per head, as one node.
+def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()) -> DiffTensor:
+    """``masked_softmax(gelu(q @ k^T + q_pe . table), weights) @ v`` per head, as one node.
 
     ``q`` (..., N, H_q), ``k`` (..., M, H') and ``v`` (..., M, H_v) are rows,
     such as affine outputs, with the same leading axes. The head axes of
     shape ``heads`` split the channels of ``k``, ``v`` and the first H' of
-    ``q`` in row-major order; later ``q`` channels get a zero gradient.
-    ``bias`` (optional) and ``weights`` end in (N, M) and broadcast to the
-    (..., *heads, N, M) scores, and ``weights`` follows the rules of
-    ``masked_softmax``. Returns (..., N, H_v), the heads merged back. The
-    products read one contiguous head-layout copy of each operand, forward
-    and backward, as ``np.matmul`` over strided views can round otherwise.
-    The scores are computed block by block over the flattened leading axes
-    (see ``_score_blocks``), so under ``no_grad()`` no whole score tensor
-    is made: a call holds two blocks of at most ``_BLOCK_BYTES`` each
-    besides its inputs, their copies and its output. A recorded call also
-    fills the two whole arrays its backward pass reads, the GELU slope and
-    the coefficients. Values and gradients are bit for bit those of the
-    composed head split (``slice``, ``reshape``, ``permute``), ``matmul``,
+    ``q`` in row-major order. The rest of ``q``, given a constant pairwise
+    ``table`` (N, N, H_PE) with N = M, is the pairwise queries q_pe: one
+    H_PE block per index of the first head axis, shared by the other head
+    axes, scoring the pair (i, j) against ``table[i, j]`` with the bank
+    product of ``pairwise_scores``. ``weights`` ends in (N, M), broadcasts
+    to the (..., *heads, N, M) scores and follows ``masked_softmax``'s rules.
+    Returns (..., N, H_v), the heads merged back. The products read one
+    contiguous head-layout copy of each operand, forward and backward, as
+    ``np.matmul`` over strided views can round otherwise. The scores are
+    computed block by block over the flattened leading axes (see
+    ``_score_blocks``), so under ``no_grad()`` no whole score tensor is
+    made: a call holds two blocks of at most ``_BLOCK_BYTES`` each besides
+    its inputs, their copies, the pairwise term and its output. A recorded
+    call also fills the two whole arrays its backward pass reads, the GELU
+    slope and the coefficients. Values and gradients are bit for bit those
+    of the composed pairwise term (``slice``, ``reshape``, ``permute``,
+    ``pairwise_scores``), head split (``reshape``, ``permute``), ``matmul``,
     ``add``, ``gelu``, ``masked_softmax``, ``matmul`` and merge.
 
     Under ``no_grad()``, a call whose units (see ``_SliceMemo``) hold at
@@ -973,23 +977,26 @@ def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ())
     Its result is the same bytes whatever was computed before.
     """
     q, k, v = constant(q), constant(k), constant(v)
-    shape = _score_shape(q.shape, k.shape, v.shape, heads)
+    table = None if table is None else np.ascontiguousarray(table, dtype=np.float64)
+    shape = _score_shape(q.shape, k.shape, v.shape, heads, getattr(table, "shape", None))
     lead = shape[:-2]
-    if bias is not None:
-        bias = constant(bias)
-        _check_fits(bias.shape, shape, "bias", "attend")
     weights = _check_weights(weights, shape, "attend")
 
-    q_shape, width = q.shape, k.shape[-1]
+    width = k.shape[-1]
     q_heads = np.ascontiguousarray(_head_view(q.data[..., :width], heads))
     k_heads = np.ascontiguousarray(_head_view(k.data, heads, keys=True))
     v_heads = np.ascontiguousarray(_head_view(v.data, heads))
+    bias = pe_heads = pe_shape = None
+    if table is not None:  # (..., heads[0], 1, ..., N, N): one term per first head index
+        pe_heads = heads[:1] + (1,) * (len(heads) - 1)
+        q_pe = _head_view(q.data[..., width:], pe_heads)
+        bias = _rowwise(np.ascontiguousarray(q_pe), table.transpose(0, 2, 1))
+        pe_shape = bias.shape
 
-    recording = not getattr(_recording, "off", False)
     out = np.empty(lead + (shape[-2], v_heads.shape[-1]))
-    operands = (q_heads, k_heads, v_heads, weights, None if bias is None else bias.data)
-    units = lead[: len(shape) - weights.ndim]
-    if recording:  # kept whole for the backward pass
+    operands = (q_heads, k_heads, v_heads, weights, bias)
+    units = lead[: min(q.ndim - 2, len(shape) - weights.ndim)]  # the bias spans these too
+    if not getattr(_recording, "off", False):  # kept whole for the backward pass
         slope, coef = np.empty(shape), np.empty(shape)
         _attend_blocks(*operands, shape, out, slope, coef)
     elif 8 * math.prod(shape[len(units) :]) >= _MEMO_MIN_UNIT_BYTES:
@@ -998,7 +1005,6 @@ def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ())
         _attend_blocks(*operands, shape, out)
 
     q_node, k_node, v_node = q._node, k._node, v._node
-    b_node, b_shape = (None, None) if bias is None else (bias._node, bias.shape)
 
     def backward(g):
         g = _head_view(g, heads)
@@ -1008,13 +1014,12 @@ def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ())
             grads.append((v_node, _rows(gv, heads)))
         g = _softmax_grad(np.matmul(g, np.swapaxes(v_heads, -1, -2)), coef)
         g *= slope
-        if b_node is not None:
-            grads.append((b_node, _sum_to_shape(g, b_shape)))
         if q_node is not None:
             gq = _rows(np.matmul(g, np.swapaxes(k_heads, -1, -2)), heads)
-            if q_shape[-1] > width:  # zero-filled as slice_tensor's rule fills, signed zeros too
-                gq, part = np.zeros(q_shape), gq
-                gq[..., :width] += part
+            if table is not None:
+                g_pe = _rowwise(_sum_to_shape(g, pe_shape), table)
+                gq = np.concatenate([gq, _rows(g_pe, pe_heads)], axis=-1)
+                gq += 0.0  # -0.0 to 0.0, as the composed slices' zero-filled gradients summed
             grads.append((q_node, gq))
         if k_node is not None:
             gk = np.matmul(np.swapaxes(q_heads, -1, -2), g)
@@ -1023,7 +1028,18 @@ def attend(q, k, v, weights: np.ndarray, bias=None, heads: tuple[int, ...] = ())
 
     # parents in the order the composed graph reaches them, so the tape
     # accumulates shared gradients in the same order
-    return _make(_rows(out, heads), (q_node, k_node, b_node, v_node), backward, "attend")
+    return _make(_rows(out, heads), (q_node, k_node, v_node), backward, "attend")
+
+
+def _rowwise(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """out[..., i, :] = a[..., i, :] @ mats[i] for (..., N, D) ``a`` and
+    (N, D, H) ``mats``: one matmul batched over the row axis, which keeps the
+    bank product on BLAS, written straight into the (..., N, H) layout."""
+    n, _, h = mats.shape
+    out = np.empty(a.shape[:-1] + (h,))
+    rows = a.reshape(-1, n, a.shape[-1]).transpose(1, 0, 2)  # (n, b, d)
+    np.matmul(rows, mats, out=out.reshape(-1, n, h).transpose(1, 0, 2))
+    return out
 
 
 def bank_apply(bank, x) -> DiffTensor:
@@ -1046,6 +1062,7 @@ def pairwise_scores(q, table: np.ndarray) -> DiffTensor:
     (..., N, H) and ``table`` of shape (N, N, H): the bank product with
     ``table`` as a constant bank, row i applying its own (N, H) matrix.
     The table is taken as it is, without ``constant``'s finiteness scan.
+    ``attend`` computes this term itself; this op is its reference.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 3 or table.shape[0] != table.shape[1]:
@@ -1060,26 +1077,18 @@ def _bank_product(bank: np.ndarray, x, op: str, bank_node: _Node | None = None) 
     n, h, d = bank.shape
     if x.ndim < 2 or x.shape[-2:] != (n, d):
         raise ShapeError(f"{op}: input shape {x.shape} incompatible with {bank.shape}")
-
-    # batched matmul over the row axis keeps this on BLAS
-    x_node, x_shape = x._node, x.shape
-    xf = x.data.reshape(-1, n, d).transpose(1, 0, 2)  # (n, b, d)
-    xf_kept = None if bank_node is None else xf  # for the bank's gradient
-    bank_kept = None if x_node is None else bank  # for the input's
+    x_node = x._node
+    # for the bank's gradient, (n, b, d); the bank itself for the input's
+    xf_kept = None if bank_node is None else x.data.reshape(-1, n, d).transpose(1, 0, 2)
+    bank_kept = None if x_node is None else bank
 
     def backward(g):
-        gf = g.reshape(-1, n, h).transpose(1, 0, 2)  # (n, b, h)
         out = []
         if bank_node is not None:
-            gb = np.matmul(gf.transpose(0, 2, 1), xf_kept)  # (n, h, d)
+            gb = np.matmul(g.reshape(-1, n, h).transpose(1, 2, 0), xf_kept)  # (n, h, d)
             out.append((bank_node, np.ascontiguousarray(gb)))
         if x_node is not None:
-            gx = np.empty(x_shape)
-            np.matmul(gf, bank_kept, out=gx.reshape(-1, n, d).transpose(1, 0, 2))
-            out.append((x_node, gx))
+            out.append((x_node, _rowwise(g, bank_kept)))
         return out
 
-    # the products land in the (..., n, h) layout: no (n, b, h) result to transpose
-    data = np.empty(x_shape[:-2] + (n, h))
-    np.matmul(xf, bank.transpose(0, 2, 1), out=data.reshape(-1, n, h).transpose(1, 0, 2))
-    return _make(data, (bank_node, x_node), backward, op)
+    return _make(_rowwise(x.data, bank.transpose(0, 2, 1)), (bank_node, x_node), backward, op)

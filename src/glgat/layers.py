@@ -176,11 +176,6 @@ def glgat_forward(
         raise ad.ShapeError(
             f"layer is bound to {params['w_q_local'].shape[0]} vertices, input has {n}"
         )
-    if dims.h_pe:
-        if pe is None or pe.shape != (n, n, dims.h_pe):
-            raise ad.ShapeError(
-                f"pairwise encoding must have shape ({n}, {n}, {dims.h_pe})"
-            )
 
     xe = _with_encoding(x_in, enc)
     q_global = ad.affine(xe, params["w_q_global"], params["b_q_global"])
@@ -192,14 +187,8 @@ def glgat_forward(
     k = ad.affine(xe, params["w_k"], params["b_k"])
     v = ad.affine(x_in, params["w_v"], params["b_v"])
 
-    bias = None
-    if dims.h_pe:
-        q_pe = ad.reshape(q[..., dims.h_prime :], q.shape[:-1] + (dims.h_adj, 1, dims.h_pe))
-        d = q.ndim - 2  # axes of q_pe: (*lead, N, H_adj, 1, H_PE) with N at d
-        q_pe = ad.permute(q_pe, (*range(d), d + 1, d + 2, d, d + 3))  # (..., H_adj, 1, N, H_PE)
-        bias = ad.pairwise_scores(q_pe, pe)  # (..., H_adj, 1, N, N), over heads
-
-    # attend reads q's first H' channels, split like k and v: H_head heads per matrix
+    # q's first H' channels split like k and v, H_head heads per matrix; its
+    # H_adj * H_PE pairwise channels score against pe, one block per matrix
     weights = adjs.reshape(dims.h_adj, 1, n, n)
-    hidden = ad.attend(q, k, v, weights, bias, heads=(dims.h_adj, dims.h_head))  # (..., N, H')
+    hidden = ad.attend(q, k, v, weights, pe, heads=(dims.h_adj, dims.h_head))  # (..., N, H')
     return ad.affine(hidden, params["w_ff"], params["b_ff"])

@@ -206,6 +206,14 @@ def unobserved_horizons(masks: np.ndarray) -> list[int]:
     return [h for h in HORIZONS if not masks[:, :, h - 1].any()]
 
 
+def observes_no_target(samples: Windows) -> bool:
+    """Whether no window of ``samples`` observes a target, read per step of
+    the split's mask without gathering the windows' targets: ``train``
+    refuses such a training split, whose every batch loss would be 0."""
+    observed = samples.mask[:, :, 0].any(axis=1)  # (L,): a sensor reads at that step
+    return not observed[samples.target_steps()].any()
+
+
 def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalReport:
     """MAE / RMSE / MAPE per horizon over mask-true elements.
 
@@ -329,10 +337,13 @@ def train(
     each epoch over all training windows drives stopping instead. Either
     way the value ranked is logged as ``stop_metric``. Validation windows
     with no observed target at some horizon would rank a NaN metric every
-    epoch, so they raise ``DataError`` before the first epoch.
+    epoch, and training windows with no observed target at all would train
+    on nothing, so either raises ``DataError`` before the first epoch.
     """
     if not train_samples:
         raise DataError("training requires at least one window")
+    if observes_no_target(train_samples):
+        raise DataError("the training split observes no target, so every batch loss would be 0")
     keep_freed_heap()
     # each batch and prediction chunk assembles its inputs from the split's
     # raw copy, so no split's inputs are ever held whole; only the targets

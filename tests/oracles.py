@@ -332,7 +332,7 @@ def with_coefficients(forward, *args):
     """``forward(*args)`` for a layer function that calls ``ad.attend``
     once, and the attention coefficients of that call.
 
-    The call's own ``q``, ``k``, ``weights``, ``bias`` and ``heads`` are
+    The call's own ``q``, ``k``, ``weights``, ``table`` and ``heads`` are
     kept, and ``attend`` runs on them again with per-head identity values
     in row layout: every head's M value channels are the (M, M) identity,
     so each head's coefficients times I are its coefficients exactly,
@@ -344,19 +344,19 @@ def with_coefficients(forward, *args):
     attend = ad.attend
     calls = []
 
-    def kept(q, k, v, weights, bias=None, heads=()):
-        calls.append((q, k, weights, bias, heads))
-        return attend(q, k, v, weights, bias, heads)
+    def kept(q, k, v, weights, table=None, heads=()):
+        calls.append((q, k, weights, table, heads))
+        return attend(q, k, v, weights, table, heads)
 
     ad.attend = kept
     try:
         out = forward(*args)
     finally:
         ad.attend = attend
-    ((q, k, weights, bias, heads),) = calls
+    ((q, k, weights, table, heads),) = calls
     m, split = k.shape[-2], math.prod(heads)
     identity = np.broadcast_to(np.tile(np.eye(m), split), k.shape[:-1] + (split * m,))
-    rows = attend(q, k, identity, weights, bias, heads).data  # (..., N_row, heads * N_col)
+    rows = attend(q, k, identity, weights, table, heads).data  # (..., N_row, heads * N_col)
     d, n_heads = rows.ndim - 2, len(heads)
     coef = rows.reshape(rows.shape[:-1] + heads + (m,))  # (..., N_row, *heads, N_col)
     heads_first = (*range(d), *range(d + 1, d + 1 + n_heads), d, d + 1 + n_heads)

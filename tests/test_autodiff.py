@@ -262,10 +262,15 @@ def _split_heads(t, heads, keys=False):
     return ad.permute(r, (*range(d), *range(d + 1, d + n + 1), *tail))
 
 
-def _composed_attend(q, k, v, weights, bias=None, heads=()):
-    """attend() as separate ops: the head split (a slice of a wider query,
-    reshape, permute), matmul, add, gelu, masked_softmax, matmul, and the
-    merge (permute, reshape)."""
+def _composed_attend(q, k, v, weights, table=None, heads=()):
+    """attend() as separate ops: the pairwise term as a floor composed it
+    (slice, reshape, permute, pairwise_scores), the head split (a slice of a
+    wider query, reshape, permute), matmul, add, gelu, masked_softmax,
+    matmul, and the merge (permute, reshape)."""
+    bias = None
+    if table is not None:
+        pe_heads = heads[:1] + (1,) * (len(heads) - 1)
+        bias = ad.pairwise_scores(_split_heads(q[..., k.shape[-1] :], pe_heads), table)
     if q.shape[-1] > k.shape[-1]:
         q = q[..., : k.shape[-1]]
     scores = ad.matmul(_split_heads(q, heads), _split_heads(k, heads, keys=True))
@@ -277,75 +282,81 @@ def _composed_attend(q, k, v, weights, bias=None, heads=()):
     return ad.reshape(merged, merged.shape[: d + 1] + (v.shape[-1],))
 
 
-def _floor_operands(rng, batch=3, h_adj=2, h_head=4, n=6, h=3, h_v=5):
+def _floor_operands(rng, batch=3, h_adj=2, h_head=4, n=6, h=3, h_v=5, h_pe=4):
     """attend() operands laid out as in a GLGAT floor: (batch, N, channels)
     rows of H_adj * H_head heads of ``h`` query and key channels and ``h_v``
-    value channels, a bias per batch row and matrix shared by the heads,
-    weights shared by the batch and the heads, and the heads."""
+    value channels, the query followed by H_adj blocks of ``h_pe`` pairwise
+    channels, weights shared by the batch and the heads, the (N, N, h_pe)
+    pairwise table (``None`` for ``h_pe=0``), and the heads."""
     lead = (batch, h_adj, h_head)
-    q = ad.parameter(_as_rows(rng.standard_normal((*lead, n, h)), 2))
+    q = _as_rows(rng.standard_normal((*lead, n, h)), 2)
     k = ad.parameter(_as_rows(rng.standard_normal((*lead, h, n)), 2, keys=True))
     v = ad.parameter(_as_rows(rng.standard_normal((*lead, n, h_v)), 2))
-    bias = rand_param(rng, batch, h_adj, 1, n, n)
+    q_pe = rng.standard_normal((batch, n, h_adj * h_pe))
+    table = rng.standard_normal((n, n, h_pe)) if h_pe else None
     weights = rng.uniform(0.0, 1.0, (h_adj, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
-    return q, k, v, weights, bias, (h_adj, h_head)
+    q = ad.parameter(np.concatenate([q, q_pe], axis=-1))
+    return q, k, v, weights, table, (h_adj, h_head)
 
 
-def _assert_attend_matches_composed(rng, q, k, v, weights, bias=None, heads=()):
-    tensors = (q, k, v) if bias is None else (q, k, v, bias)
-    fused = ad.attend(q, k, v, weights, bias, heads)
-    composed = _composed_attend(q, k, v, weights, bias, heads)
+def _assert_attend_matches_composed(rng, q, k, v, weights, table=None, heads=()):
+    tensors = (q, k, v)
+    fused = ad.attend(q, k, v, weights, table, heads)
+    composed = _composed_attend(q, k, v, weights, table, heads)
     assert fused.data.tobytes() == composed.data.tobytes()
     seed = rng.standard_normal(fused.shape)
     assert _grads_after_backward(fused, tensors, seed) == _grads_after_backward(
         composed, tensors, seed
     )
     with ad.no_grad():
-        plain = ad.attend(q, k, v, weights, bias, heads)
+        plain = ad.attend(q, k, v, weights, table, heads)
     assert plain.data.tobytes() == composed.data.tobytes()
 
 
 def test_attend_matches_composed_ops_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(5)
-    with_bias = _floor_operands(rng)
-    q, k, v, weights, _, heads = _floor_operands(rng)
-    plain = (q, k, v, weights[0, 0], None, heads)  # the single-matrix layer: no bias
+    with_table = _floor_operands(rng)
+    q, k, v, weights, _, heads = _floor_operands(rng, h_pe=0)
+    plain = (q, k, v, weights[0, 0], None, heads)  # the single-matrix layer: no table
     slice_bytes = 8 * 6 * 6
     # runs of 3 and 1 slices on the head axis: 12 blocks; then one block
     assert len(ad._score_blocks((3, 2, 4), slice_bytes)[1]) == 1
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * slice_bytes)
     assert len(ad._score_blocks((3, 2, 4), slice_bytes)[1]) == 12
-    _assert_attend_matches_composed(rng, *with_bias)
+    _assert_attend_matches_composed(rng, *with_table)
     _assert_attend_matches_composed(rng, *plain)
     monkeypatch.undo()
-    _assert_attend_matches_composed(rng, *with_bias)
+    _assert_attend_matches_composed(rng, *with_table)
     _assert_attend_matches_composed(rng, *plain)
 
 
 def test_attend_faint_row_in_one_block_matches_composed_ops(monkeypatch):
-    # the F1 fallback runs for the one block that holds the faint row
+    # the F1 fallback runs for the one block that holds the faint row: three
+    # heads per matrix make each block one window's one matrix
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
     rng = np.random.default_rng(9)
-    q, k, v, weights, _, heads = _floor_operands(rng)
-    bias = rand_param(rng, 3, 2, 4, 6, 6)  # one bias per slice
+    q, k, v, weights, table, heads = _floor_operands(rng, h_head=3)
+    assert len(ad._score_blocks((3, 2, 3), 8 * 6 * 6)[1]) == 6
     weights[1, 0, 2, 4] = 0.0
-    bias.data[1, 1, 2, 2, 4] = 1000.0 + np.abs(bias.data).max() + 20.0
-    _assert_attend_matches_composed(rng, q, k, v, weights, bias, heads)
-    assert np.all(np.isfinite(ad.attend(q, k, v, weights, bias, heads).data))
+    q.data[:, 2, 18:] = 0.0  # row 2 has no pairwise term but window 1's for matrix 1
+    q.data[1, 2, 22:] = 1.0
+    table[2, 4] = 300.0  # 1200 on that zero-weight score, far above the live ones
+    _assert_attend_matches_composed(rng, q, k, v, weights, table, heads)
+    assert np.all(np.isfinite(ad.attend(q, k, v, weights, table, heads).data))
 
 
 def test_attend_batched_matches_per_window_bit_for_bit(monkeypatch):
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 6 * 6)
     rng = np.random.default_rng(11)
     *operands, heads = _floor_operands(rng)
-    q, k, v, weights, bias = (t if isinstance(t, np.ndarray) else t.data for t in operands)
+    q, k, v, weights, table = (t if isinstance(t, np.ndarray) else t.data for t in operands)
     for mode in (contextlib.nullcontext, ad.no_grad):
         with mode():
-            batched = ad.attend(q, k, v, weights, bias, heads).data
+            batched = ad.attend(q, k, v, weights, table, heads).data
             for b in range(3):
-                single = ad.attend(q[b], k[b], v[b], weights, bias[b], heads).data
+                single = ad.attend(q[b], k[b], v[b], weights, table, heads).data
                 assert single.tobytes() == batched[b].tobytes()
 
 
@@ -361,17 +372,69 @@ def test_attend_products_read_contiguous_head_copies():
     _assert_attend_matches_composed(rng, *operands)
 
 
-def test_attend_reads_the_first_channels_of_a_wider_query():
-    """A GLGAT query carries the pairwise channels after the attention
-    ones. attend() reads only the first H' and gives the rest the zero
-    gradient a slice scatters, bit for bit."""
+def test_attend_reads_the_pairwise_queries_after_the_first_channels():
+    """A GLGAT query carries its pairwise channels after the attention
+    ones. Without a table attend() refuses them; with an all-zero table it
+    gives the bytes of the attention channels alone, and the pairwise
+    channels the zero gradient of the composed slices' zero fill, with no
+    negative zeros."""
     rng = np.random.default_rng(13)
-    q, k, v, weights, bias, heads = _floor_operands(rng)
-    wide = ad.parameter(np.concatenate([q.data, rng.standard_normal((3, 6, 4))], axis=-1))
-    out = ad.attend(wide, k, v, weights, bias, heads)
-    assert out.data.tobytes() == ad.attend(q, k, v, weights, bias, heads).data.tobytes()
-    _assert_attend_matches_composed(rng, wide, k, v, weights, bias, heads)
-    assert np.signbit(wide.grad[..., 24:]).sum() == 0 and not wide.grad[..., 24:].any()
+    q, k, v, weights, table, heads = _floor_operands(rng)
+    with pytest.raises(ad.ShapeError, match="chain"):
+        ad.attend(q, k, v, weights, None, heads)
+    zero = np.zeros_like(table)
+    out = ad.attend(q, k, v, weights, zero, heads)
+    narrow = ad.attend(ad.constant(q.data[..., :24]), k, v, weights, None, heads)
+    assert out.data.tobytes() == narrow.data.tobytes()
+    _assert_attend_matches_composed(rng, q, k, v, weights, zero, heads)
+    assert np.signbit(q.grad[..., 24:]).sum() == 0 and not q.grad[..., 24:].any()
+
+
+@pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
+def test_attend_rejects_a_table_that_does_not_fit(mode):
+    """The table must have the query's N on both axes, H_PE channels for
+    each of the query's H_adj pairwise blocks, and head axes to share."""
+    rng = np.random.default_rng(15)
+    q, k, v, weights, table, heads = _floor_operands(rng)
+    with mode():
+        with pytest.raises(ad.ShapeError, match="does not fit"):
+            ad.attend(q, k, v, weights, table[:5, :5], heads)  # N = 5 for 6 rows
+        with pytest.raises(ad.ShapeError, match="does not fit"):
+            ad.attend(q, k, v, weights, table[:, :5], heads)
+        with pytest.raises(ad.ShapeError, match="does not fit"):
+            ad.attend(q, k, v, weights, table[..., 0], heads)  # no channel axis
+        with pytest.raises(ad.ShapeError, match="chain"):
+            ad.attend(q, k, v, weights, table[..., :3], heads)  # 2 * 3 for 8 channels
+        with pytest.raises(ad.ShapeError, match="chain"):
+            ad.attend(q, k, v, weights, np.concatenate([table, table], -1), heads)
+        # a single-matrix layer's rows and one pairwise block: no head axis to share it
+        gat = (q.data[..., :8], k.data[..., :4], v.data, weights[0, 0], table)
+        with pytest.raises(ad.ShapeError, match="does not fit"):
+            ad.attend(*gat, heads=())
+        ad.attend(*gat, heads=(1,))  # one head: the block is that head's
+
+
+def test_attend_reports_a_non_finite_table():
+    """A NaN in the table reaches every score of its row: a recorded call
+    raises NonFiniteError, and so does ``predict``, which scans the
+    forecasts of its unrecorded calls."""
+    from glgat.model import model_forward
+    from glgat.training import predict
+    from test_model import pipeline
+
+    rng = np.random.default_rng(16)
+    q, k, v, weights, table, heads = _floor_operands(rng)
+    table[3, 1, 2] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="attend"):
+        ad.attend(q, k, v, weights, table, heads)
+    with ad.no_grad():
+        assert np.isnan(ad.attend(q, k, v, weights, table, heads).data[:, 3]).all()
+    _, _, _, splits, model = pipeline()
+    model.pe[2, 0, 1] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="attend"):
+        model_forward(model, splits.train[:2].inputs())
+    with pytest.raises(ad.NonFiniteError, match="predict"):
+        predict(model, splits.test[:2])
 
 
 @pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
@@ -391,7 +454,7 @@ def test_attend_rejects_bad_weights(mode):
         with pytest.raises(ad.DegenerateRowError, match="row 1"):
             ad.attend(q, k, v, zero_row)
         with pytest.raises(ad.ShapeError):
-            ad.attend(q, k, v, np.ones((4, 4)), bias=np.zeros((4, 3)))
+            ad.attend(q, k, v, np.ones((4, 4)), np.zeros((4, 3, 1)), heads=(1,))
         with pytest.raises(ad.ShapeError, match="chain"):
             ad.attend(q, k_t, v, np.ones((4, 4)))  # keys in the transposed layout
         with pytest.raises(ad.ShapeError, match="chain"):
@@ -608,17 +671,18 @@ def test_grad_permute():
 def test_grad_attend(monkeypatch):
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * 5 * 5)  # two blocks
     rng = np.random.default_rng(25)
-    q = ad.parameter(_as_rows(rng.standard_normal((2, 3, 5, 3)), 1))
+    q = _as_rows(rng.standard_normal((2, 3, 5, 3)), 1)
     k = ad.parameter(_as_rows(rng.standard_normal((2, 3, 3, 5)), 1, keys=True))
     v = ad.parameter(_as_rows(rng.standard_normal((2, 3, 5, 4)), 1))
-    bias = rand_param(rng, 2, 1, 5, 5)
+    q = ad.parameter(np.concatenate([q, rng.standard_normal((2, 5, 3 * 2))], axis=-1))
+    table = rng.standard_normal((5, 5, 2))  # one 2-channel pairwise block per head
     weights = rng.uniform(0.2, 1.0, (5, 5))
     weights[rng.uniform(size=(5, 5)) < 0.25] = 0.0
     np.fill_diagonal(weights, 1.0)
     sel = ad.constant(_as_rows(rng.standard_normal((2, 3, 5, 4)), 1))
     fd_check(
-        lambda: ad.reduce_sum(ad.attend(q, k, v, weights, bias, heads=(3,)) * sel),
-        {"q": q, "k": k, "v": v, "bias": bias},
+        lambda: ad.reduce_sum(ad.attend(q, k, v, weights, table, heads=(3,)) * sel),
+        {"q": q, "k": k, "v": v},
     )
 
 
@@ -735,18 +799,20 @@ def test_backward_consumes_its_graph():
 
 def test_recorded_attend_holds_two_score_tensors():
     """What a recorded call keeps for its backward pass: the GELU slope and
-    the coefficients, not the raw scores or their CDF. Given a floor's rows,
-    it also keeps one head-layout copy of each operand."""
+    the coefficients, not the raw scores, their CDF or the pairwise term.
+    Given a floor's rows, it also keeps one head-layout copy of each
+    operand."""
     rng = np.random.default_rng(44)
-    q, k, v, weights, bias, heads = _floor_operands(rng, batch=4, h_adj=2, h_head=2, n=48)
+    q, k, v, weights, table, heads = _floor_operands(rng, batch=4, h_adj=2, h_head=2, n=48)
     score_bytes = 8 * 4 * 2 * 2 * 48 * 48  # one whole (4, 2, 2, 48, 48) tensor
     copies = q.data.nbytes + k.data.nbytes + v.data.nbytes
-    split = [_split_heads(t, heads) for t in (q, k, v)]  # every head a leading row
-    for operands, extra in ((split, 0), ((q, k, v, heads), copies)):
+    attention = q[..., : k.shape[-1]]
+    split = [_split_heads(t, heads) for t in (attention, k, v)]  # every head a leading row
+    for operands, extra in (((*split, None), 0), ((q, k, v, table, heads), copies)):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = ad.attend(*operands[:3], weights, bias, *operands[3:])
+            out = ad.attend(*operands[:3], weights, *operands[3:])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -776,10 +842,10 @@ def test_a_value_no_rule_reads_dies_with_its_tensor():
     assert grads == step(drop=False)[1]
 
 
-def test_recorded_acceptance_loss_keeps_only_what_backward_reads():
-    """A recorded loss at the acceptance config (N=15, batch 32) holds the
-    arrays its rules save: about 24 MiB, against 47 MiB when every value of
-    the forward stayed alive with the graph."""
+def _recorded_acceptance_loss():
+    """A recorded loss at the acceptance config (N=15, batch 32, ``full``),
+    and the bytes that its graph holds and that its forward peaked at,
+    above what was allocated before."""
     from glgat.model import model_forward
     from glgat.training import batch_smooth_l1, stack_inputs, stack_targets
     from test_model import pipeline
@@ -791,11 +857,30 @@ def test_recorded_acceptance_loss_keeps_only_what_backward_reads():
     try:
         before = tracemalloc.get_traced_memory()[0]
         loss = batch_smooth_l1(model_forward(model, inputs), targets, masks)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return loss, held, peak
+
+
+def test_recorded_acceptance_loss_keeps_only_what_backward_reads():
+    """A recorded loss at the acceptance config (N=15, batch 32) holds the
+    arrays its rules save: about 24 MiB, against 47 MiB when every value of
+    the forward stayed alive with the graph."""
+    loss, held, _ = _recorded_acceptance_loss()
     assert loss.requires_grad
     assert held <= 27 << 20, f"recorded loss holds {held / 2**20:.1f} MiB"
+
+
+def test_recorded_acceptance_forward_peaks_at_most_4_mib_above_what_it_holds():
+    """``attend`` makes the pairwise queries' copy and the pairwise term
+    itself and drops them when it returns. Built outside it as graph nodes,
+    they stayed alive next to the floor's rows and ``attend``'s head copies:
+    the forward peaked 4.4 MiB above the 24.2 MiB its graph holds, against
+    3.5 MiB with the term inside."""
+    _, held, peak = _recorded_acceptance_loss()
+    over = (peak - held) / 2**20
+    assert over <= 4.0, f"peak {peak / 2**20:.2f} MiB, {over:.2f} MiB above what is held"
 
 
 def test_reuse_recomputes_after_a_write_to_any_array_argument():
@@ -825,25 +910,27 @@ def test_reuse_recomputes_after_a_write_to_any_array_argument():
 
 def _group_sequence(rng, groups, n=48):
     """attend() operands of a GLGAT floor for ``groups`` consecutive time
-    groups: (group, N, channels) rows of heads (H_adj=2, H_head=2), a bias
-    per group and matrix, weights shared by the groups and heads, and the
-    heads. A unit, every slice of one group, holds 4 * 48 * 48 * 8 bytes
-    (72 KiB) of scores."""
+    groups: (group, N, channels) rows of heads (H_adj=2, H_head=2), the
+    query followed by two blocks of 4 pairwise channels, weights shared by
+    the groups and heads, the (N, N, 4) pairwise table, and the heads. A
+    unit, every slice of one group, holds 4 * 48 * 48 * 8 bytes (72 KiB) of
+    scores."""
     q = _as_rows(rng.standard_normal((groups, 2, 2, n, 3)), 2)
     k = _as_rows(rng.standard_normal((groups, 2, 2, 3, n)), 2, keys=True)
     v = _as_rows(rng.standard_normal((groups, 2, 2, n, 5)), 2)
-    bias = rng.standard_normal((groups, 2, 1, n, n))
+    q = np.concatenate([q, rng.standard_normal((groups, n, 2 * 4))], axis=-1)
+    table = rng.standard_normal((n, n, 4))
     weights = rng.uniform(0.0, 1.0, (2, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
     assert 8 * 4 * n * n >= ad._MEMO_MIN_UNIT_BYTES
-    return q, k, v, weights, bias, (2, 2)
+    return q, k, v, weights, table, (2, 2)
 
 
 def _window(operands, start, width):
-    q, k, v, weights, bias, heads = operands
+    q, k, v, weights, table, heads = operands
     span = slice(start, start + width)
-    return q[span], k[span], v[span], weights, bias[span], heads
+    return q[span], k[span], v[span], weights, table, heads
 
 
 def _fresh(*operands):
@@ -881,44 +968,50 @@ def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(comput
 
 
 def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
+    """The bias is the pairwise term: a write to the pairwise queries or to
+    the table changes it, and the memo compares its bytes."""
     rng = np.random.default_rng(61)
-    q, k, v, weights, bias, heads = operands = _group_sequence(rng, groups=4)
+    q, k, v, weights, table, heads = operands = _group_sequence(rng, groups=4)
+    q[:, 7, 12:] = 0.0
+    q[:, 7, 12] = 1.0  # row 7's first matrix scores (7, j) by table[7, j, 0] exactly
     with ad.no_grad():
         ad.attend(*operands)
         ad.attend(*operands)
         assert len(computed_units) == 4
         weights[1, 0, 3, 5] *= 0.5  # in place: every unit is recomputed
-        out = ad.attend(*operands).data
+        ad.attend(*operands)
         assert len(computed_units) == 8
-        bias[2] += 1.0  # in place: that group alone
+        q[2, :, 12:] += 1.0  # in place: the pairwise queries of that group alone
         ad.attend(*operands)
         assert len(computed_units) == 9
-        bias[3, 1, 0, 7, 9] = np.nextafter(bias[3, 1, 0, 7, 9], np.inf)  # one ulp
+        table[7, 9, 0] = np.nextafter(table[7, 9, 0], np.inf)  # one ulp: every unit
         ad.attend(*operands)
-        assert len(computed_units) == 10
-        bias[0, 0, 0, 1, 1] = 0.0
-        ad.attend(*operands)
-        bias[0, 0, 0, 1, 1] = -0.0  # equal as floats, not as bytes
+        assert len(computed_units) == 13
+        table[3] += 1.0  # in place: every unit
         out = ad.attend(*operands).data
-        assert len(computed_units) == 12
+        assert len(computed_units) == 17
     assert out.tobytes() == _fresh(*operands).tobytes()
+    memo = ad._slice_memo()  # a bias equal as floats, not as bytes, misses too
+    memo.put(("unit",), np.zeros(2), out[0])
+    assert memo.get(("unit",), np.array([0.0, -0.0])) is None
+    assert memo.get(("unit",), np.zeros(2)) is not None
 
 
 def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
     rng = np.random.default_rng(62)
-    q, k, v, weights, bias, heads = _group_sequence(rng, groups=5)
-    for a in (q, k, v, bias):
-        a[3] = a[1]  # unit 3 repeats unit 1
-    q[4], k[4], v[4] = q[0], k[0], v[0]  # unit 4 repeats unit 0 but its bias
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=5)
+    for a in (q, k, v):
+        a[3] = a[1]  # unit 3 repeats unit 1, its pairwise queries too
+    q[4, :, :12], k[4], v[4] = q[0, :, :12], k[0], v[0]  # unit 4 repeats unit 0 but its bias
     with ad.no_grad():
-        out = ad.attend(q, k, v, weights, bias, heads).data
+        out = ad.attend(q, k, v, weights, table, heads).data
     assert len(computed_units) == 4  # the repeat of unit 1 is a memo hit
-    assert out.tobytes() == ad.attend(q, k, v, weights, bias, heads).data.tobytes()
+    assert out.tobytes() == ad.attend(q, k, v, weights, table, heads).data.tobytes()
     assert out[3].tobytes() == out[1].tobytes()
 
 
 def test_attend_memo_serves_units_without_a_bias(computed_units):
-    """A GAT floor passes no bias; from N=91 one (N, N) unit reaches the
+    """A GAT floor passes no table, so no bias; from N=91 one (N, N) unit reaches the
     memo's floor, and a repeated call takes every unit from the memo."""
     rng = np.random.default_rng(63)
     n = 96
@@ -935,18 +1028,32 @@ def test_attend_memo_serves_units_without_a_bias(computed_units):
     assert first.tobytes() == _fresh(q, k, v, weights).tobytes()
 
 
+def test_attend_memo_units_are_the_operands_leading_axes(computed_units):
+    """Weights shared by every head leave the head axes to the units too,
+    but the pairwise term spans only the operands' leading axes, so a unit
+    is one group with all its heads: from N=91 one (N, N) slice alone would
+    reach the memo's floor."""
+    rng = np.random.default_rng(66)
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=2, n=96)
+    weights = weights[0, 0]
+    with ad.no_grad():
+        out = ad.attend(q, k, v, weights, table, heads).data
+    assert len(computed_units) == 2
+    assert out.tobytes() == ad.attend(q, k, v, weights, table, heads).data.tobytes()
+
+
 def test_recorded_attend_never_consults_the_memo(monkeypatch):
     def no_memo():
         raise AssertionError("the memo was consulted")
 
     monkeypatch.setattr(ad, "_slice_memo", no_memo)
     rng = np.random.default_rng(63)
-    q, k, v, weights, bias, heads = _group_sequence(rng, groups=3)
-    tensors = [ad.parameter(a) for a in (q, k, v, bias)]
-    ad.reduce_sum(ad.attend(*tensors[:3], weights, tensors[3], heads)).backward()
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=3)
+    tensors = [ad.parameter(a) for a in (q, k, v)]
+    ad.reduce_sum(ad.attend(*tensors, weights, table, heads)).backward()
     assert all(t.grad is not None for t in tensors)
     with ad.no_grad(), pytest.raises(AssertionError, match="consulted"):
-        ad.attend(q, k, v, weights, bias, heads)
+        ad.attend(q, k, v, weights, table, heads)
 
 
 def _memo_bytes(memo) -> int:

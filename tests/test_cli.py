@@ -256,6 +256,22 @@ def test_train_without_an_observed_validation_target_is_data_error(tmp_path, dat
     assert not (out / "checkpoint.bin").exists()
 
 
+def test_train_without_an_observed_training_target_is_data_error(tmp_path, dataset, capsys):
+    graph, series = gdata.load_series(
+        dataset / "series.csv", dataset / "locations.csv", dataset / "edges.csv"
+    )
+    n_train, _, _ = gdata.split_sizes(series.n_steps, (0.7, 0.1, 0.2))
+    mask = series.mask.copy()
+    mask[:n_train] = False
+    blank = gdata.TrafficSeries(np.where(mask, series.data, 0.0), mask, series.timestamps)
+    blanked = tmp_path / "blank"
+    gdata.write_csv_dataset(graph, blank, blanked)
+    out = tmp_path / "out"
+    assert cli.main(train_args(blanked, out, "--epochs", "2")) == 3
+    assert "training split observes no target" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_train_rejects_negative_clip_norm(tmp_path, dataset):
     out = tmp_path / "clip"
     rc = cli.main(train_args(dataset, out, "--epochs", "1", "--clip-norm", "-1"))

@@ -63,9 +63,9 @@ def test_src_holds_no_test_only_code():
     assert not unused, f"defined in src/glgat but used only by tests, or not at all: {unused}"
 
 
-# The ops the fused ``attend`` is tested against bit for bit; the model
-# records none of them.
-REFERENCE_OPS = {"matmul", "gelu", "masked_softmax"}
+# The ops the fused ``attend`` is tested against bit for bit, its pairwise
+# term among them; the model records none of them.
+REFERENCE_OPS = {"matmul", "gelu", "masked_softmax", "slice", "pairwise_scores"}
 
 
 def _declared_ops() -> set[str]:
@@ -119,30 +119,26 @@ def test_every_backward_rule_is_recorded_by_some_variant(step_tapes):
     )
 
 
-def test_a_step_without_a_pairwise_term_slices_no_query(step_tapes):
-    """ablation2's query holds attention channels only, so its floors take
-    it whole; the variants with a pairwise term slice off its pairwise
-    channels once per floor, and ``attend`` reads the attention channels
+def test_no_step_slices(step_tapes):
+    """Every floor takes its query whole: ``attend`` reads the attention
+    channels and, with a pairwise table, the pairwise channels after them
     in place."""
     slices = {v: sum(node.op == "slice" for node in nodes) for v, nodes in step_tapes.items()}
-    assert slices["ablation2"] == slices["ablation3"] == 0
-    assert slices["full"] == slices["ablation1"] == 5
+    assert slices == dict.fromkeys(VARIANTS, 0)
 
 
 # Recorded ops of one training step, leaves excluded, at most.
-STEP_OP_CEILINGS = {"full": 84, "ablation1": 84, "ablation2": 64, "ablation3": 44}
+STEP_OP_CEILINGS = {"full": 64, "ablation1": 64, "ablation2": 64, "ablation3": 44}
 
 
 def test_a_step_records_no_more_ops_than_its_ceiling(step_tapes):
-    """``attend`` takes the floors' rows and merges its own heads, so the
-    layout ops of a step are the time-flatten's permute and reshape and,
-    per floor with a pairwise term, the pairwise query's slice, reshape and
-    permute."""
+    """``attend`` takes the floors' rows, computes the pairwise term and
+    merges its own heads, so the only layout ops of a step are the
+    time-flatten's permute and reshape."""
     for variant, nodes in step_tapes.items():
         ops = Counter(node.op for node in nodes if node.rule is not None)
-        pairwise = 5 if variant in ("full", "ablation1") else 0
         layout = {op: ops[op] for op in ("permute", "reshape", "slice")}
-        assert layout == {"permute": 1 + pairwise, "reshape": 1 + pairwise, "slice": pairwise}
+        assert layout == {"permute": 1, "reshape": 1, "slice": 0}
         assert sum(ops.values()) <= STEP_OP_CEILINGS[variant], (variant, dict(ops))
 
 

@@ -439,6 +439,30 @@ def test_train_refuses_validation_without_an_observed_target(setup, blank):
     assert all(np.array_equal(t.data, before[k]) for k, t in model.named_params().items())
 
 
+@pytest.mark.parametrize("with_val", [True, False], ids=["with_val", "without_val"])
+def test_train_refuses_a_training_split_without_an_observed_target(setup, with_val):
+    """Training windows that observe no target give every batch a loss of 0
+    and train on nothing. ``train`` raises before its first epoch instead,
+    naming the training split, with or without validation windows; one
+    observed target is enough to train on."""
+    graph, series, splits, train_series = setup
+    n_train = splits.split_sizes[0]
+    mask = series.mask.copy()
+    mask[12:n_train] = False  # every training target; the first inputs stay observed
+    masked = gdata.TrafficSeries(np.where(mask, series.data, 0.0), mask, series.timestamps)
+    blank = gdata.split_and_window(masked, p=12, q=12)
+    assert not gtrain.stack_targets(blank.train)[1].any() and len(blank.val) > 0
+    model = fresh_model(setup)
+    before = {k: t.data.copy() for k, t in model.named_params().items()}
+    config = gtrain.TrainConfig(lr=5e-3, batch_size=8, max_epochs=3, patience=3, seed=0)
+    with pytest.raises(gdata.DataError, match="training split observes no target"):
+        gtrain.train(model, blank.train, blank.val if with_val else [], config)
+    assert all(np.array_equal(t.data, before[k]) for k, t in model.named_params().items())
+    mask[n_train - 1, 3] = True  # the last window's 60 min target at one sensor
+    masked = gdata.TrafficSeries(np.where(mask, series.data, 0.0), mask, series.timestamps)
+    assert not gtrain.observes_no_target(gdata.split_and_window(masked, p=12, q=12).train)
+
+
 def test_best_snapshot_restored(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
