@@ -40,6 +40,7 @@ from .data import (
 from .encoding import GeometryError
 from .gradcheck import check_gradients
 from .model import (
+    N_GROUPS,
     ConfigError,
     StackConfig,
     VARIANTS,
@@ -250,9 +251,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"checkpoint expects {model.config.n} sensors, dataset has {graph.n_vertices}"
         )
-    splits = split_and_window(
-        series, p=model.config.p, q=model.config.q, stats=model.stats
-    )
+    splits = split_and_window(series, p=N_GROUPS, q=N_GROUPS, stats=model.stats)
     samples = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
     if not samples:
         raise DataError(f"the {args.split} split yields no windows")

@@ -109,10 +109,6 @@ class TrafficSeries:
     def n_features(self) -> int:
         return self.data.shape[2]
 
-    def time_of_day(self) -> np.ndarray:
-        """Fraction of day in [0, 1) for each timestep."""
-        return (self.timestamps % SECONDS_PER_DAY) / float(SECONDS_PER_DAY)
-
     def slice(self, start: int, stop: int) -> "TrafficSeries":
         """Steps [start, stop) as read-only views of this series' arrays.
 
@@ -158,7 +154,6 @@ class Windows:
     data: np.ndarray  # (L, N, K) raw scale
     mask: np.ndarray  # (L, N, K) bool
     times: np.ndarray  # (L,) epoch seconds
-    tod: np.ndarray  # (L,) fraction of day
     stats: NormStats
     p: int
     q: int
@@ -194,7 +189,7 @@ class Windows:
         mask = self.mask[rows]
         self.stats.normalize(self.data[rows], out=features)
         features[~mask] = 0.0  # zero-fill missing inputs after scaling
-        out[..., k] = self.tod[rows][..., None]
+        out[..., k] = time_of_day(self.times[rows])[..., None]
         out[..., k + 1 :] = mask
         return out
 
@@ -217,6 +212,11 @@ class WindowedSplits:
 def input_channels(n_features: int) -> int:
     """Width of WindowedSample.input's last axis for K raw features."""
     return 2 * n_features + 1
+
+
+def time_of_day(timestamps: np.ndarray) -> np.ndarray:
+    """Fraction of day in [0, 1) of each epoch timestamp."""
+    return (timestamps % SECONDS_PER_DAY) / float(SECONDS_PER_DAY)
 
 
 def _parse_timestamp(raw: str, line_no: int) -> int:
@@ -480,8 +480,6 @@ def split_and_window(
 
     if stats is None:
         stats = fit_norm_stats(series.data[:n_train], series.mask[:n_train])
-    tod = series.time_of_day()
-    tod.flags.writeable = False
 
     parts = []
     for a, b in [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]:
@@ -491,7 +489,7 @@ def split_and_window(
             copy.flags.writeable = False
         starts = np.arange(max(b - a - (p + q) + 1, 0))
         starts.flags.writeable = False
-        parts.append(Windows(*copies, tod[a:b], stats, p, q, starts))
+        parts.append(Windows(*copies, stats, p, q, starts))
     return WindowedSplits(
         train=parts[0],
         val=parts[1],
@@ -576,7 +574,7 @@ def generate_synthetic(
 
     start_epoch = 1_700_000_000 - (1_700_000_000 % 300)
     timestamps = start_epoch + 300 * np.arange(t, dtype=np.int64)
-    tod = (timestamps % SECONDS_PER_DAY) / float(SECONDS_PER_DAY)
+    tod = time_of_day(timestamps)
 
     speed = np.empty((t, n))
     speed[:] = base[None, :]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
-from .data import NormStats, SensorGraph, TrafficSeries
+from .data import NormStats, SensorGraph, TrafficSeries, input_channels
 from .encoding import DEFAULT_H_PE, DEFAULT_SMOOTHING, build_pairwise_encoding, init_vertex_encoding
 from .layers import (
     LayerDims,
@@ -40,7 +40,7 @@ from .layers import (
     init_glgat_layer,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 VARIANTS = ("full", "ablation1", "ablation2", "ablation3")
 N_GROUPS = 12
 FLOOR_NUMBERS = (1, 2, 4, 5, 6)  # the attention floors of the seven layers
@@ -54,16 +54,15 @@ class ConfigError(ValueError):
 class StackConfig:
     """Architecture and variant switches for one model instance.
 
-    Defaults follow the reference setup: 3 input channels, 16-channel
-    group floors flattening to 192, two adjacency matrices with four
-    heads each on every floor. ``h_temporal`` and ``h_deep`` are the
-    per-head widths of the group floors and the post-flatten floors.
+    Defaults follow the reference setup: 16-channel group floors
+    flattening to 192, two adjacency matrices with four heads each on
+    every floor. ``h_temporal`` and ``h_deep`` are the per-head widths of
+    the group floors and the post-flatten floors. The model reads and
+    forecasts ``N_GROUPS`` steps, and the data fixes its input width
+    (``floor_widths``).
     """
 
     n: int
-    k_in: int = 3
-    p: int = 12
-    q: int = 12
     variant: str = "full"
     group_width: int = 16
     h_adj: int = 2
@@ -79,10 +78,8 @@ class StackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.p != N_GROUPS or self.q != N_GROUPS:
-            raise ConfigError("the stack is specified for p = q = 12")
-        if self.n < 1 or self.k_in < 1 or self.group_width < 1:
-            raise ConfigError("n, k_in and group_width must be positive")
+        if self.n < 1 or self.group_width < 1:
+            raise ConfigError("n and group_width must be positive")
         if min(self.h_adj, self.h_head, self.h_temporal, self.h_deep) < 1:
             raise ConfigError("head configuration values must be positive")
         if self.h_pe < 0 or self.h_e < 0 or self.t_p < 0 or self.t_q < 0:
@@ -112,27 +109,20 @@ class StackConfig:
     def flatten_width(self) -> int:
         return N_GROUPS * self.group_width
 
-    @property
-    def dims_temporal(self) -> LayerDims:
-        h_pe = self.h_pe if self.pe_enabled else 0
-        return LayerDims(self.h_temporal, self.h_adj, self.h_head, h_pe)
 
-    @property
-    def dims_deep(self) -> LayerDims:
-        h_pe = self.h_pe if self.pe_enabled else 0
-        return LayerDims(self.h_deep, self.h_adj, self.h_head, h_pe)
+@functools.lru_cache(maxsize=16)  # every forward reads the floors' dims
+def floor_widths(config: StackConfig, n_stats: int) -> tuple[tuple[int, int, LayerDims], ...]:
+    """(input width, output width, dims) of each floor, in model order.
 
-    @functools.cached_property  # every forward reads the floors' dims
-    def floor_widths(self) -> list[tuple[int, int, LayerDims]]:
-        """(input width, output width, dims) of each floor, in model order."""
-        deep = (self.flatten_width, self.flatten_width, self.dims_deep)
-        return [
-            (3 * self.k_in, self.group_width, self.dims_temporal),
-            (self.group_width, self.group_width, self.dims_temporal),
-            deep,
-            deep,
-            deep,
-        ]
+    ``n_stats`` is K, the length of the normalization statistics: a step's
+    input has ``input_channels(K)`` channels, and a group holds three steps.
+    """
+    h_pe = config.h_pe if config.pe_enabled else 0
+    temporal = LayerDims(config.h_temporal, config.h_adj, config.h_head, h_pe)
+    deep = LayerDims(config.h_deep, config.h_adj, config.h_head, h_pe)
+    w, flat = config.group_width, config.flatten_width
+    first = (3 * input_channels(n_stats), w, temporal)
+    return (first, (w, w, temporal)) + ((flat, flat, deep),) * 3
 
 
 def build_adjacency_set(
@@ -159,8 +149,9 @@ def build_adjacency_set(
 def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int, ...]]:
     """Every array of a checkpoint of ``config``, name to shape, in file order.
 
-    ``n_stats`` is the length of the normalization statistics, the one shape
-    the config does not fix. Floor i's parameters are ``layer{i}.<name>``,
+    ``n_stats`` is K, the length of the normalization statistics: the one
+    shape the config does not fix, and the source of the first floor's input
+    width (``floor_widths``). Floor i's parameters are ``layer{i}.<name>``,
     with the names and shapes of ``gat_shapes`` or ``glgat_shapes``. The
     result is cached, since every save, load and ``named_params`` reads it;
     callers must not change it.
@@ -173,14 +164,14 @@ def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int,
     }
     if config.pe_enabled:
         layout["pe"] = (n, n, config.h_pe)
-    for idx, (k_in, k_out, dims) in zip(FLOOR_NUMBERS, config.floor_widths):
+    for idx, (k_in, k_out, dims) in zip(FLOOR_NUMBERS, floor_widths(config, n_stats)):
         if config.uses_gat:
             shapes = gat_shapes(k_in, k_out, dims.h_prime, config.h_e)
         else:
             shapes = glgat_shapes(dims, n, k_in, k_out, config.h_e)
         layout.update((f"layer{idx}.{key}", shape) for key, shape in shapes.items())
-    layout["head.w"] = (config.q, config.flatten_width)
-    layout["head.b"] = (config.q,)
+    layout["head.w"] = (N_GROUPS, config.flatten_width)
+    layout["head.b"] = (N_GROUPS,)
     if config.h_e > 0:
         layout["vertex_encoding"] = (n, config.h_e)
     return layout
@@ -190,8 +181,8 @@ def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int,
 class GlgatModel:
     config: StackConfig
     blocks: list[dict[str, ad.DiffTensor]]  # the 5 floors' parameters: groups x2, deep x3
-    head_w: ad.DiffTensor  # (Q, flatten_width)
-    head_b: ad.DiffTensor  # (Q,)
+    head_w: ad.DiffTensor  # (12, flatten_width)
+    head_b: ad.DiffTensor  # (12,)
     enc: ad.DiffTensor | None  # (N, H_E) learnable vertex table
     adj: np.ndarray  # (H_adj, N, N) stacked, or (N, N) for the GAT variant
     pe: np.ndarray | None  # (N, N, H_PE) or None
@@ -249,7 +240,7 @@ def build_model(
         init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
         if config.uses_gat
         else init_glgat_layer(dims, n, k_in, k_out, config.h_e, seed=seed * 31 + i)
-        for i, (k_in, k_out, dims) in enumerate(config.floor_widths)
+        for i, (k_in, k_out, dims) in enumerate(floor_widths(config, stats.mean.size))
     ]
 
     rng = np.random.default_rng(seed * 31 + 7)
@@ -299,14 +290,16 @@ def _block_forward(model: GlgatModel, block: dict, dims: LayerDims, x) -> ad.Dif
 
 
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
-    """Predict raw-scale speeds, (..., N, 12), from (..., 12, N, K_in) windows."""
-    cfg = model.config
-    if inputs.shape[-1] != cfg.k_in or inputs.shape[-2] != cfg.n:
+    """Predict raw-scale speeds, (..., N, 12), from (..., 12, N, 2K+1) windows
+    of K features, K being the length of the model's statistics."""
+    cfg, k = model.config, model.stats.mean.size
+    if inputs.shape[-1] != input_channels(k) or inputs.shape[-2] != cfg.n:
         raise ConfigError(
-            f"input shape {inputs.shape} does not match N={cfg.n}, K_in={cfg.k_in}"
+            f"input shape {inputs.shape} does not match N={cfg.n}, "
+            f"{input_channels(k)} channels for K={k}"
         )
-    grouped = ad.constant(group_timesteps(inputs))  # (..., 12, N, 3K)
-    floors = [(block, dims) for block, (_, _, dims) in zip(model.blocks, cfg.floor_widths)]
+    grouped = ad.constant(group_timesteps(inputs))  # (..., 12, N, 3(2K+1))
+    floors = [(block, dims) for block, (_, _, dims) in zip(model.blocks, floor_widths(cfg, k))]
     h = _block_forward(model, *floors[0], grouped)
     h = _block_forward(model, *floors[1], h)  # (..., 12, N, W)
     h = ad.swap_axes(h, -3, -2)  # (..., N, 12, W)
@@ -321,7 +314,7 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
 # ----------------------------------------------------------- checkpoints
 #
 # One line of compact JSON with sorted keys, {"arrays": [[name, shape], ...],
-# "config": {...}, "format_version": 3}, then the listed arrays' C-order
+# "config": {...}, "format_version": 4}, then the listed arrays' C-order
 # little-endian float64 bytes in list order and nothing after them. No float
 # goes through text, so values round-trip bit for bit. The list is the
 # config's ``checkpoint_layout``, and the loader accepts no other.
@@ -376,9 +369,11 @@ def _read_arrays(layout: dict[str, tuple[int, ...]], fh) -> dict[str, np.ndarray
 def _config_from(raw) -> StackConfig:
     """StackConfig from a checkpoint's config object, every key checked."""
     names = {f.name: f.type for f in fields(StackConfig)}  # annotations are strings here
-    if not isinstance(raw, dict) or set(raw) != set(names):
-        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
-        raise ConfigError(f"checkpoint config must have keys {sorted(names)}, got {got}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"checkpoint config must be an object, got {type(raw).__name__}")
+    unknown, missing = sorted(set(raw) - set(names)), sorted(set(names) - set(raw))
+    if unknown or missing:
+        raise ConfigError(f"checkpoint config has unknown keys {unknown}, lacks keys {missing}")
     allowed = {"int": (int,), "float": (int, float), "str": (str,)}
     for key, kind in names.items():
         value = raw[key]

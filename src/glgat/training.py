@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DataError, Windows
-from .model import GlgatModel, model_forward
+from .model import N_GROUPS, GlgatModel, model_forward
 
 HORIZONS = (3, 6, 12)  # steps of 5 minutes: 15, 30, 60 min
 MAPE_FLOOR = 1.0  # |truth| below this is excluded from the percentage error
@@ -254,7 +254,7 @@ def evaluate(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> EvalR
 
 
 def stack_inputs(samples: Windows) -> np.ndarray:
-    """Inputs of the windows in model layout (S, P, N, K_in), gathered in one step."""
+    """Inputs of the windows in model layout (S, P, N, 2K+1), gathered in one step."""
     return samples.inputs()
 
 
@@ -271,12 +271,12 @@ def stack_targets(samples: Windows):
 def predict(model: GlgatModel, inputs, batch_size: int = 64) -> np.ndarray:
     """Raw-scale forecasts (S, N, Q) computed in evaluation-sized chunks.
 
-    ``inputs`` is one (S, 12, N, K_in) array or the ``Windows`` of S
+    ``inputs`` is one (S, 12, N, 2K+1) array or the ``Windows`` of S
     windows, whose inputs are gathered one chunk at a time. Each chunk's
     forecasts go straight into the result."""
     if not len(inputs):
         raise ValueError("need at least one window to predict")
-    preds = np.empty((len(inputs), model.config.n, model.config.q))
+    preds = np.empty((len(inputs), model.config.n, N_GROUPS))
     with ad.no_grad():
         for i in range(0, len(inputs), batch_size):
             chunk = inputs[i : i + batch_size]

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from glgat import autodiff as ad
-from glgat.data import DataError, fit_norm_stats, input_channels, split_sizes
+from glgat.data import DataError, fit_norm_stats, input_channels, split_sizes, time_of_day
 from glgat.encoding import DEFAULT_SMOOTHING, N_DIRECTION_CLASSES, direction_class
 
 
@@ -154,7 +154,7 @@ def windows_reference(series, p, q, ratios=(0.7, 0.1, 0.2), stats=None):
     n_train, n_val, _ = split_sizes(series.n_steps, ratios)
     if stats is None:
         stats = fit_norm_stats(series.data[:n_train], series.mask[:n_train])
-    tod = series.time_of_day()
+    tod = time_of_day(series.timestamps)
     parts = []
     for a, b in [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, series.n_steps)]:
         data, mask, times = series.data[a:b], series.mask[a:b], series.timestamps[a:b]

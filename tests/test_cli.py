@@ -15,7 +15,7 @@ from glgat import model as gmodel
 from glgat import training as gtrain
 from glgat.adjacency import build_connectivity_adjacency, build_event_adjacency, detect_events
 
-from test_model import MALFORMED, pack, unpack
+from test_model import MALFORMED, legacy_checkpoint, pack, unpack
 
 SLIM = [
     "--group-width", "4", "--h-head", "2", "--h-temporal", "2",
@@ -529,7 +529,7 @@ def test_evaluate_variant_label_follows_checkpoint(tmp_path, dataset, capsys):
 
 
 @pytest.mark.parametrize(
-    "damage", ["version 1", "version 2", "truncated", "shape of 10**12 floats"]
+    "damage", ["version 1", "version 2", "version 3", "truncated", "shape of 10**12 floats"]
 )
 def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, capsys, damage):
     blob = (trained / "checkpoint.bin").read_bytes()
@@ -540,10 +540,8 @@ def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, caps
         header = json.loads(line)
         header["arrays"][0][1] = [10**12]
         blob = json.dumps(header).encode() + b"\n" + body
-    else:  # versions 1 and 2 were one JSON object with every array inside it
-        config = json.loads(blob.split(b"\n", 1)[0])["config"]
-        legacy = {"config": config, "format_version": int(damage[-1]), "tensors": {}}
-        blob = json.dumps(legacy, sort_keys=True, separators=(",", ":")).encode()
+    else:
+        blob = legacy_checkpoint(blob, int(damage[-1]))
     bad = tmp_path / "checkpoint.json"
     bad.write_bytes(blob)
     capsys.readouterr()
@@ -555,7 +553,7 @@ def test_evaluate_rejects_unreadable_checkpoint(tmp_path, dataset, trained, caps
     assert err.startswith("error: ") and "checkpoint" in err
     assert "Traceback" not in err
     if damage.startswith("version"):
-        assert "reads version 3; re-run train" in err
+        assert "reads version 4; re-run train" in err
 
 
 def test_evaluate_reads_a_checkpoint_from_a_pipe(dataset, trained):

@@ -87,7 +87,7 @@ def test_reference_width_shape_trace():
     x = splits.train[0].input
     grouped = ad.constant(gmodel.group_timesteps(x))
     assert grouped.shape == (12, n, 9)
-    dims = [d for _, _, d in cfg.floor_widths]
+    dims = [d for _, _, d in gmodel.floor_widths(cfg, 1)]
     h1 = glgat_forward(model.blocks[0], dims[0], grouped, model.enc, model.adj, model.pe)
     assert h1.shape == (12, n, 16)
     h2 = glgat_forward(model.blocks[1], dims[1], h1, model.enc, model.adj, model.pe)
@@ -183,17 +183,17 @@ def test_variant_adjacency_wiring(tiny):
 def test_ablation2_drops_pairwise_term(tiny):
     cfg = dataclasses.replace(tiny[0], variant="ablation2")
     assert not cfg.pe_enabled
-    assert cfg.dims_temporal.h_q == cfg.dims_temporal.h_prime
+    k_in, k_out, dims = gmodel.floor_widths(cfg, 1)[0]
+    assert dims.h_q == dims.h_prime
     _, _, _, _, model = pipeline(variant="ablation2")
     assert model.pe is None
-    k_in, k_out, dims = cfg.floor_widths[0]
     assert model.blocks[0].keys() == glgat_shapes(dims, cfg.n, k_in, k_out, cfg.h_e).keys()
 
 
 def test_ablation3_uses_plain_attention_and_fewer_parameters(tiny):
     _, _, _, splits, full_model = tiny
     _, _, _, _, gat_model = pipeline(variant="ablation3")
-    k_in, k_out, dims = gat_model.config.floor_widths[0]
+    k_in, k_out, dims = gmodel.floor_widths(gat_model.config, 1)[0]
     h_e = gat_model.config.h_e
     assert gat_model.blocks[0].keys() == gat_shapes(k_in, k_out, dims.h_prime, h_e).keys()
     assert gat_model.adj.ndim == 2
@@ -216,11 +216,26 @@ def test_all_variants_run_and_share_widths(tiny):
     assert shapes["full"] == shapes["ablation1"]
 
 
+def test_input_width_follows_the_statistics(tiny):
+    """No config key sets the input width or the window lengths: K, the
+    statistics' length, fixes the first floor's width, and a forward refuses
+    inputs of any other K."""
+    names = [f.name for f in dataclasses.fields(gmodel.StackConfig)]
+    assert len(names) == 12 and not {"k_in", "p", "q"} & set(names)
+    cfg, _, _, _, one = tiny
+    two = gmodel.build_model(
+        cfg, one.adj, one.pe, gdata.NormStats(np.zeros(2), np.ones(2)), seed=0
+    )
+    assert gmodel.floor_widths(cfg, 2)[0][0] == 3 * gdata.input_channels(2) == 15
+    assert two.blocks[0]["w_v"].shape[1] == 15 and one.blocks[0]["w_v"].shape[1] == 9
+    assert gmodel.model_forward(two, np.zeros((12, cfg.n, 5))).shape == (cfg.n, 12)
+    with pytest.raises(gmodel.ConfigError, match="5 channels for K=2"):
+        gmodel.model_forward(two, np.zeros((12, cfg.n, 3)))
+
+
 def test_config_validation():
     with pytest.raises(gmodel.ConfigError):
         gmodel.StackConfig(n=6, variant="ablation9")
-    with pytest.raises(gmodel.ConfigError):
-        gmodel.StackConfig(n=6, p=11)
     with pytest.raises(gmodel.ConfigError):
         gmodel.StackConfig(n=0)
     with pytest.raises(gmodel.ConfigError):
@@ -231,7 +246,8 @@ def test_config_validation():
         with pytest.raises(gmodel.ConfigError):
             gmodel.StackConfig(n=6, variant=variant, h_pe=5)
         assert not gmodel.StackConfig(n=6, variant=variant, h_pe=0).pe_enabled
-    assert gmodel.StackConfig(n=6, variant="ablation2", h_pe=5).dims_deep.h_pe == 0
+    ablation2 = gmodel.StackConfig(n=6, variant="ablation2", h_pe=5)
+    assert gmodel.floor_widths(ablation2, 1)[2][2].h_pe == 0
     # the event variants wire two matrices; the others take any count
     for variant in ("full", "ablation2"):
         with pytest.raises(gmodel.ConfigError, match="h_adj must be 2"):
@@ -487,15 +503,40 @@ def test_checkpoint_version_and_contents_validated(tmp_path, tiny):
         gmodel.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+def legacy_checkpoint(blob: bytes, version: int) -> bytes:
+    """A checkpoint of an earlier ``version`` with the config of the
+    current one in ``blob``. Versions 1 and 2 were one JSON object with
+    every array inside it; version 3 had today's layout, and its config
+    also held the input width and the window lengths."""
+    line, _, body = blob.partition(b"\n")
+    header = json.loads(line)
+    if version == 3:
+        header.update(format_version=3, config={**header["config"], "k_in": 3, "p": 12, "q": 12})
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body
+    legacy = {"config": header["config"], "format_version": version, "tensors": {}}
+    return json.dumps(legacy, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_checkpoint_of_an_earlier_version_rejected(tmp_path, tiny, version):
-    """Versions 1 and 2 were one JSON object with every array inside it."""
-    header, _ = unpack(_saved(tmp_path, tiny[4]))
-    legacy = {"format_version": version, "config": header["config"], "tensors": {}}
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(legacy, sort_keys=True, separators=(",", ":")))
-    with pytest.raises(gmodel.ConfigError, match="reads version 3; re-run train"):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(legacy_checkpoint(_saved(tmp_path, tiny[4]).read_bytes(), version))
+    with pytest.raises(gmodel.ConfigError, match="reads version 4; re-run train"):
         gmodel.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keys", [["k_in"], ["p"], ["q"], ["k_in", "p", "q"]])
+def test_checkpoint_config_with_a_dropped_width_rejected(tmp_path, tiny, keys):
+    """The input width comes from the statistics and the window lengths
+    are fixed, so a current header that still lists them is refused, and
+    the error names each such key."""
+    path = _saved(tmp_path, tiny[4])
+    header, arrays = unpack(path)
+    header["config"].update({key: {"k_in": 3, "p": 12, "q": 12}[key] for key in keys})
+    pack(path, header, arrays)
+    with pytest.raises(gmodel.ConfigError) as refused:
+        gmodel.load_checkpoint(path)
+    assert f"unknown keys {keys}, lacks keys []" in str(refused.value)
 
 
 def test_checkpoint_layout_is_a_header_line_and_little_endian_float64(tmp_path):
@@ -508,7 +549,7 @@ def test_checkpoint_layout_is_a_header_line_and_little_endian_float64(tmp_path):
     line = path.read_bytes().split(b"\n", 1)[0]
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")).encode()
     header, arrays = unpack(path)
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     assert header["config"] == dataclasses.asdict(model.config)
     params = model.named_params()
     assert list(arrays) == ["stats.mean", "stats.std", "adj", "pe", *params]
@@ -695,7 +736,7 @@ def test_checkpoint_malformed_contents_rejected(tmp_path, tiny, edit):
         gmodel.load_checkpoint(path)
 
 
-HEADER = json.dumps({"arrays": [], "config": {}, "format_version": 3}).encode()
+HEADER = json.dumps({"arrays": [], "config": {}, "format_version": 4}).encode()
 
 
 @pytest.mark.parametrize(

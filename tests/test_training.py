@@ -463,6 +463,69 @@ def test_train_refuses_a_training_split_without_an_observed_target(setup, with_v
     assert not gtrain.observes_no_target(gdata.split_and_window(masked, p=12, q=12).train)
 
 
+def _degrade(case, data, mask, n_train, n_val):
+    """Edit an N=6 series' readings and mask in place into one finite,
+    valid but degenerate ``case``."""
+    spans = {"train": slice(0, n_train), "val": slice(n_train, n_train + n_val),
+             "test": slice(n_train + n_val, None)}
+    hidden = {
+        "dead sensor": (slice(None), 2),
+        "unobserved train": (spans["train"],),
+        "unobserved val": (spans["val"],),
+        "unobserved test": (spans["test"],),
+        # validation window s sees its 15 min target at step s + 14; 60 min ones stay
+        "no 15 min target": (slice(n_train + 14, n_train + n_val - 9),),
+        "sensor missing from val": (spans["val"], 4),
+    }
+    if case in hidden:
+        mask[hidden[case]] = False
+    elif case == "constant sensor":
+        data[:, 2] = 55.0
+    elif case.startswith("scaled"):
+        data *= float(case.split()[1])
+    else:  # one reading of 1e12 in the training span
+        data[50, 1], mask[50, 1] = 1e12, True
+    data[~mask] = 0.0
+
+
+DEGENERATE = {
+    "dead sensor": None,
+    "constant sensor": None,
+    "scaled 1e6": None,
+    "scaled 1e-6": None,
+    "1e12 outlier": None,  # trains, with a validation MAE of about 2e9 (not clipped)
+    "unobserved train": "training split observes no target",
+    "unobserved val": "validation split .* 15 min horizon",
+    "unobserved test": None,
+    "no 15 min target": "validation split .* 15 min horizon",
+    "sensor missing from val": None,
+}
+
+
+@pytest.mark.parametrize("case, refusal", DEGENERATE.items(), ids=DEGENERATE.keys())
+def test_degenerate_data_trains_or_is_refused(case, refusal):
+    """Finite, valid but degenerate data either trains, ranking a finite
+    validation MAE from the first epoch, or raises ``DataError`` before it;
+    it never ends with the initial parameters and no error."""
+    graph, series, _ = gdata.generate_synthetic(n=6, t=300, seed=3)
+    data, mask = series.data.copy(), series.mask.copy()
+    n_train, n_val, _ = gdata.split_sizes(series.n_steps, (0.7, 0.1, 0.2))
+    _degrade(case, data, mask, n_train, n_val)
+    series = gdata.TrafficSeries(data, mask, series.timestamps)
+    splits = gdata.split_and_window(series, p=12, q=12)
+    cfg = gmodel.StackConfig(
+        n=6, group_width=2, h_head=1, h_temporal=1, h_deep=2, h_pe=10, h_e=2
+    )
+    model = gmodel.prepare_model(cfg, graph, series.slice(0, n_train), splits.stats, seed=0)
+    config = gtrain.TrainConfig(lr=1e-3, batch_size=64, max_epochs=2, patience=2)
+    if refusal is not None:
+        with pytest.raises(gdata.DataError, match=refusal):
+            gtrain.train(model, splits.train, splits.val, config)
+        return
+    result = gtrain.train(model, splits.train, splits.val, config)
+    assert result.best_epoch >= 1 and math.isfinite(result.best_val_mae)
+
+
 def test_best_snapshot_restored(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
@@ -739,8 +802,7 @@ def test_train_copies_one_batch_of_windows_at_a_time():
     )
     splits = gdata.split_and_window(wide, p=12, q=12, ratios=(0.5, 0.4, 0.1))
     cfg = gmodel.StackConfig(
-        n=4, k_in=gdata.input_channels(16), group_width=2, h_head=1, h_temporal=1,
-        h_deep=1, h_pe=0, h_e=0,
+        n=4, group_width=2, h_head=1, h_temporal=1, h_deep=1, h_pe=0, h_e=0,
     )
     train_series = wide.slice(0, splits.split_sizes[0])
     model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
@@ -776,7 +838,7 @@ def test_predict_holds_one_copy_of_its_forecasts_plus_a_chunk():
     gtrain.predict(model, inputs, batch_size=16)  # warm-up
     chunk = _traced_peak(lambda: gtrain.predict(model, inputs[:16], batch_size=16))
     peak = _traced_peak(lambda: gtrain.predict(model, inputs, batch_size=16))
-    forecasts = len(inputs) * cfg.n * cfg.q * 8
+    forecasts = len(inputs) * cfg.n * gmodel.N_GROUPS * 8
     assert forecasts > 4 * chunk
     # the finiteness check's mask over the forecasts takes a byte per value
     assert peak < forecasts + forecasts // 8 + 2 * chunk

@@ -13,6 +13,8 @@ sha1``:
 - ``n15.checkpoint``: the checkpoint file after ``train`` with seed 0 for 2
   epochs (the CLI's other defaults) on synthetic N=15 data (seed 42,
   T=700) at the acceptance widths;
+- ``n15.arrays``: that file's bytes after its header line, so that a change
+  of the header alone changes ``n15.checkpoint`` and not this line;
 - ``n15.forecast``: that model's batched forecasts of the test windows;
 - ``n15.grad``: every parameter gradient of one recorded step over four
   training windows, in checkpoint order;
@@ -92,7 +94,10 @@ def main() -> None:
             splits, model = setup(15, 700, 42, variant)
             train(model, splits.train, splits.val, TrainConfig(seed=0, max_epochs=2))
             save_checkpoint(model, path)
-            print(f"n15.checkpoint {variant} {sha1(np.frombuffer(path.read_bytes(), np.uint8))}")
+            blob = path.read_bytes()
+            body = blob.partition(b"\n")[2]
+            print(f"n15.checkpoint {variant} {sha1(np.frombuffer(blob, np.uint8))}")
+            print(f"n15.arrays {variant} {sha1(np.frombuffer(body, np.uint8))}")
             print(f"n15.forecast {variant} {sha1(predict(model, splits.test))}")
             print(f"n15.grad {variant} {step_gradients(model, splits.train[:4])}", flush=True)
     for variant in LARGE_VARIANTS:
