@@ -228,7 +228,7 @@ def cmd_train(args) -> int:
     graph, series = load_series(
         resolved["series"], resolved["locations"], resolved.get("edges")
     )
-    splits = split_and_window(series, p=12, q=12)
+    splits = split_and_window(series, p=N_GROUPS, q=N_GROUPS)
     stack = replace(stack, n=graph.n_vertices)
     train_series = series.slice(0, splits.split_sizes[0])
     model = prepare_model(stack, graph, train_series, splits.stats, run.seed)
@@ -278,7 +278,7 @@ def cmd_gradcheck(args) -> int:
     """Sampled finite-difference audit of a small end-to-end instance."""
     t0 = time.perf_counter()
     graph, series, _ = generate_synthetic(n=6, t=240, seed=args.seed)
-    splits = split_and_window(series, p=12, q=12)
+    splits = split_and_window(series, p=N_GROUPS, q=N_GROUPS)
     stack = StackConfig(
         n=6, group_width=4, h_head=2, h_temporal=2, h_deep=4, h_pe=10, h_e=4
     )

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class StackConfig:
         return N_GROUPS * self.group_width
 
 
-@functools.lru_cache(maxsize=16)  # every forward reads the floors' dims
 def floor_widths(config: StackConfig, n_stats: int) -> tuple[tuple[int, int, LayerDims], ...]:
     """(input width, output width, dims) of each floor, in model order.
 
@@ -153,8 +152,8 @@ def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int,
     shape the config does not fix, and the source of the first floor's input
     width (``floor_widths``). Floor i's parameters are ``layer{i}.<name>``,
     with the names and shapes of ``gat_shapes`` or ``glgat_shapes``. The
-    result is cached, since every save, load and ``named_params`` reads it;
-    callers must not change it.
+    result is cached, since every model, save and load reads it; callers
+    must not change it.
     """
     n = config.n
     layout = {
@@ -177,51 +176,61 @@ def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int,
     return layout
 
 
+TABLES = ("stats.mean", "stats.std", "adj", "pe")  # the record's arrays that are not parameters
+
+
 @dataclass
 class GlgatModel:
+    """A model is its checkpoint record: ``params`` holds every parameter
+    under its ``checkpoint_layout`` name. The constructor refuses arrays
+    that differ from the layout, and adjacency entries outside [0, 1] or
+    off a unit diagonal (every row attends to itself). It keeps ``params``
+    in layout order and derives each floor's (params, dims) once."""
+
     config: StackConfig
-    blocks: list[dict[str, ad.DiffTensor]]  # the 5 floors' parameters: groups x2, deep x3
-    head_w: ad.DiffTensor  # (12, flatten_width)
-    head_b: ad.DiffTensor  # (12,)
-    enc: ad.DiffTensor | None  # (N, H_E) learnable vertex table
+    stats: NormStats
     adj: np.ndarray  # (H_adj, N, N) stacked, or (N, N) for the GAT variant
     pe: np.ndarray | None  # (N, N, H_PE) or None
-    stats: NormStats
+    params: dict[str, ad.DiffTensor]
+    floors: tuple = field(init=False, repr=False)  # (params, dims) of each floor
+
+    def __post_init__(self):
+        k = self.stats.mean.size
+        layout = checkpoint_layout(self.config, k)
+        got = {name: a.shape for name, a in self.arrays().items()}
+        if got != layout:
+            name = next(name for name in [*layout, *got] if layout.get(name) != got.get(name))
+            raise ConfigError(
+                f"model array {name!r}: variant {self.config.variant!r} needs "
+                f"{layout.get(name, 'no array')}, got {got.get(name, 'no array')}"
+            )
+        if not (np.all(self.adj >= 0.0) and np.all(self.adj <= 1.0)):  # NaN fails too
+            raise ConfigError("adjacency has entries outside [0, 1]")
+        if np.any(np.diagonal(self.adj, axis1=-2, axis2=-1) != 1.0):
+            raise ConfigError("adjacency lacks a unit diagonal")
+        self.params = {name: self.params[name] for name in layout if name not in TABLES}
+        runs = itertools.groupby(self.params.items(), lambda item: item[0].partition(".")[0])
+        groups = {group: {name.partition(".")[2]: t for name, t in run} for group, run in runs}
+        self.floors = tuple(
+            (groups[f"layer{i}"], dims)
+            for i, (_, _, dims) in zip(FLOOR_NUMBERS, floor_widths(self.config, k))
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array of the record under its checkpoint name: the tables,
+        then the parameters' values."""
+        tables = zip(TABLES, (self.stats.mean, self.stats.std, self.adj, self.pe))
+        arrays = {name: a for name, a in tables if a is not None}
+        arrays.update((name, t.data) for name, t in self.params.items())
+        return arrays
 
     def named_params(self) -> dict[str, ad.DiffTensor]:
         """Every parameter under its checkpoint name, in checkpoint order."""
-        params = {"head.w": self.head_w, "head.b": self.head_b, "vertex_encoding": self.enc}
-        for idx, block in zip(FLOOR_NUMBERS, self.blocks):
-            params.update((f"layer{idx}.{key}", t) for key, t in block.items())
-        layout = checkpoint_layout(self.config, self.stats.mean.size)
-        return {name: params[name] for name in layout if name in params}
+        return dict(self.params)
 
     def zero_grad(self) -> None:
-        for t in self.named_params().values():
+        for t in self.params.values():
             t.zero_grad()
-
-
-def _check_tables(
-    config: StackConfig, layout: dict, adj: np.ndarray, pe: np.ndarray | None
-) -> None:
-    """Check a model's adjacency and pairwise table against ``config``: the
-    shapes of its checkpoint ``layout``, then adjacency entries in [0, 1] on
-    a unit diagonal, so every attention row has itself to attend to."""
-    want_adj = layout["adj"]
-    if adj.shape != want_adj:
-        raise ConfigError(
-            f"variant {config.variant!r} needs adjacency of shape {want_adj}, got {adj.shape}"
-        )
-    if not (np.all(adj >= 0.0) and np.all(adj <= 1.0)):  # NaN fails too
-        raise ConfigError("adjacency has entries outside [0, 1]")
-    if np.any(np.diagonal(adj, axis1=-2, axis2=-1) != 1.0):
-        raise ConfigError("adjacency lacks a unit diagonal")
-    want_pe = layout.get("pe")
-    if (None if pe is None else pe.shape) != want_pe:
-        got = "none" if pe is None else f"shape {pe.shape}"
-        raise ConfigError(
-            f"variant {config.variant!r} needs pairwise table {want_pe}, got {got}"
-        )
 
 
 def build_model(
@@ -231,26 +240,26 @@ def build_model(
     stats: NormStats,
     seed: int,
 ) -> GlgatModel:
-    """Initialize every floor deterministically from one seed, after checking
-    the adjacency and the pairwise table against ``config``."""
+    """Initialize every floor deterministically from one seed."""
     n = config.n
     layout = checkpoint_layout(config, stats.mean.size)
-    _check_tables(config, layout, adj, pe)
-    blocks = [
-        init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
-        if config.uses_gat
-        else init_glgat_layer(dims, n, k_in, k_out, config.h_e, seed=seed * 31 + i)
-        for i, (k_in, k_out, dims) in enumerate(floor_widths(config, stats.mean.size))
-    ]
+    params = {}
+    for i, (k_in, k_out, dims) in enumerate(floor_widths(config, stats.mean.size)):
+        floor = (
+            init_gat_layer(k_in, k_out, dims.h_prime, config.h_e, seed=seed * 31 + i)
+            if config.uses_gat
+            else init_glgat_layer(dims, n, k_in, k_out, config.h_e, seed=seed * 31 + i)
+        )
+        params.update((f"layer{FLOOR_NUMBERS[i]}.{key}", t) for key, t in floor.items())
 
     rng = np.random.default_rng(seed * 31 + 7)
     limit = np.sqrt(6.0 / sum(layout["head.w"]))
-    head_w = ad.parameter(rng.uniform(-limit, limit, layout["head.w"]))
-    head_b = ad.parameter(np.zeros(layout["head.b"]))
-    enc = None
+    params["head.w"] = ad.parameter(rng.uniform(-limit, limit, layout["head.w"]))
+    params["head.b"] = ad.parameter(np.zeros(layout["head.b"]))
     if "vertex_encoding" in layout:
-        enc = ad.parameter(init_vertex_encoding(*layout["vertex_encoding"], seed=seed * 31 + 8))
-    return GlgatModel(config, blocks, head_w, head_b, enc, adj, pe, stats)
+        enc = init_vertex_encoding(*layout["vertex_encoding"], seed=seed * 31 + 8)
+        params["vertex_encoding"] = ad.parameter(enc)
+    return GlgatModel(config, stats, adj, pe, params)
 
 
 def prepare_model(
@@ -281,12 +290,13 @@ def group_timesteps(x: np.ndarray) -> np.ndarray:
     return np.concatenate(shifted, axis=-1)
 
 
-def _block_forward(model: GlgatModel, block: dict, dims: LayerDims, x) -> ad.DiffTensor:
+def _block_forward(model: GlgatModel, params: dict, dims: LayerDims, x) -> ad.DiffTensor:
     """One floor; inside ``ad.reuse_scope()`` its last output is reused while
     the floor is called with the same bytes."""
+    enc = model.params.get("vertex_encoding")
     if model.config.uses_gat:
-        return ad.reuse(gat_forward, block, x, model.enc, model.adj)
-    return ad.reuse(glgat_forward, block, dims, x, model.enc, model.adj, model.pe)
+        return ad.reuse(gat_forward, params, x, enc, model.adj)
+    return ad.reuse(glgat_forward, params, dims, x, enc, model.adj, model.pe)
 
 
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
@@ -299,14 +309,13 @@ def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
             f"{input_channels(k)} channels for K={k}"
         )
     grouped = ad.constant(group_timesteps(inputs))  # (..., 12, N, 3(2K+1))
-    floors = [(block, dims) for block, (_, _, dims) in zip(model.blocks, floor_widths(cfg, k))]
-    h = _block_forward(model, *floors[0], grouped)
-    h = _block_forward(model, *floors[1], h)  # (..., 12, N, W)
+    h = _block_forward(model, *model.floors[0], grouped)
+    h = _block_forward(model, *model.floors[1], h)  # (..., 12, N, W)
     h = ad.swap_axes(h, -3, -2)  # (..., N, 12, W)
     h = ad.reshape(h, h.shape[:-2] + (cfg.flatten_width,))  # time-flatten
-    for floor in floors[2:]:
+    for floor in model.floors[2:]:
         h = _block_forward(model, *floor, h)
-    pred = ad.affine(h, model.head_w, model.head_b)
+    pred = ad.affine(h, model.params["head.w"], model.params["head.b"])
     # back to raw scale: targets and metrics live in physical units
     return ad.scale(pred, float(model.stats.std[0])) + float(model.stats.mean[0])
 
@@ -393,12 +402,9 @@ def save_checkpoint(model: GlgatModel, path) -> None:
     (METR-LA shape) checkpoint took about 5, 6 and 14-20 ms that way, and
     3-6 ms each this way.
     """
-    stats = model.stats
-    arrays = {"stats.mean": stats.mean, "stats.std": stats.std, "adj": model.adj, "pe": model.pe}
-    arrays.update((name, t.data) for name, t in model.named_params().items())
-    order = checkpoint_layout(model.config, stats.mean.size)
+    arrays = model.arrays()
     header = {
-        "arrays": [[name, list(arrays[name].shape)] for name in order],
+        "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
         "config": asdict(model.config),
         "format_version": CHECKPOINT_VERSION,
     }
@@ -407,8 +413,8 @@ def save_checkpoint(model: GlgatModel, path) -> None:
             os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for name in order:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def load_checkpoint(path) -> GlgatModel:
@@ -442,13 +448,6 @@ def load_checkpoint(path) -> GlgatModel:
 
     stats = NormStats(mean=arrays.pop("stats.mean"), std=arrays.pop("stats.std"))
     adj, pe = arrays.pop("adj"), arrays.pop("pe", None)
-    _check_tables(config, layout, adj, pe)
     with ad.no_grad():  # unscanned: the file's bits, NaN payloads included
         params = {name: ad.parameter(arr) for name, arr in arrays.items()}
-    floors = {f"layer{i}": {} for i in FLOOR_NUMBERS}
-    for name, t in params.items():
-        floor, _, key = name.partition(".")
-        if floor in floors:
-            floors[floor][key] = t
-    blocks, enc = list(floors.values()), params.get("vertex_encoding")
-    return GlgatModel(config, blocks, params["head.w"], params["head.b"], enc, adj, pe, stats)
+    return GlgatModel(config, stats, adj, pe, params)

@@ -1152,15 +1152,22 @@ def test_every_benchmarked_op_is_a_callable_autodiff_attribute():
     assert [op for op in ops if not callable(getattr(ad, op, None))] == []
 
 
-def test_benchmark_tracer_installs_on_the_current_source_and_uninstalls(monkeypatch):
-    # perfbench/worker.py's install() wraps attributes of glgat modules by name;
-    # a renamed or deleted one raises AttributeError and breaks traced runs
+@pytest.fixture
+def bench_worker(monkeypatch):
+    """perfbench/worker.py, loaded as a module."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))  # for its pace and tracer imports
     spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, worker)  # its dataclasses look it up
     spec.loader.exec_module(worker)
+    return worker
+
+
+def test_benchmark_tracer_installs_on_the_current_source_and_uninstalls(bench_worker):
+    # perfbench/worker.py's install() wraps attributes of glgat modules by name;
+    # a renamed or deleted one raises AttributeError and breaks traced runs
+    worker = bench_worker
     owners = (worker.gad, worker.gad.DiffTensor, worker.gmodel, worker.gtrain,
               worker.gdata, worker.ggrad)
     before = [dict(vars(o)) for o in owners]
@@ -1178,6 +1185,29 @@ def test_benchmark_tracer_installs_on_the_current_source_and_uninstalls(monkeypa
     assert len(wrapped) >= len(worker.OPS)
     assert all(value.__wrapped__ is original for _, value, original in wrapped)
     assert [dict(vars(o)) for o in owners] == before
+
+
+def test_benchmark_tracer_books_one_span_per_floor_of_a_forward(bench_worker):
+    # install() names a span per floor (layers.layer1 ... layers.layer6); the
+    # call-time lookup of glgat_forward it relies on is guarded by the
+    # count_floors tests in test_model.py
+    worker = bench_worker
+    gdata, gmodel = worker.gdata, worker.gmodel
+    graph, series, _ = gdata.generate_synthetic(n=6, t=240, seed=1)
+    splits = gdata.split_and_window(series, p=gmodel.N_GROUPS, q=gmodel.N_GROUPS)
+    config = gmodel.StackConfig(n=6, group_width=2, h_head=1, h_temporal=1, h_deep=2, h_e=2)
+    train_series = series.slice(0, splits.split_sizes[0])
+    model = gmodel.prepare_model(config, graph, train_series, splits.stats, seed=0)
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer, [])
+        gmodel.model_forward(model, splits.train[0].input)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    floors = {name: calls for name, (calls, _, _) in totals.items() if name.startswith("layers.")}
+    names = ("layer1", "layer2", "layer4", "layer5", "layer6")
+    assert floors == {f"layers.{name}": 1 for name in names}
 
 
 def test_non_finite_construction_rejected():

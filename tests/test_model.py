@@ -88,14 +88,16 @@ def test_reference_width_shape_trace():
     grouped = ad.constant(gmodel.group_timesteps(x))
     assert grouped.shape == (12, n, 9)
     dims = [d for _, _, d in gmodel.floor_widths(cfg, 1)]
-    h1 = glgat_forward(model.blocks[0], dims[0], grouped, model.enc, model.adj, model.pe)
+    assert [d for _, d in model.floors] == dims
+    floors, enc = [p for p, _ in model.floors], model.params["vertex_encoding"]
+    h1 = glgat_forward(floors[0], dims[0], grouped, enc, model.adj, model.pe)
     assert h1.shape == (12, n, 16)
-    h2 = glgat_forward(model.blocks[1], dims[1], h1, model.enc, model.adj, model.pe)
+    h2 = glgat_forward(floors[1], dims[1], h1, enc, model.adj, model.pe)
     assert h2.shape == (12, n, 16)
     flat = ad.reshape(ad.swap_axes(h2, -3, -2), (n, 192))
     deep = flat
-    for block, d in zip(model.blocks[2:], dims[2:]):
-        deep = glgat_forward(block, d, deep, model.enc, model.adj, model.pe)
+    for params, d in zip(floors[2:], dims[2:]):
+        deep = glgat_forward(params, d, deep, enc, model.adj, model.pe)
         assert deep.shape == (n, 192)
     pred = gmodel.model_forward(model, x)
     assert pred.shape == (n, 12)
@@ -187,7 +189,7 @@ def test_ablation2_drops_pairwise_term(tiny):
     assert dims.h_q == dims.h_prime
     _, _, _, _, model = pipeline(variant="ablation2")
     assert model.pe is None
-    assert model.blocks[0].keys() == glgat_shapes(dims, cfg.n, k_in, k_out, cfg.h_e).keys()
+    assert model.floors[0][0].keys() == glgat_shapes(dims, cfg.n, k_in, k_out, cfg.h_e).keys()
 
 
 def test_ablation3_uses_plain_attention_and_fewer_parameters(tiny):
@@ -195,7 +197,7 @@ def test_ablation3_uses_plain_attention_and_fewer_parameters(tiny):
     _, _, _, _, gat_model = pipeline(variant="ablation3")
     k_in, k_out, dims = gmodel.floor_widths(gat_model.config, 1)[0]
     h_e = gat_model.config.h_e
-    assert gat_model.blocks[0].keys() == gat_shapes(k_in, k_out, dims.h_prime, h_e).keys()
+    assert gat_model.floors[0][0].keys() == gat_shapes(k_in, k_out, dims.h_prime, h_e).keys()
     assert gat_model.adj.ndim == 2
     n_full = sum(t.size for t in full_model.named_params().values())
     n_gat = sum(t.size for t in gat_model.named_params().values())
@@ -227,7 +229,7 @@ def test_input_width_follows_the_statistics(tiny):
         cfg, one.adj, one.pe, gdata.NormStats(np.zeros(2), np.ones(2)), seed=0
     )
     assert gmodel.floor_widths(cfg, 2)[0][0] == 3 * gdata.input_channels(2) == 15
-    assert two.blocks[0]["w_v"].shape[1] == 15 and one.blocks[0]["w_v"].shape[1] == 9
+    assert two.params["layer1.w_v"].shape[1] == 15 and one.params["layer1.w_v"].shape[1] == 9
     assert gmodel.model_forward(two, np.zeros((12, cfg.n, 5))).shape == (cfg.n, 12)
     with pytest.raises(gmodel.ConfigError, match="5 channels for K=2"):
         gmodel.model_forward(two, np.zeros((12, cfg.n, 3)))
@@ -343,6 +345,42 @@ def test_named_params_cover_all_floors(tiny):
     assert "vertex_encoding" in names
 
 
+RECORD_EDITS = {  # the name the error must give, and the edit of the params
+    "a missing name": ("layer5.w_k", lambda p: p.pop("layer5.w_k")),
+    "an extra name": ("layer3.w_k", lambda p: p.update({"layer3.w_k": p["layer4.w_k"]})),
+    "a wrong shape": ("head.b", lambda p: p.update({"head.b": ad.parameter(np.zeros(11))})),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_EDITS.values(), ids=RECORD_EDITS.keys())
+def test_model_refuses_params_unlike_its_layout(tiny, case):
+    model = tiny[4]
+    name, edit = case
+    params = model.named_params()
+    edit(params)
+    with pytest.raises(gmodel.ConfigError, match=f"model array '{name}'"):
+        gmodel.GlgatModel(model.config, model.stats, model.adj, model.pe, params)
+
+
+def test_floors_hold_the_record_tensors(tiny):
+    """Each floor's dict is the record's tensors under their names without
+    ``layer{i}.``, and the record keeps its params in layout order whatever
+    order it is given."""
+    model = tiny[4]
+    held = {
+        f"layer{i}.{key}": t
+        for i, (params, _) in zip(gmodel.FLOOR_NUMBERS, model.floors)
+        for key, t in params.items()
+    }
+    assert held.keys() == {name for name in model.params if name.startswith("layer")}
+    assert all(t is model.params[name] for name, t in held.items())
+    reversed_params = dict(reversed(model.named_params().items()))
+    again = gmodel.GlgatModel(model.config, model.stats, model.adj, model.pe, reversed_params)
+    layout = gmodel.checkpoint_layout(model.config, model.stats.mean.size)
+    assert list(again.params) == [name for name in layout if name not in gmodel.TABLES]
+    assert all(again.params[name] is t for name, t in model.params.items())
+
+
 # ---------------------------------------------------------- checkpoints
 
 
@@ -373,6 +411,17 @@ def _saved(tmp_path, model):
     path = tmp_path / "model.bin"
     gmodel.save_checkpoint(model, path)
     return path
+
+
+def test_built_and_reloaded_models_hold_the_same_params(tmp_path, tiny):
+    cfg, _, _, splits, model = tiny
+    built = gmodel.build_model(cfg, model.adj, model.pe, splits.stats, seed=5)
+    loaded = gmodel.load_checkpoint(_saved(tmp_path, built))
+    want, got = built.named_params(), loaded.named_params()
+    assert list(want) == list(got)
+    for name, t in want.items():
+        assert t.shape == got[name].shape, name
+        assert t.data.tobytes() == got[name].data.tobytes(), name
 
 
 def test_checkpoint_round_trip(tmp_path, tiny):
@@ -577,8 +626,8 @@ def test_readme_checkpoint_snippet_reads_a_saved_tensor(tmp_path, monkeypatch, t
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(snippet, scope)
-    assert scope["w"].tobytes() == model.head_w.data.tobytes()
-    assert scope["w"].shape == model.head_w.shape
+    assert scope["w"].tobytes() == model.params["head.w"].data.tobytes()
+    assert scope["w"].shape == model.params["head.w"].shape
 
 
 def _entry(name, edit):
@@ -854,8 +903,8 @@ def test_reuse_recomputes_after_an_in_place_write(monkeypatch, target, rerun):
         "adjacency": model.adj,
         "pairwise table": model.pe,
         "input": x,
-        "vertex encoding": model.enc.data,
-        "layer4.w_k": model.blocks[2]["w_k"].data,
+        "vertex encoding": model.params["vertex_encoding"].data,
+        "layer4.w_k": model.params["layer4.w_k"].data,
     }
     floors = count_floors(monkeypatch)
     with ad.no_grad(), ad.reuse_scope():
@@ -904,7 +953,11 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
     _, _, _, splits, model = pipeline()
     xs = np.stack([s.input for s in splits.val[:3]])
     before = gmodel.model_forward(model, xs).data.tobytes()
-    fields_before = [dict(vars(model)), *map(dict, model.blocks)]
+
+    def fields():  # the model's, its record's and each floor's bindings
+        return [dict(vars(model)), dict(model.params), *(dict(p) for p, _ in model.floors)]
+
+    fields_before = fields()
     params = model.named_params()
     contents = {k: t.data.copy() for k, t in params.items()}
 
@@ -913,7 +966,7 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
 
     check_gradients(fn, params, max_entries_per_tensor=1, rng=np.random.default_rng(2))
     assert getattr(ad._recording, "reused", None) is None
-    assert [dict(vars(model)), *map(dict, model.blocks)] == fields_before
+    assert fields() == fields_before
     for k, t in params.items():
         assert t.data.tobytes() == contents[k].tobytes(), k
     with ad.no_grad():

@@ -607,7 +607,7 @@ def test_predict_does_not_depend_on_what_was_predicted_before(monkeypatch):
 def test_predict_rejects_non_finite_forecasts(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
-    model.head_b.data[0] = np.inf
+    model.params["head.b"].data[0] = np.inf
     with pytest.raises(ad.NonFiniteError, match="predict"):
         gtrain.predict(model, gtrain.stack_inputs(splits.val[:2]))
 
@@ -675,20 +675,20 @@ def test_training_is_deterministic(setup):
 def test_vertex_encoding_receives_gradient(setup):
     model = fresh_model(setup)
     _, _, splits, _ = setup
-    before = model.enc.data.copy()
+    before = model.params["vertex_encoding"].data.copy()
     gtrain.train(
         model,
         splits.train[:10],
         [],
         gtrain.TrainConfig(lr=1e-3, batch_size=8, max_epochs=1, patience=5, seed=0),
     )
-    assert not np.array_equal(model.enc.data, before)
+    assert not np.array_equal(model.params["vertex_encoding"].data, before)
 
 
 def test_divergence_reports_epoch(setup):
     _, _, splits, _ = setup
     model = fresh_model(setup)
-    model.head_w.data[...] = np.nan
+    model.params["head.w"].data[...] = np.nan
     with pytest.raises(gtrain.TrainingDiverged, match="epoch 1"):
         gtrain.train(
             model,

@@ -16,6 +16,8 @@ sha1``:
 - ``n15.arrays``: that file's bytes after its header line, so that a change
   of the header alone changes ``n15.checkpoint`` and not this line;
 - ``n15.forecast``: that model's batched forecasts of the test windows;
+- ``n15.reload``: the same forecasts from the model loaded back from that
+  file, which must equal ``n15.forecast``;
 - ``n15.grad``: every parameter gradient of one recorded step over four
   training windows, in checkpoint order;
 - ``n207.streaming`` and ``n207.batched``: an untrained seeded model's
@@ -39,7 +41,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from glgat.data import generate_synthetic, split_and_window  # noqa: E402
-from glgat.model import VARIANTS, StackConfig, model_forward, prepare_model, save_checkpoint  # noqa: E402
+from glgat.model import (  # noqa: E402
+    N_GROUPS,
+    VARIANTS,
+    StackConfig,
+    load_checkpoint,
+    model_forward,
+    prepare_model,
+    save_checkpoint,
+)
 from glgat.training import (  # noqa: E402
     TrainConfig,
     batch_smooth_l1,
@@ -64,7 +74,7 @@ def sha1(*arrays: np.ndarray) -> str:
 
 def setup(n: int, t: int, seed: int, variant: str):
     graph, series, _ = generate_synthetic(n=n, t=t, seed=seed)
-    splits = split_and_window(series, p=12, q=12)
+    splits = split_and_window(series, p=N_GROUPS, q=N_GROUPS)
     config = StackConfig(n=n, variant=variant, **ACCEPTANCE)
     train_series = series.slice(0, splits.split_sizes[0])
     return splits, prepare_model(config, graph, train_series, splits.stats, seed=0)
@@ -99,6 +109,7 @@ def main() -> None:
             print(f"n15.checkpoint {variant} {sha1(np.frombuffer(blob, np.uint8))}")
             print(f"n15.arrays {variant} {sha1(np.frombuffer(body, np.uint8))}")
             print(f"n15.forecast {variant} {sha1(predict(model, splits.test))}")
+            print(f"n15.reload {variant} {sha1(predict(load_checkpoint(path), splits.test))}")
             print(f"n15.grad {variant} {step_gradients(model, splits.train[:4])}", flush=True)
     for variant in LARGE_VARIANTS:
         forecasts("n207", 207, 700, variant, gradients=True)
