@@ -32,11 +32,13 @@ keeps none.
 
 The only module state is one per-thread object, ``_recording``. It holds
 the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
-both restored when their block exits, and the memo of ``attend``
+both restored when their block exits, the memo of ``attend``
 (``_SliceMemo``), which keeps at most ``_MEMO_BYTES`` of unrecorded
-results, keys and copies and gives each call the bytes a fresh
-computation would. A graph belongs to whichever thread built it, and
-independent graphs over shared read-only leaves may run concurrently.
+results and keys and gives each call the bytes a fresh computation
+would, and a record per read-only array (``_frozen``), by which
+``attend`` checks and keys such weights and tables once. A graph belongs
+to whichever thread built it, and independent graphs over shared
+read-only leaves may run concurrently.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-_recording = threading.local()  # per thread: off (no_grad), reused (reuse_scope), memo (attend)
+# per thread: off (no_grad), reused (reuse_scope), memo and frozen (attend)
+_recording = threading.local()
 
 
 @contextlib.contextmanager
@@ -673,17 +676,79 @@ def _check_fits(w_shape: tuple[int, ...], shape: tuple[int, ...], op: str) -> No
         ) from None
 
 
-def _check_weights(weights, shape: tuple[int, ...], op: str) -> np.ndarray:
-    """Validate a weight array against scores of ``shape``; the weights as float64."""
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_fits(weights.shape, shape, op)
+class _Frozen:
+    """What this thread has learnt of one read-only array (see ``_frozen``).
+    It compares by identity, so it serves as the array's memo key."""
+
+    scanned = False  # the weights checks passed
+
+
+def _owner(a: np.ndarray) -> np.ndarray | None:
+    """The array that owns ``a``'s memory when ``a`` and every array it is a
+    view of refuse writes, else None."""
+    while not a.flags.writeable:
+        if a.base is None:
+            return a
+        if not isinstance(a.base, np.ndarray):
+            return None
+        a = a.base
+    return None
+
+
+def _frozen(a: np.ndarray) -> _Frozen | None:
+    """This thread's record of ``a`` if its bytes cannot change, else None.
+
+    They cannot while ``a`` and every array it views are read-only and the
+    last of them owns its memory, and nobody makes that owner writable
+    again. One record serves every view of the same owner with the same
+    layout, and it goes when the owner dies.
+    """
+    owner = _owner(a)
+    if owner is None:
+        return None
+    seen = getattr(_recording, "frozen", None)
+    if seen is None:
+        seen = _recording.frozen = {}
+    key = (id(owner), a.dtype.str, a.shape, a.strides, a.__array_interface__["data"][0])
+    entry = seen.get(key)
+    if entry is None or entry[0]() is not owner:
+        entry = seen[key] = (weakref.ref(owner, lambda _, key=key: seen.pop(key, None)), _Frozen())
+    return entry[1]
+
+
+def frozen(a) -> np.ndarray:
+    """``a`` as a float64 array whose bytes cannot change: ``a`` itself if
+    it already is one (see ``_frozen``), else a read-only copy. ``attend``
+    checks and keys such an array once, not on every call."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and _owner(a) is not None:
+        return a
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _scan_weights(weights: np.ndarray, op: str) -> None:
+    """Raise unless every weight lies in [0, 1] and every row has positive weight."""
     if not (np.all(weights >= 0.0) and np.all(weights <= 1.0)):  # NaN fails too
         raise ValueError(f"{op}: weights must lie in [0, 1]")
     row_sums = weights.reshape(-1, weights.shape[-1]).sum(axis=-1)
     if np.any(row_sums <= 0.0):
         bad = int(np.argmax(row_sums <= 0.0))
         raise DegenerateRowError(f"{op}: weight row {bad} sums to zero")
-    return weights
+
+
+def _check_weights(weights, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, _Frozen | None]:
+    """Validate a weight array against scores of ``shape``; the weights as
+    float64 and their ``_frozen`` record. Read-only weights are scanned on
+    their first call only."""
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_fits(weights.shape, shape, op)
+    seen = _frozen(weights)
+    if seen is None or not seen.scanned:
+        _scan_weights(weights, op)
+        if seen is not None:
+            seen.scanned = True
+    return weights, seen
 
 
 def _softmax_rows(
@@ -734,7 +799,7 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     Gimelshein (arXiv:1805.02867).
     """
     scores = constant(scores)
-    weights = _check_weights(weights, scores.shape, "masked_softmax")
+    weights, _ = _check_weights(weights, scores.shape, "masked_softmax")
     out_data = _softmax_rows(scores.data, weights)
     scores_node = scores._node
 
@@ -845,20 +910,13 @@ def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_
         np.matmul(a, vs[index], out=out[index])
 
 
-# Bytes of keys and copies one thread's memo of ``attend`` may hold, and the
-# least score bytes per unit for which the memo's per-unit keying,
-# comparisons and copies repay themselves (units of N=15 floors hold 14 KiB,
-# those of N=207 floors 1.3 MiB).
+# Bytes of keys and outputs one thread's memo of ``attend`` may hold, and
+# the least score bytes per unit from which a call computes the pairwise
+# term unit by unit and, under ``no_grad()``, goes through the memo: there
+# the per-unit keying and copies repay themselves (units of N=15 floors
+# hold 14 KiB, those of N=207 floors 1.3 MiB).
 _MEMO_BYTES = 24 << 20
 _MEMO_MIN_UNIT_BYTES = 64 << 10
-
-
-def _same_bytes(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    """Whether ``a`` and ``b`` are both absent, or hold the same shape and
-    bytes; NaN equals a NaN of the same payload, and 0.0 differs from -0.0."""
-    if a is None or b is None:
-        return a is b
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class _SliceMemo:
@@ -867,48 +925,47 @@ class _SliceMemo:
     A unit is every score slice of one index of the operands' leading axes
     that the weights do not span: in a GLGAT floor, all the matrices and
     heads of one window's time group. An entry is keyed on the shapes and
-    bytes of the unit's query, key and value head copies and keeps its own
-    copies of the unit's pairwise term (the bias) and output. It is used
-    only while the call's weights and the unit's bias are byte-equal to the
-    memo's copies, so a stale entry can only miss, and a hit gives the bytes
-    a recomputation would. Entries are kept newest first, up to
-    ``_MEMO_BYTES`` with the weights copy counted.
+    bytes of the unit's query, key and value head copies and pairwise
+    queries, and holds the unit's output alone. Entries are used only with
+    the weights and table they were computed with (``tables``: the
+    ``_Frozen`` record of a read-only array, the shape and bytes of any
+    other), so a stale entry can only miss, and a hit gives the bytes a
+    recomputation would. Entries are kept newest first, up to
+    ``_MEMO_BYTES`` with the bytes in ``tables`` counted.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self.weights: tuple | None = None  # (shape, bytes) of the entries' weights
+        self.tables: tuple | None = None  # keys of the entries' weights and table
         self.entries: collections.OrderedDict = collections.OrderedDict()
         self.held = 0
 
-    def use_weights(self, weights: np.ndarray) -> None:
-        """Keep the entries computed with these weights; drop them all otherwise."""
-        key = (weights.shape, weights.tobytes())
-        if self.weights != key:
+    def use_tables(self, tables: tuple) -> None:
+        """Keep the entries computed with these tables; drop them all otherwise."""
+        if self.tables != tables:
             self.clear()
-            self.weights, self.held = key, len(key[1])
+            self.tables = tables
+            self.held = sum(len(t[1]) for t in tables if isinstance(t, tuple))
 
-    def get(self, key, bias: np.ndarray | None) -> np.ndarray | None:
+    def get(self, key) -> np.ndarray | None:
         entry = self.entries.get(key)
-        if entry is None or not _same_bytes(entry[0], bias):
+        if entry is None:
             return None
         self.entries.move_to_end(key)
-        return entry[1]
+        return entry[0]
 
-    def put(self, key, bias: np.ndarray | None, out: np.ndarray) -> None:
-        entry = (None if bias is None else bias.copy(), out.copy())
-        size = sum(len(k) for k in key if isinstance(k, bytes))
-        size += sum(a.nbytes for a in entry if a is not None)
+    def put(self, key, out: np.ndarray) -> None:
+        size = sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
         old = self.entries.pop(key, None)
         if old is not None:
-            self.held -= old[2]
-        self.entries[key] = entry + (size,)
+            self.held -= old[1]
+        self.entries[key] = (out.copy(), size)
         self.held += size
         while self.held > _MEMO_BYTES and self.entries:
-            self.held -= self.entries.popitem(last=False)[1][2]
-        if self.held > _MEMO_BYTES:  # the weights alone exceed the cap
+            self.held -= self.entries.popitem(last=False)[1][1]
+        if self.held > _MEMO_BYTES:  # the tables alone exceed the cap
             self.clear()
 
 
@@ -920,25 +977,46 @@ def _slice_memo() -> _SliceMemo:
     return memo
 
 
-def _attend_units(qs, ks, vs, ws, bs, shape, units, out) -> None:
+def _array_key(a: np.ndarray, seen: _Frozen | None):
+    """What the memo keys ``a`` by: its ``_Frozen`` record ``seen``, else its
+    shape and bytes."""
+    return (a.shape, a.tobytes()) if seen is None else seen
+
+
+def _attend_units(qs, ks, vs, ws, pe, shape, units, out, tables) -> None:
     """``_attend_blocks`` unit by unit over the leading axes ``units``,
-    taking from this thread's memo every unit it holds. A computed unit is
+    taking from this thread's memo every unit it holds. ``pe`` is None or
+    the pairwise queries and the table's (N, H_PE, N) matrices, whose
+    product ``_pairwise_term`` forms for the units the memo misses; the
+    memo keeps the entries computed with ``tables``. A computed unit is
     stored before the next lookup, so a later repeat in the same call is a
     hit while the memo still holds it."""
     memo = _slice_memo()
-    memo.use_weights(ws)
+    memo.use_tables(tables)
     unit_shape = shape[len(units) :]
     for u in np.ndindex(*units):
-        operands = (qs[u], ks[u], vs[u])
+        operands = (qs[u], ks[u], vs[u]) + (() if pe is None else (pe[0][u],))
         key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
-        b = None if bs is None else bs[u]
-        held = memo.get(key, b)
+        held = memo.get(key)
         if held is not None:
             out[u] = held
         else:
+            bias = None if pe is None else _pairwise_term(pe[0][u], pe[1], ())
             # one (N, M) slice per block: the memo's copies take the room larger blocks would
-            _attend_blocks(*operands, ws, b, unit_shape, out[u], block_bytes=0)
-            memo.put(key, b, out[u])
+            _attend_blocks(*operands[:3], ws, bias, unit_shape, out[u], block_bytes=0)
+            memo.put(key, out[u])
+
+
+def _pairwise_term(q_pe: np.ndarray, mats: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
+    """``_rowwise`` of a contiguous copy of the pairwise queries ``q_pe``
+    and ``mats``, as one product per index of the leading axes ``units``,
+    each giving the bytes it gives alone."""
+    if not units:
+        return _rowwise(np.ascontiguousarray(q_pe), mats)
+    bias = np.empty(q_pe.shape[:-1] + mats.shape[-1:])
+    for u in np.ndindex(*units):
+        _rowwise(np.ascontiguousarray(q_pe[u]), mats, out=bias[u])
+    return bias
 
 
 def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()) -> DiffTensor:
@@ -966,43 +1044,54 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
     ``pairwise_scores``), head split (``reshape``, ``permute``), ``matmul``,
     ``add``, ``gelu``, ``masked_softmax``, ``matmul`` and merge.
 
-    Under ``no_grad()``, a call whose units (see ``_SliceMemo``) hold at
-    least ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit through this
-    thread's memo, so consecutive sliding windows compute only the time
-    groups they do not share. A unit that repeats an earlier one of the
-    same call is a memo hit too, but only while the memo still holds it. In
-    a GLGAT group floor a repeat comes 11 units after the unit it repeats,
-    and 11 units fit in ``_MEMO_BYTES`` up to N=354 at acceptance widths
-    and N=347 at reference widths; past that, such repeats are recomputed.
-    Its result is the same bytes whatever was computed before.
+    A call whose units (see ``_SliceMemo``) hold at least
+    ``_MEMO_MIN_UNIT_BYTES`` of scores forms the pairwise term one unit at
+    a time, recorded or not, so a unit's output is the same bytes in any
+    call that holds the unit's rows with the same weights and table, and
+    the composed reference is ``pairwise_scores`` applied unit by unit;
+    smaller calls form it in one product. Under ``no_grad()`` such a call
+    goes unit by unit through this thread's memo, so consecutive sliding
+    windows compute only the time groups they do not share, pairwise term
+    included. A unit that repeats an earlier one of the same call is a memo
+    hit too, but only while the memo still holds it. In a GLGAT group
+    floor a repeat comes 11 units after the unit it repeats, and with a
+    read-only table 11 units fit in ``_MEMO_BYTES`` up to N=5,499 at
+    acceptance widths and N=3,404 at reference widths. Its result is the
+    same bytes whatever was computed before.
+
+    Read-only weights and tables (see ``frozen``) are checked and keyed
+    once per array; any other weights are checked, and keyed with the
+    table by their bytes, on every call.
     """
     q, k, v = constant(q), constant(k), constant(v)
     table = None if table is None else np.ascontiguousarray(table, dtype=np.float64)
     shape = _score_shape(q.shape, k.shape, v.shape, heads, getattr(table, "shape", None))
     lead = shape[:-2]
-    weights = _check_weights(weights, shape, "attend")
+    weights, weights_seen = _check_weights(weights, shape, "attend")
 
     width = k.shape[-1]
     q_heads = np.ascontiguousarray(_head_view(q.data[..., :width], heads))
     k_heads = np.ascontiguousarray(_head_view(k.data, heads, keys=True))
     v_heads = np.ascontiguousarray(_head_view(v.data, heads))
-    bias = pe_heads = pe_shape = None
+    out = np.empty(lead + (shape[-2], v_heads.shape[-1]))
+    units = lead[: min(q.ndim - 2, len(shape) - weights.ndim)]  # the pairwise term spans these too
+    by_unit = 8 * math.prod(shape[len(units) :]) >= _MEMO_MIN_UNIT_BYTES
+    recording = not getattr(_recording, "off", False)
+    pe = pe_heads = pe_shape = None
     if table is not None:  # (..., heads[0], 1, ..., N, N): one term per first head index
         pe_heads = heads[:1] + (1,) * (len(heads) - 1)
         q_pe = _head_view(q.data[..., width:], pe_heads)
-        bias = _rowwise(np.ascontiguousarray(q_pe), table.transpose(0, 2, 1))
-        pe_shape = bias.shape
+        pe = (q_pe, table.transpose(0, 2, 1))
+        pe_shape = q_pe.shape[:-1] + (shape[-1],)
 
-    out = np.empty(lead + (shape[-2], v_heads.shape[-1]))
-    operands = (q_heads, k_heads, v_heads, weights, bias)
-    units = lead[: min(q.ndim - 2, len(shape) - weights.ndim)]  # the bias spans these too
-    if not getattr(_recording, "off", False):  # kept whole for the backward pass
-        slope, coef = np.empty(shape), np.empty(shape)
-        _attend_blocks(*operands, shape, out, slope, coef)
-    elif 8 * math.prod(shape[len(units) :]) >= _MEMO_MIN_UNIT_BYTES:
-        _attend_units(*operands, shape, units, out)
-    else:
-        _attend_blocks(*operands, shape, out)
+    if by_unit and not recording:
+        table_key = None if table is None else _array_key(table, _frozen(table))
+        tables = (_array_key(weights, weights_seen), table_key)
+        _attend_units(q_heads, k_heads, v_heads, weights, pe, shape, units, out, tables)
+    else:  # a recorded call fills the slope and coefficients whole for the backward pass
+        bias = None if pe is None else _pairwise_term(*pe, units if by_unit else ())
+        slope, coef = (np.empty(shape), np.empty(shape)) if recording else (None, None)
+        _attend_blocks(q_heads, k_heads, v_heads, weights, bias, shape, out, slope, coef)
 
     q_node, k_node, v_node = q._node, k._node, v._node
 
@@ -1031,12 +1120,13 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
     return _make(_rows(out, heads), (q_node, k_node, v_node), backward, "attend")
 
 
-def _rowwise(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _rowwise(a: np.ndarray, mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """out[..., i, :] = a[..., i, :] @ mats[i] for (..., N, D) ``a`` and
     (N, D, H) ``mats``: one matmul batched over the row axis, which keeps the
-    bank product on BLAS, written straight into the (..., N, H) layout."""
+    bank product on BLAS, written straight into the (..., N, H) layout of
+    ``out``, a contiguous array or a fresh one."""
     n, _, h = mats.shape
-    out = np.empty(a.shape[:-1] + (h,))
+    out = np.empty(a.shape[:-1] + (h,)) if out is None else out
     rows = a.reshape(-1, n, a.shape[-1]).transpose(1, 0, 2)  # (n, b, d)
     np.matmul(rows, mats, out=out.reshape(-1, n, h).transpose(1, 0, 2))
     return out

@@ -184,8 +184,10 @@ class GlgatModel:
     """A model is its checkpoint record: ``params`` holds every parameter
     under its ``checkpoint_layout`` name. The constructor refuses arrays
     that differ from the layout, and adjacency entries outside [0, 1] or
-    off a unit diagonal (every row attends to itself). It keeps ``params``
-    in layout order and derives each floor's (params, dims) once."""
+    off a unit diagonal (every row attends to itself). It holds ``adj`` and
+    ``pe`` read-only (``ad.frozen``: a read-only copy of a writable table),
+    so ``attend`` checks and keys them once; it keeps ``params`` in layout
+    order and derives each floor's (params, dims) once."""
 
     config: StackConfig
     stats: NormStats
@@ -195,6 +197,8 @@ class GlgatModel:
     floors: tuple = field(init=False, repr=False)  # (params, dims) of each floor
 
     def __post_init__(self):
+        self.adj = ad.frozen(self.adj)
+        self.pe = None if self.pe is None else ad.frozen(self.pe)
         k = self.stats.mean.size
         layout = checkpoint_layout(self.config, k)
         got = {name: a.shape for name, a in self.arrays().items()}
@@ -448,6 +452,9 @@ def load_checkpoint(path) -> GlgatModel:
 
     stats = NormStats(mean=arrays.pop("stats.mean"), std=arrays.pop("stats.std"))
     adj, pe = arrays.pop("adj"), arrays.pop("pe", None)
+    for table in (adj, pe):
+        if table is not None:  # its own fresh array: the model holds it as it is
+            table.flags.writeable = False
     with ad.no_grad():  # unscanned: the file's bits, NaN payloads included
         params = {name: ad.parameter(arr) for name, arr in arrays.items()}
     return GlgatModel(config, stats, adj, pe, params)

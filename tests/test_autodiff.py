@@ -418,7 +418,7 @@ def test_attend_reports_a_non_finite_table():
     """A NaN in the table reaches every score of its row: a recorded call
     raises NonFiniteError, and so does ``predict``, which scans the
     forecasts of its unrecorded calls."""
-    from glgat.model import model_forward
+    from glgat.model import GlgatModel, model_forward
     from glgat.training import predict
     from test_model import pipeline
 
@@ -430,7 +430,9 @@ def test_attend_reports_a_non_finite_table():
     with ad.no_grad():
         assert np.isnan(ad.attend(q, k, v, weights, table, heads).data[:, 3]).all()
     _, _, _, splits, model = pipeline()
-    model.pe[2, 0, 1] = np.nan
+    pe = model.pe.copy()
+    pe[2, 0, 1] = np.nan
+    model = GlgatModel(model.config, model.stats, model.adj, pe, model.params)
     with pytest.raises(ad.NonFiniteError, match="attend"):
         model_forward(model, splits.train[:2].inputs())
     with pytest.raises(ad.NonFiniteError, match="predict"):
@@ -969,7 +971,7 @@ def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(comput
 
 def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
     """The bias is the pairwise term: a write to the pairwise queries or to
-    the table changes it, and the memo compares its bytes."""
+    the table changes it, and the memo keys on the bytes of both."""
     rng = np.random.default_rng(61)
     q, k, v, weights, table, heads = operands = _group_sequence(rng, groups=4)
     q[:, 7, 12:] = 0.0
@@ -988,13 +990,15 @@ def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units)
         ad.attend(*operands)
         assert len(computed_units) == 13
         table[3] += 1.0  # in place: every unit
-        out = ad.attend(*operands).data
+        ad.attend(*operands)
         assert len(computed_units) == 17
+        q[1, :, 12:] = 0.0
+        ad.attend(*operands)
+        assert len(computed_units) == 18
+        q[1, 0, 12] = -0.0  # pairwise queries equal as floats, not as bytes, miss too
+        out = ad.attend(*operands).data
+        assert len(computed_units) == 19
     assert out.tobytes() == _fresh(*operands).tobytes()
-    memo = ad._slice_memo()  # a bias equal as floats, not as bytes, misses too
-    memo.put(("unit",), np.zeros(2), out[0])
-    assert memo.get(("unit",), np.array([0.0, -0.0])) is None
-    assert memo.get(("unit",), np.zeros(2)) is not None
 
 
 def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
@@ -1042,6 +1046,79 @@ def test_attend_memo_units_are_the_operands_leading_axes(computed_units):
     assert out.tobytes() == ad.attend(q, k, v, weights, table, heads).data.tobytes()
 
 
+@pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
+def test_attend_units_give_their_bytes_in_any_call_above_the_memo_floor(mode):
+    """From the memo's floor the pairwise term is one product per unit, so
+    three groups give the bytes of the same groups inside a twelve-group
+    call, recorded and under no_grad() alike. At N=207 a product over all
+    twelve groups (24 rows per vertex) rounds about 1.5% of the entries of
+    a 2-row unit's product differently here, and 1.9% at H_PE=10."""
+    rng = np.random.default_rng(67)
+    operands = _group_sequence(rng, groups=12, n=207)
+    q, k, v, weights, table, heads = operands
+    q_pe = np.ascontiguousarray(q[..., 12:].reshape(12, 207, 2, 4).transpose(0, 2, 1, 3))
+    whole = ad._rowwise(q_pe, table.transpose(0, 2, 1))
+    alone = ad._rowwise(q_pe[5], table.transpose(0, 2, 1))
+    assert alone.tobytes() != whole[5].tobytes()  # a size where one product per call differs
+    with mode():
+        ad._slice_memo().clear()
+        all_groups = ad.attend(*operands).data
+        ad._slice_memo().clear()
+        three = ad.attend(*_window(operands, 5, 3)).data
+    assert three.tobytes() == all_groups[5:8].tobytes()
+    assert all_groups.tobytes() == _fresh(*operands).tobytes()  # no_grad() equals recorded
+
+
+def test_attend_memo_serves_consecutive_windows_under_a_cap_bias_copies_overflowed(
+    monkeypatch, computed_units
+):
+    """An entry holds a unit's keys and output, 27 KiB here, and no copy of
+    its 36 KiB pairwise term: four units fit a cap of 4.5 entries, so each
+    window shifted by one group computes one unit. Read-only weights and
+    table add no bytes to the memo."""
+    rng = np.random.default_rng(68)
+    operands = _group_sequence(rng, groups=10)
+    for table in operands[3:5]:
+        table.flags.writeable = False
+    entry = 8 * (2 * 2 * 48 * 3 * 2 + 2 * 48 * 4 + 2 * 2 * 48 * 5 * 2)  # q, k, q_pe, v, out
+    bias = 8 * 2 * 48 * 48
+    monkeypatch.setattr(ad, "_MEMO_BYTES", int(4.5 * entry))
+    assert 4 * bias > ad._MEMO_BYTES
+    windows = [_window(operands, start, 4) for start in range(7)]
+    expected = [ad.attend(*window).data.tobytes() for window in windows]  # recorded
+    del computed_units[:]
+    with ad.no_grad():
+        got = [ad.attend(*window).data.tobytes() for window in windows]
+        assert ad._slice_memo().held == 4 * entry
+    assert len(computed_units) == 4 + 6
+    assert got == expected
+
+
+def test_attend_scans_read_only_weights_once(monkeypatch):
+    """Read-only weights, and their read-only views, are range-scanned on
+    their first call; writable weights, or a read-only view of them, on
+    every call, so a write that breaks them is still refused."""
+    scans = []
+    scan = ad._scan_weights
+    monkeypatch.setattr(ad, "_scan_weights", lambda w, op: scans.append(op) or scan(w, op))
+    rng = np.random.default_rng(69)
+    q, k, v, weights, table, heads = _floor_operands(rng)
+    writable = weights.copy()
+    weights.flags.writeable = False
+    for mode in (contextlib.nullcontext, ad.no_grad, contextlib.nullcontext):
+        with mode():
+            ad.attend(q, k, v, weights, table, heads)
+            ad.attend(q, k, v, weights.reshape(weights.shape), table, heads)  # a new view each call
+            ad.attend(q, k, v, writable, table, heads)
+            ad.attend(q, k, v, np.broadcast_to(writable, writable.shape), table, heads)
+    assert len(scans) == 1 + 3 * 2
+    writable[0, 0, 2, 3] = 1.5
+    with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+        ad.attend(q, k, v, writable, table, heads)
+    assert ad.frozen(weights) is weights
+    assert not ad.frozen(writable).flags.writeable and writable.flags.writeable
+
+
 def test_recorded_attend_never_consults_the_memo(monkeypatch):
     def no_memo():
         raise AssertionError("the memo was consulted")
@@ -1057,11 +1134,11 @@ def test_recorded_attend_never_consults_the_memo(monkeypatch):
 
 
 def _memo_bytes(memo) -> int:
-    """The bytes of keys and copies ``memo`` holds, counted from its entries."""
-    held = 0 if memo.weights is None else len(memo.weights[1])
-    for key, (bias, out, _) in memo.entries.items():
+    """The bytes of keys and outputs ``memo`` holds, counted from its
+    entries and the keys of its weights and table."""
+    held = sum(len(t[1]) for t in memo.tables or () if isinstance(t, tuple))
+    for key, (out, _) in memo.entries.items():
         held += sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
-        held += 0 if bias is None else bias.nbytes
     return held
 
 
@@ -1073,8 +1150,9 @@ def test_attend_memo_holds_at_most_its_byte_cap(monkeypatch, computed_units):
     memo = ad._slice_memo()
     with ad.no_grad():
         ad.attend(*windows[0])
-        entry = (_memo_bytes(memo) - 8 * operands[3].size) // 4
-        two_and_a_half = 8 * operands[3].size + int(2.5 * entry)
+        tables = 8 * (operands[3].size + operands[4].size)  # keyed by their bytes
+        entry = (_memo_bytes(memo) - tables) // 4
+        two_and_a_half = tables + int(2.5 * entry)
         for cap in (ad._MEMO_BYTES, two_and_a_half, 1000):
             monkeypatch.setattr(ad, "_MEMO_BYTES", cap)
             memo.clear()

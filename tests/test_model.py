@@ -612,7 +612,28 @@ def test_checkpoint_layout_is_a_header_line_and_little_endian_float64(tmp_path):
     assert got.tobytes() == w.tobytes()  # NaN payload and -0.0 survive
     for arr in (*(t.data for t in loaded.named_params().values()), loaded.adj, loaded.pe,
                 loaded.stats.mean, loaded.stats.std):
-        assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.aligned
+        assert arr.dtype == np.float64 and arr.flags.aligned
+        assert arr.flags.writeable == (arr is not loaded.adj and arr is not loaded.pe)
+
+
+def test_model_tables_refuse_writes_after_build_and_load(tmp_path):
+    """A model holds read-only copies of the tables it was built from, and
+    the loader freezes its own; the caller's arrays and the parameters stay
+    writable."""
+    _, _, _, splits, model = pipeline()
+    adj, pe = model.adj.copy(), model.pe.copy()
+    built = gmodel.build_model(model.config, adj, pe, splits.stats, seed=3)
+    loaded = gmodel.load_checkpoint(_saved(tmp_path, built))
+    for m in (model, built, loaded):
+        for table in (m.adj, m.pe):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 0.5
+        for t in m.params.values():
+            t.data.flat[0] = t.data.flat[0]
+    assert adj.flags.writeable and pe.flags.writeable
+    assert built.adj is not adj and np.array_equal(built.adj, adj)
+    again = gmodel.GlgatModel(loaded.config, loaded.stats, loaded.adj, loaded.pe, loaded.params)
+    assert again.adj is loaded.adj and again.pe is loaded.pe  # already read-only: kept
 
 
 def test_readme_checkpoint_snippet_reads_a_saved_tensor(tmp_path, monkeypatch, tiny):
@@ -913,6 +934,12 @@ def test_reuse_recomputes_after_an_in_place_write(monkeypatch, target, rerun):
         assert len(floors) == 5  # the second call reused every floor
         alias = arrays[target].reshape(-1)  # a view: the write goes through it
         old = alias[1]
+        if target in ("adjacency", "pairwise table"):  # read-only: swap in an altered copy
+            with pytest.raises(ValueError, match="read-only"):
+                alias[1] = 0.5 * old + 0.25
+            altered = arrays[target].copy()
+            setattr(model, "adj" if target == "adjacency" else "pe", altered)
+            alias = altered.reshape(-1)
         alias[1] = 0.5 * old + 0.25  # stays inside [0, 1] for the adjacency
         assert alias[1] != old
         changed = gmodel.model_forward(model, x).data
