@@ -35,10 +35,10 @@ the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
 both restored when their block exits, the memo of ``attend``
 (``_SliceMemo``), which keeps at most ``_MEMO_BYTES`` of unrecorded
 results and keys and gives each call the bytes a fresh computation
-would, and a record per read-only array (``_frozen``), by which
-``attend`` checks and keys such weights and tables once. A graph belongs
-to whichever thread built it, and independent graphs over shared
-read-only leaves may run concurrently.
+would, and the weak record (``_weak_record``) of the read-only weights
+last scanned, which later calls with the same weights skip the scan
+for. A graph belongs to whichever thread built it, and independent
+graphs over shared read-only leaves may run concurrently.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# per thread: off (no_grad), reused (reuse_scope), memo and frozen (attend)
+# per thread: off (no_grad), reused (reuse_scope), memo and scanned (attend)
 _recording = threading.local()
 
 
@@ -676,13 +676,6 @@ def _check_fits(w_shape: tuple[int, ...], shape: tuple[int, ...], op: str) -> No
         ) from None
 
 
-class _Frozen:
-    """What this thread has learnt of one read-only array (see ``_frozen``).
-    It compares by identity, so it serves as the array's memo key."""
-
-    scanned = False  # the weights checks passed
-
-
 def _owner(a: np.ndarray) -> np.ndarray | None:
     """The array that owns ``a``'s memory when ``a`` and every array it is a
     view of refuse writes, else None."""
@@ -695,31 +688,35 @@ def _owner(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _frozen(a: np.ndarray) -> _Frozen | None:
-    """This thread's record of ``a`` if its bytes cannot change, else None.
+def _weak_record(a: np.ndarray) -> tuple | None:
+    """A weak record of ``a`` if its bytes cannot change, else None.
 
     They cannot while ``a`` and every array it views are read-only and the
     last of them owns its memory, and nobody makes that owner writable
-    again. One record serves every view of the same owner with the same
-    layout, and it goes when the owner dies.
+    again. The record is a weak reference to that owner, its id and
+    ``a``'s layout; ``_same_owner`` compares two.
     """
     owner = _owner(a)
     if owner is None:
         return None
-    seen = getattr(_recording, "frozen", None)
-    if seen is None:
-        seen = _recording.frozen = {}
-    key = (id(owner), a.dtype.str, a.shape, a.strides, a.__array_interface__["data"][0])
-    entry = seen.get(key)
-    if entry is None or entry[0]() is not owner:
-        entry = seen[key] = (weakref.ref(owner, lambda _, key=key: seen.pop(key, None)), _Frozen())
-    return entry[1]
+    layout = (a.dtype.str, a.shape, a.strides, a.__array_interface__["data"][0])
+    return (weakref.ref(owner), id(owner)) + layout
+
+
+def _same_owner(r: tuple | None, s: tuple | None) -> bool:
+    """Whether the weak records ``r`` and ``s`` are one live owner's memory
+    in one layout; a record whose owner has died matches none."""
+    if r is None or s is None or r[1:] != s[1:]:
+        return False
+    owner = r[0]()
+    return owner is not None and owner is s[0]()
 
 
 def frozen(a) -> np.ndarray:
     """``a`` as a float64 array whose bytes cannot change: ``a`` itself if
-    it already is one (see ``_frozen``), else a read-only copy. ``attend``
-    checks and keys such an array once, not on every call."""
+    it already is one (see ``_weak_record``), else a read-only copy.
+    ``attend`` scans such weights once and keeps such weights and tables in
+    its memo."""
     if isinstance(a, np.ndarray) and a.dtype == np.float64 and _owner(a) is not None:
         return a
     a = np.array(a, dtype=np.float64)
@@ -737,18 +734,18 @@ def _scan_weights(weights: np.ndarray, op: str) -> None:
         raise DegenerateRowError(f"{op}: weight row {bad} sums to zero")
 
 
-def _check_weights(weights, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, _Frozen | None]:
+def _check_weights(weights, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, tuple | None]:
     """Validate a weight array against scores of ``shape``; the weights as
-    float64 and their ``_frozen`` record. Read-only weights are scanned on
-    their first call only."""
+    float64 and their ``_weak_record``. Weights that match this thread's
+    last scanned read-only weights skip the scan."""
     weights = np.asarray(weights, dtype=np.float64)
     _check_fits(weights.shape, shape, op)
-    seen = _frozen(weights)
-    if seen is None or not seen.scanned:
+    record = _weak_record(weights)
+    if not _same_owner(record, getattr(_recording, "scanned", None)):
         _scan_weights(weights, op)
-        if seen is not None:
-            seen.scanned = True
-    return weights, seen
+        if record is not None:
+            _recording.scanned = record
+    return weights, record
 
 
 def _softmax_rows(
@@ -886,8 +883,8 @@ def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_
     """The forward of ``attend`` over (..., N, M) scores of ``shape`` into
     ``out``, in blocks of ``_score_blocks(..., block_bytes)``; ``qs``,
     ``ks`` and ``vs`` have its leading axes, and ``ws`` and ``bs`` broadcast
-    to it. A recorded call passes whole ``slope`` and ``coef`` arrays to be
-    filled as well."""
+    to it. A recorded call passes ``slope`` and ``coef`` arrays of ``shape``
+    to be filled as well."""
     lead = shape[:-2]
     block_lead, blocks = _score_blocks(lead, 8 * shape[-2] * shape[-1], block_bytes)
     block_shape = block_lead + shape[-2:]
@@ -911,10 +908,10 @@ def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_
 
 
 # Bytes of keys and outputs one thread's memo of ``attend`` may hold, and
-# the least score bytes per unit from which a call computes the pairwise
-# term unit by unit and, under ``no_grad()``, goes through the memo: there
-# the per-unit keying and copies repay themselves (units of N=15 floors
-# hold 14 KiB, those of N=207 floors 1.3 MiB).
+# the least score bytes per unit from which a call goes unit by unit,
+# forming the pairwise term per unit and, under ``no_grad()``, consulting
+# the memo: there the per-unit keying and copies repay themselves (units of
+# N=15 floors hold 14 KiB, those of N=207 floors 1.3 MiB).
 _MEMO_BYTES = 24 << 20
 _MEMO_MIN_UNIT_BYTES = 64 << 10
 
@@ -927,27 +924,25 @@ class _SliceMemo:
     heads of one window's time group. An entry is keyed on the shapes and
     bytes of the unit's query, key and value head copies and pairwise
     queries, and holds the unit's output alone. Entries are used only with
-    the weights and table they were computed with (``tables``: the
-    ``_Frozen`` record of a read-only array, the shape and bytes of any
-    other), so a stale entry can only miss, and a hit gives the bytes a
-    recomputation would. Entries are kept newest first, up to
-    ``_MEMO_BYTES`` with the bytes in ``tables`` counted.
+    the read-only weights and table they were computed with (``tables``,
+    their weak records), so a stale entry can only miss, and a hit gives
+    the bytes a recomputation would. Entries are kept newest first, up to
+    ``_MEMO_BYTES`` of keys and outputs.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self.tables: tuple | None = None  # keys of the entries' weights and table
+        self.tables: tuple = ()  # weak records of the entries' weights and table
         self.entries: collections.OrderedDict = collections.OrderedDict()
         self.held = 0
 
     def use_tables(self, tables: tuple) -> None:
         """Keep the entries computed with these tables; drop them all otherwise."""
-        if self.tables != tables:
+        if len(tables) != len(self.tables) or not all(map(_same_owner, tables, self.tables)):
             self.clear()
             self.tables = tables
-            self.held = sum(len(t[1]) for t in tables if isinstance(t, tuple))
 
     def get(self, key) -> np.ndarray | None:
         entry = self.entries.get(key)
@@ -965,8 +960,6 @@ class _SliceMemo:
         self.held += size
         while self.held > _MEMO_BYTES and self.entries:
             self.held -= self.entries.popitem(last=False)[1][1]
-        if self.held > _MEMO_BYTES:  # the tables alone exceed the cap
-            self.clear()
 
 
 def _slice_memo() -> _SliceMemo:
@@ -975,48 +968,6 @@ def _slice_memo() -> _SliceMemo:
     if memo is None:
         memo = _recording.memo = _SliceMemo()
     return memo
-
-
-def _array_key(a: np.ndarray, seen: _Frozen | None):
-    """What the memo keys ``a`` by: its ``_Frozen`` record ``seen``, else its
-    shape and bytes."""
-    return (a.shape, a.tobytes()) if seen is None else seen
-
-
-def _attend_units(qs, ks, vs, ws, pe, shape, units, out, tables) -> None:
-    """``_attend_blocks`` unit by unit over the leading axes ``units``,
-    taking from this thread's memo every unit it holds. ``pe`` is None or
-    the pairwise queries and the table's (N, H_PE, N) matrices, whose
-    product ``_pairwise_term`` forms for the units the memo misses; the
-    memo keeps the entries computed with ``tables``. A computed unit is
-    stored before the next lookup, so a later repeat in the same call is a
-    hit while the memo still holds it."""
-    memo = _slice_memo()
-    memo.use_tables(tables)
-    unit_shape = shape[len(units) :]
-    for u in np.ndindex(*units):
-        operands = (qs[u], ks[u], vs[u]) + (() if pe is None else (pe[0][u],))
-        key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
-        held = memo.get(key)
-        if held is not None:
-            out[u] = held
-        else:
-            bias = None if pe is None else _pairwise_term(pe[0][u], pe[1], ())
-            # one (N, M) slice per block: the memo's copies take the room larger blocks would
-            _attend_blocks(*operands[:3], ws, bias, unit_shape, out[u], block_bytes=0)
-            memo.put(key, out[u])
-
-
-def _pairwise_term(q_pe: np.ndarray, mats: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
-    """``_rowwise`` of a contiguous copy of the pairwise queries ``q_pe``
-    and ``mats``, as one product per index of the leading axes ``units``,
-    each giving the bytes it gives alone."""
-    if not units:
-        return _rowwise(np.ascontiguousarray(q_pe), mats)
-    bias = np.empty(q_pe.shape[:-1] + mats.shape[-1:])
-    for u in np.ndindex(*units):
-        _rowwise(np.ascontiguousarray(q_pe[u]), mats, out=bias[u])
-    return bias
 
 
 def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()) -> DiffTensor:
@@ -1045,29 +996,29 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
     ``add``, ``gelu``, ``masked_softmax``, ``matmul`` and merge.
 
     A call whose units (see ``_SliceMemo``) hold at least
-    ``_MEMO_MIN_UNIT_BYTES`` of scores forms the pairwise term one unit at
-    a time, recorded or not, so a unit's output is the same bytes in any
-    call that holds the unit's rows with the same weights and table, and
-    the composed reference is ``pairwise_scores`` applied unit by unit;
-    smaller calls form it in one product. Under ``no_grad()`` such a call
-    goes unit by unit through this thread's memo, so consecutive sliding
-    windows compute only the time groups they do not share, pairwise term
-    included. A unit that repeats an earlier one of the same call is a memo
-    hit too, but only while the memo still holds it. In a GLGAT group
-    floor a repeat comes 11 units after the unit it repeats, and with a
-    read-only table 11 units fit in ``_MEMO_BYTES`` up to N=5,499 at
-    acceptance widths and N=3,404 at reference widths. Its result is the
-    same bytes whatever was computed before.
-
-    Read-only weights and tables (see ``frozen``) are checked and keyed
-    once per array; any other weights are checked, and keyed with the
-    table by their bytes, on every call.
+    ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit, recorded or not,
+    forming each unit's pairwise term alone and scoring it one (N, M)
+    slice at a time, so a unit's output is the same bytes in any call that
+    holds the unit's rows with the same weights and table, and the
+    composed reference is ``pairwise_scores`` applied unit by unit;
+    smaller calls form the term in one product and go block by block.
+    Under ``no_grad()``, with read-only weights and table (see
+    ``frozen``), such a call takes from this thread's memo every unit it
+    holds, so consecutive sliding windows compute only the time groups
+    they do not share, pairwise term included. A unit that repeats an
+    earlier one of the same call is a memo hit too, but only while the
+    memo still holds it. In a GLGAT group floor a repeat comes 11 units
+    after the unit it repeats, and 11 units fit in ``_MEMO_BYTES`` up to
+    N=5,499 at acceptance widths and N=3,404 at reference widths. Its
+    result is the same bytes whatever was computed before. Writable
+    weights or a writable table bypass the memo and are checked on every
+    call.
     """
     q, k, v = constant(q), constant(k), constant(v)
     table = None if table is None else np.ascontiguousarray(table, dtype=np.float64)
     shape = _score_shape(q.shape, k.shape, v.shape, heads, getattr(table, "shape", None))
     lead = shape[:-2]
-    weights, weights_seen = _check_weights(weights, shape, "attend")
+    weights, weights_record = _check_weights(weights, shape, "attend")
 
     width = k.shape[-1]
     q_heads = np.ascontiguousarray(_head_view(q.data[..., :width], heads))
@@ -1075,23 +1026,39 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
     v_heads = np.ascontiguousarray(_head_view(v.data, heads))
     out = np.empty(lead + (shape[-2], v_heads.shape[-1]))
     units = lead[: min(q.ndim - 2, len(shape) - weights.ndim)]  # the pairwise term spans these too
-    by_unit = 8 * math.prod(shape[len(units) :]) >= _MEMO_MIN_UNIT_BYTES
+    unit_shape = shape[len(units) :]
     recording = not getattr(_recording, "off", False)
-    pe = pe_heads = pe_shape = None
+    slope, coef = (np.empty(shape), np.empty(shape)) if recording else (None, None)
+    q_pe = mats = pe_heads = pe_shape = None
     if table is not None:  # (..., heads[0], 1, ..., N, N): one term per first head index
         pe_heads = heads[:1] + (1,) * (len(heads) - 1)
         q_pe = _head_view(q.data[..., width:], pe_heads)
-        pe = (q_pe, table.transpose(0, 2, 1))
+        mats = table.transpose(0, 2, 1)
         pe_shape = q_pe.shape[:-1] + (shape[-1],)
 
-    if by_unit and not recording:
-        table_key = None if table is None else _array_key(table, _frozen(table))
-        tables = (_array_key(weights, weights_seen), table_key)
-        _attend_units(q_heads, k_heads, v_heads, weights, pe, shape, units, out, tables)
-    else:  # a recorded call fills the slope and coefficients whole for the backward pass
-        bias = None if pe is None else _pairwise_term(*pe, units if by_unit else ())
-        slope, coef = (np.empty(shape), np.empty(shape)) if recording else (None, None)
+    if 8 * math.prod(unit_shape) < _MEMO_MIN_UNIT_BYTES:
+        bias = None if table is None else _rowwise(np.ascontiguousarray(q_pe), mats)
         _attend_blocks(q_heads, k_heads, v_heads, weights, bias, shape, out, slope, coef)
+    else:
+        memo = None
+        tables = (weights_record,) + (() if table is None else (_weak_record(table),))
+        if not recording and None not in tables:
+            memo = _slice_memo()
+            memo.use_tables(tables)
+        for u in np.ndindex(*units):
+            operands = (q_heads[u], k_heads[u], v_heads[u]) + (() if table is None else (q_pe[u],))
+            if memo is not None:
+                key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
+                held = memo.get(key)
+                if held is not None:
+                    out[u] = held
+                    continue
+            bias = None if table is None else _rowwise(np.ascontiguousarray(q_pe[u]), mats)
+            unit = (None, None) if slope is None else (slope[u], coef[u])
+            # one (N, M) slice per block: it measured faster here than blocks of a MiB
+            _attend_blocks(*operands[:3], weights, bias, unit_shape, out[u], *unit, block_bytes=0)
+            if memo is not None:
+                memo.put(key, out[u])
 
     q_node, k_node, v_node = q._node, k._node, v._node
 

@@ -914,9 +914,9 @@ def _group_sequence(rng, groups, n=48):
     """attend() operands of a GLGAT floor for ``groups`` consecutive time
     groups: (group, N, channels) rows of heads (H_adj=2, H_head=2), the
     query followed by two blocks of 4 pairwise channels, weights shared by
-    the groups and heads, the (N, N, 4) pairwise table, and the heads. A
-    unit, every slice of one group, holds 4 * 48 * 48 * 8 bytes (72 KiB) of
-    scores."""
+    the groups and heads, the (N, N, 4) pairwise table, and the heads. The
+    weights and the table are read-only, as a model's are. A unit, every
+    slice of one group, holds 4 * 48 * 48 * 8 bytes (72 KiB) of scores."""
     q = _as_rows(rng.standard_normal((groups, 2, 2, n, 3)), 2)
     k = _as_rows(rng.standard_normal((groups, 2, 2, 3, n)), 2, keys=True)
     v = _as_rows(rng.standard_normal((groups, 2, 2, n, 5)), 2)
@@ -926,7 +926,12 @@ def _group_sequence(rng, groups, n=48):
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
     assert 8 * 4 * n * n >= ad._MEMO_MIN_UNIT_BYTES
-    return q, k, v, weights, table, (2, 2)
+    return q, k, v, _read_only(weights), _read_only(table), (2, 2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _window(operands, start, width):
@@ -970,35 +975,100 @@ def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(comput
 
 
 def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
-    """The bias is the pairwise term: a write to the pairwise queries or to
-    the table changes it, and the memo keys on the bytes of both."""
+    """The bias is the pairwise term: a write to the pairwise queries or a
+    new table changes it. The memo keys on the bytes of the queries and
+    keeps its entries for the read-only weights and table they were
+    computed with, which refuse writes, so new ones are altered copies."""
     rng = np.random.default_rng(61)
-    q, k, v, weights, table, heads = operands = _group_sequence(rng, groups=4)
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
     q[:, 7, 12:] = 0.0
     q[:, 7, 12] = 1.0  # row 7's first matrix scores (7, j) by table[7, j, 0] exactly
+
+    def call():
+        return ad.attend(q, k, v, weights, table, heads)
+
     with ad.no_grad():
-        ad.attend(*operands)
-        ad.attend(*operands)
+        call()
+        call()
         assert len(computed_units) == 4
-        weights[1, 0, 3, 5] *= 0.5  # in place: every unit is recomputed
-        ad.attend(*operands)
+        weights = weights.copy()
+        weights[1, 0, 3, 5] *= 0.5  # an altered copy: every unit is recomputed
+        weights = _read_only(weights)
+        call()
         assert len(computed_units) == 8
         q[2, :, 12:] += 1.0  # in place: the pairwise queries of that group alone
-        ad.attend(*operands)
+        call()
         assert len(computed_units) == 9
+        table = table.copy()
         table[7, 9, 0] = np.nextafter(table[7, 9, 0], np.inf)  # one ulp: every unit
-        ad.attend(*operands)
+        table = _read_only(table)
+        call()
         assert len(computed_units) == 13
-        table[3] += 1.0  # in place: every unit
-        ad.attend(*operands)
+        table = table.copy()
+        table[3] += 1.0  # every unit
+        table = _read_only(table)
+        call()
         assert len(computed_units) == 17
         q[1, :, 12:] = 0.0
-        ad.attend(*operands)
+        call()
         assert len(computed_units) == 18
         q[1, 0, 12] = -0.0  # pairwise queries equal as floats, not as bytes, miss too
-        out = ad.attend(*operands).data
+        out = call().data
         assert len(computed_units) == 19
-    assert out.tobytes() == _fresh(*operands).tobytes()
+    assert out.tobytes() == _fresh(q, k, v, weights, table, heads).tobytes()
+
+
+@pytest.mark.parametrize("writable", ["weights", "table"])
+def test_attend_memo_is_bypassed_by_writable_weights_or_tables(writable, computed_units):
+    """A writable array can change under the memo's entries, so a call
+    given one computes every unit and stores none, with the bytes of a
+    recorded call."""
+    rng = np.random.default_rng(70)
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
+    if writable == "weights":
+        weights = weights.copy()
+    else:
+        table = table.copy()
+    expected = ad.attend(q, k, v, weights, table, heads).data.tobytes()  # recorded
+    del computed_units[:]
+    with ad.no_grad():
+        for _ in range(2):
+            assert ad.attend(q, k, v, weights, table, heads).data.tobytes() == expected
+            assert not ad._slice_memo().entries and ad._slice_memo().held == 0
+    assert len(computed_units) == 2 * 4
+
+
+def test_attend_memo_recomputes_every_unit_for_a_table_of_another_owner(computed_units):
+    """Entries belong to the owner of the table's memory and its layout, not
+    to its bytes: a read-only copy with the same bytes empties the memo and
+    recomputes every unit, while a new view of the same table is served."""
+    rng = np.random.default_rng(71)
+    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
+    memo = ad._slice_memo()
+    with ad.no_grad():
+        first = ad.attend(q, k, v, weights, table, heads).data
+        view = ad.attend(q, k, v, weights, table[:], heads).data
+        assert len(computed_units) == 4 and len(memo.entries) == 4
+        copy = _read_only(table.copy())
+        again = ad.attend(q, k, v, weights, copy, heads).data
+        assert len(computed_units) == 8 and len(memo.entries) == 4
+        assert memo.tables[1][0]() is copy
+    assert first.tobytes() == view.tobytes() == again.tobytes()
+
+
+def test_a_weak_record_whose_owner_died_matches_no_record():
+    owner = ad.frozen(np.arange(16.0).reshape(4, 4))  # a read-only copy
+    record = ad._weak_record(owner)
+    assert ad._same_owner(record, ad._weak_record(owner.reshape(4, 4)))  # a view, one layout
+    assert not ad._same_owner(record, ad._weak_record(owner.T))
+    assert ad._weak_record(np.arange(16.0)) is None  # writable
+    del owner
+    other = ad.frozen(np.arange(16.0).reshape(4, 4))
+    # the worst case: another live owner with the dead one's id and layout
+    forged = (weakref.ref(other),) + record[1:]
+    assert not ad._same_owner(record, record)
+    assert not ad._same_owner(record, forged) and not ad._same_owner(forged, record)
+    assert not ad._same_owner(record, ad._weak_record(other))
 
 
 def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
@@ -1023,6 +1093,7 @@ def test_attend_memo_serves_units_without_a_bias(computed_units):
     k = np.swapaxes(k_t, -1, -2)
     weights = (rng.uniform(size=(n, n)) > 0.3).astype(float)
     np.fill_diagonal(weights, 1.0)
+    weights = _read_only(weights)
     assert 8 * n * n >= ad._MEMO_MIN_UNIT_BYTES > 8 * 90 * 90
     with ad.no_grad():
         first = ad.attend(q, k, v, weights).data
@@ -1135,8 +1206,8 @@ def test_recorded_attend_never_consults_the_memo(monkeypatch):
 
 def _memo_bytes(memo) -> int:
     """The bytes of keys and outputs ``memo`` holds, counted from its
-    entries and the keys of its weights and table."""
-    held = sum(len(t[1]) for t in memo.tables or () if isinstance(t, tuple))
+    entries."""
+    held = 0
     for key, (out, _) in memo.entries.items():
         held += sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
     return held
@@ -1150,16 +1221,15 @@ def test_attend_memo_holds_at_most_its_byte_cap(monkeypatch, computed_units):
     memo = ad._slice_memo()
     with ad.no_grad():
         ad.attend(*windows[0])
-        tables = 8 * (operands[3].size + operands[4].size)  # keyed by their bytes
-        entry = (_memo_bytes(memo) - tables) // 4
-        two_and_a_half = tables + int(2.5 * entry)
+        entry = _memo_bytes(memo) // 4
+        two_and_a_half = int(2.5 * entry)
         for cap in (ad._MEMO_BYTES, two_and_a_half, 1000):
             monkeypatch.setattr(ad, "_MEMO_BYTES", cap)
             memo.clear()
             for window, want in zip(windows, expected):
                 assert ad.attend(*window).data.tobytes() == want
                 assert _memo_bytes(memo) == memo.held <= cap
-        assert memo.held == 0  # the weights alone exceed 1000 bytes
+        assert memo.held == 0  # one entry alone exceeds 1000 bytes
         monkeypatch.setattr(ad, "_MEMO_BYTES", two_and_a_half)
         ad.attend(*windows[0])
         del computed_units[:]

@@ -17,7 +17,12 @@ workload and end-to-end metric of ``BENCHMARK.json`` each side's median
 and quartiles over its runs, the change of the median, and the pairs the
 change won (ties count for neither). ``gain`` is true when the change won
 at least nine pairs in ten and its median beats the parent's by more than
-the parent's interquartile range. It prints the same summary as a table.
+the parent's interquartile range. ``worse_than_bound`` is true when the
+change's median is worse than the parent's by more than the metric's
+``bound``, a fraction of the parent's median. Per side it also gives the
+failed share of operations (summed ``failed`` over summed ``attempted``)
+and the runs that failed a correctness check or exited non-zero. It prints
+the same summary as a table.
 """
 
 from __future__ import annotations
@@ -67,12 +72,31 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict], workload: str) -> dict:
+    """Each side's failed share and failing runs, and per metric the
+    comparison of the paired runs of ``workload``."""
+    runs = [run for run in runs if run["workload"] == workload]
+    sides = {}
+    for side in ("parent", "change"):
+        mine = [run for run in runs if run["side"] == side]
+        results = [run["result"] for run in mine if run["result"] is not None]
+        attempted = sum(r.get("attempted", 0) for r in results)
+        failed = sum(r.get("failed", 0) for r in results)
+        sides[side] = {
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else None,
+            "bad_runs": [
+                {"seed": run["seed"], "exit": run["exit"]}
+                for run in mine
+                if run["exit"] != 0 or run["result"] is None or not run["result"].get("correct", False)
+            ],
+        }
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = {}
         for run in runs:
-            if run["workload"] == workload and run["result"] is not None:
+            if run["result"] is not None:
                 value = run["result"]["metrics"].get(name, {}).get("value")
                 if value is not None:
                     pairs.setdefault(run["seed"], {})[run["side"]] = value
@@ -93,8 +117,9 @@ def summarize(runs: list[dict], metrics: list[dict], workload: str) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "gain": wins >= 0.9 * len(pairs) and margin > parent["q3"] - parent["q1"],
+            "worse_than_bound": -margin > metric["bound"] * abs(parent["median"]),
         }
-    return out
+    return {"sides": sides, "metrics": out}
 
 
 def seed_range(text: str) -> list[int]:
@@ -135,13 +160,17 @@ def main(argv=None) -> int:
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
-    for workload, metrics in record["summary"].items():
-        for name, s in metrics.items():
+    for workload, summary in record["summary"].items():
+        for side, s in summary["sides"].items():
+            share = "n/a" if s["failed_share"] is None else f"{s['failed_share']:.4g}"
+            print(f"{workload:<14} {side:<16} failed share {share}, bad runs {s['bad_runs']}")
+        for name, s in summary["metrics"].items():
             p, c = s["parent"], s["change"]
             print(
                 f"{workload:<14} {name:<16} {p['median']:>10.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                 f"{c['median']:>10.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['median_change_pct']:+6.1f}% "
                 f"won {s['change_wins']}/{s['pairs']}{'  GAIN' if s['gain'] else ''}"
+                f"{'  WORSE THAN BOUND' if s['worse_than_bound'] else ''}"
             )
     print(f"wrote {path}")
     return max(run["exit"] for run in runs)
