@@ -32,18 +32,15 @@ keeps none.
 
 The only module state is one per-thread object, ``_recording``. It holds
 the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
-both restored when their block exits, the memo of ``attend``
-(``_SliceMemo``), which keeps at most ``_MEMO_BYTES`` of unrecorded
-results and keys and gives each call the bytes a fresh computation
-would, and the weak record (``_weak_record``) of the read-only weights
-last scanned, which later calls with the same weights skip the scan
-for. A graph belongs to whichever thread built it, and independent
-graphs over shared read-only leaves may run concurrently.
+both restored when their block exits, and the weak record
+(``_weak_record``) of the read-only weights last scanned, which later
+calls with the same weights skip the scan for. A graph belongs to
+whichever thread built it, and independent graphs over shared read-only
+leaves may run concurrently.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import math
@@ -79,7 +76,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# per thread: off (no_grad), reused (reuse_scope), memo and scanned (attend)
+# per thread: off (no_grad), reused (reuse_scope) and scanned (attend)
 _recording = threading.local()
 
 
@@ -104,6 +101,12 @@ def no_grad():
     either.
     """
     return _thread_setting("off", True)
+
+
+def recording() -> bool:
+    """Whether operations on this thread record a graph: false inside
+    ``no_grad()``."""
+    return not getattr(_recording, "off", False)
 
 
 def reuse_scope():
@@ -715,8 +718,7 @@ def _same_owner(r: tuple | None, s: tuple | None) -> bool:
 def frozen(a) -> np.ndarray:
     """``a`` as a float64 array whose bytes cannot change: ``a`` itself if
     it already is one (see ``_weak_record``), else a read-only copy.
-    ``attend`` scans such weights once and keeps such weights and tables in
-    its memo."""
+    ``attend`` scans such weights once."""
     if isinstance(a, np.ndarray) and a.dtype == np.float64 and _owner(a) is not None:
         return a
     a = np.array(a, dtype=np.float64)
@@ -734,10 +736,10 @@ def _scan_weights(weights: np.ndarray, op: str) -> None:
         raise DegenerateRowError(f"{op}: weight row {bad} sums to zero")
 
 
-def _check_weights(weights, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, tuple | None]:
+def _check_weights(weights, shape: tuple[int, ...], op: str) -> np.ndarray:
     """Validate a weight array against scores of ``shape``; the weights as
-    float64 and their ``_weak_record``. Weights that match this thread's
-    last scanned read-only weights skip the scan."""
+    float64. Weights that match this thread's last scanned read-only
+    weights (by ``_weak_record``) skip the scan."""
     weights = np.asarray(weights, dtype=np.float64)
     _check_fits(weights.shape, shape, op)
     record = _weak_record(weights)
@@ -745,7 +747,7 @@ def _check_weights(weights, shape: tuple[int, ...], op: str) -> tuple[np.ndarray
         _scan_weights(weights, op)
         if record is not None:
             _recording.scanned = record
-    return weights, record
+    return weights
 
 
 def _softmax_rows(
@@ -796,7 +798,7 @@ def masked_softmax(scores, weights: np.ndarray) -> DiffTensor:
     Gimelshein (arXiv:1805.02867).
     """
     scores = constant(scores)
-    weights, _ = _check_weights(weights, scores.shape, "masked_softmax")
+    weights = _check_weights(weights, scores.shape, "masked_softmax")
     out_data = _softmax_rows(scores.data, weights)
     scores_node = scores._node
 
@@ -907,67 +909,12 @@ def _attend_blocks(qs, ks, vs, ws, bs, shape, out, slope=None, coef=None, block_
         np.matmul(a, vs[index], out=out[index])
 
 
-# Bytes of keys and outputs one thread's memo of ``attend`` may hold, and
-# the least score bytes per unit from which a call goes unit by unit,
-# forming the pairwise term per unit and, under ``no_grad()``, consulting
-# the memo: there the per-unit keying and copies repay themselves (units of
-# N=15 floors hold 14 KiB, those of N=207 floors 1.3 MiB).
-_MEMO_BYTES = 24 << 20
-_MEMO_MIN_UNIT_BYTES = 64 << 10
-
-
-class _SliceMemo:
-    """One thread's results of ``attend`` under ``no_grad()``, by unit.
-
-    A unit is every score slice of one index of the operands' leading axes
-    that the weights do not span: in a GLGAT floor, all the matrices and
-    heads of one window's time group. An entry is keyed on the shapes and
-    bytes of the unit's query, key and value head copies and pairwise
-    queries, and holds the unit's output alone. Entries are used only with
-    the read-only weights and table they were computed with (``tables``,
-    their weak records), so a stale entry can only miss, and a hit gives
-    the bytes a recomputation would. Entries are kept newest first, up to
-    ``_MEMO_BYTES`` of keys and outputs.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.tables: tuple = ()  # weak records of the entries' weights and table
-        self.entries: collections.OrderedDict = collections.OrderedDict()
-        self.held = 0
-
-    def use_tables(self, tables: tuple) -> None:
-        """Keep the entries computed with these tables; drop them all otherwise."""
-        if len(tables) != len(self.tables) or not all(map(_same_owner, tables, self.tables)):
-            self.clear()
-            self.tables = tables
-
-    def get(self, key) -> np.ndarray | None:
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        self.entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, out: np.ndarray) -> None:
-        size = sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
-        old = self.entries.pop(key, None)
-        if old is not None:
-            self.held -= old[1]
-        self.entries[key] = (out.copy(), size)
-        self.held += size
-        while self.held > _MEMO_BYTES and self.entries:
-            self.held -= self.entries.popitem(last=False)[1][1]
-
-
-def _slice_memo() -> _SliceMemo:
-    """This thread's memo of ``attend``, made on first use."""
-    memo = getattr(_recording, "memo", None)
-    if memo is None:
-        memo = _recording.memo = _SliceMemo()
-    return memo
+# The least score bytes per unit (see ``attend``) from which a call goes
+# unit by unit. A group's attention output then does not depend on the call
+# that holds it, as the model's group cache needs: at N=207 a pairwise
+# product over twelve groups rounds some entries unlike the product over
+# one. Smaller units (14 KiB of scores in N=15 floors) run faster in one call.
+_UNIT_FLOOR_BYTES = 64 << 10
 
 
 def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()) -> DiffTensor:
@@ -995,30 +942,21 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
     ``pairwise_scores``), head split (``reshape``, ``permute``), ``matmul``,
     ``add``, ``gelu``, ``masked_softmax``, ``matmul`` and merge.
 
-    A call whose units (see ``_SliceMemo``) hold at least
-    ``_MEMO_MIN_UNIT_BYTES`` of scores goes unit by unit, recorded or not,
+    A unit is every score slice of one index of the operands' leading axes
+    that the weights do not span: in a GLGAT floor, all the matrices and
+    heads of one window's time group. A call whose units hold at least
+    ``_UNIT_FLOOR_BYTES`` of scores goes unit by unit, recorded or not,
     forming each unit's pairwise term alone and scoring it one (N, M)
     slice at a time, so a unit's output is the same bytes in any call that
     holds the unit's rows with the same weights and table, and the
     composed reference is ``pairwise_scores`` applied unit by unit;
     smaller calls form the term in one product and go block by block.
-    Under ``no_grad()``, with read-only weights and table (see
-    ``frozen``), such a call takes from this thread's memo every unit it
-    holds, so consecutive sliding windows compute only the time groups
-    they do not share, pairwise term included. A unit that repeats an
-    earlier one of the same call is a memo hit too, but only while the
-    memo still holds it. In a GLGAT group floor a repeat comes 11 units
-    after the unit it repeats, and 11 units fit in ``_MEMO_BYTES`` up to
-    N=5,499 at acceptance widths and N=3,404 at reference widths. Its
-    result is the same bytes whatever was computed before. Writable
-    weights or a writable table bypass the memo and are checked on every
-    call.
     """
     q, k, v = constant(q), constant(k), constant(v)
     table = None if table is None else np.ascontiguousarray(table, dtype=np.float64)
     shape = _score_shape(q.shape, k.shape, v.shape, heads, getattr(table, "shape", None))
     lead = shape[:-2]
-    weights, weights_record = _check_weights(weights, shape, "attend")
+    weights = _check_weights(weights, shape, "attend")
 
     width = k.shape[-1]
     q_heads = np.ascontiguousarray(_head_view(q.data[..., :width], heads))
@@ -1036,29 +974,16 @@ def attend(q, k, v, weights: np.ndarray, table=None, heads: tuple[int, ...] = ()
         mats = table.transpose(0, 2, 1)
         pe_shape = q_pe.shape[:-1] + (shape[-1],)
 
-    if 8 * math.prod(unit_shape) < _MEMO_MIN_UNIT_BYTES:
+    if 8 * math.prod(unit_shape) < _UNIT_FLOOR_BYTES:
         bias = None if table is None else _rowwise(np.ascontiguousarray(q_pe), mats)
         _attend_blocks(q_heads, k_heads, v_heads, weights, bias, shape, out, slope, coef)
     else:
-        memo = None
-        tables = (weights_record,) + (() if table is None else (_weak_record(table),))
-        if not recording and None not in tables:
-            memo = _slice_memo()
-            memo.use_tables(tables)
         for u in np.ndindex(*units):
-            operands = (q_heads[u], k_heads[u], v_heads[u]) + (() if table is None else (q_pe[u],))
-            if memo is not None:
-                key = tuple(a.shape for a in operands) + tuple(a.tobytes() for a in operands)
-                held = memo.get(key)
-                if held is not None:
-                    out[u] = held
-                    continue
             bias = None if table is None else _rowwise(np.ascontiguousarray(q_pe[u]), mats)
+            operands = q_heads[u], k_heads[u], v_heads[u]
             unit = (None, None) if slope is None else (slope[u], coef[u])
             # one (N, M) slice per block: it measured faster here than blocks of a MiB
-            _attend_blocks(*operands[:3], weights, bias, unit_shape, out[u], *unit, block_bytes=0)
-            if memo is not None:
-                memo.put(key, out[u])
+            _attend_blocks(*operands, weights, bias, unit_shape, out[u], *unit, block_bytes=0)
 
     q_node, k_node, v_node = q._node, k._node, v._node
 

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import stat
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -178,6 +179,43 @@ def checkpoint_layout(config: StackConfig, n_stats: int) -> dict[str, tuple[int,
 
 TABLES = ("stats.mean", "stats.std", "adj", "pe")  # the record's arrays that are not parameters
 
+# Bytes of group inputs and floor-2 outputs a model's group cache holds: a
+# 64-window chunk's 201 distinct groups (K=1) fit up to N=802 at acceptance
+# widths (104 bytes per vertex each) and N=417 at reference widths (200).
+GROUP_CACHE_BYTES = 16 << 20
+
+
+class _GroupCache:
+    """Floor-2 outputs of the time groups of a model's last call that ran
+    floors 1-2, by the bytes of each group's input. They hold while
+    ``stamp`` (the bytes of floors 1-2's parameters and of the vertex
+    encoding) and ``tables`` (weak records of the read-only ``adj`` and
+    ``pe``) match the model's; a lookup that finds either changed empties
+    the cache, so an in-place write or a swapped-in table can only cause a
+    miss. Threads that share a model share its cache under ``lock``,
+    outside which the floors run; a call whose entries another call
+    replaced meanwhile stores none."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.stamp, self.tables, self.entries = [], [], {}
+
+    def lookup(self, stamp: list, tables: list, keys: list[bytes]) -> tuple[dict, list]:
+        """The entries, emptied first unless ``stamp`` and ``tables`` match
+        theirs, and each key's output in them (None where it is missing)."""
+        with self.lock:
+            same = len(tables) == len(self.tables) and all(map(ad._same_owner, tables, self.tables))
+            if stamp != self.stamp or not same:
+                self.stamp, self.tables, self.entries = stamp, tables, {}
+            return self.entries, [self.entries.get(key) for key in keys]
+
+    def store(self, seen: dict, entries: dict[bytes, np.ndarray]) -> None:
+        """Hold ``entries`` in place of ``seen``, unless another call has
+        replaced or emptied those since."""
+        with self.lock:
+            if self.entries is seen:
+                self.entries = entries
+
 
 @dataclass
 class GlgatModel:
@@ -186,8 +224,8 @@ class GlgatModel:
     that differ from the layout, and adjacency entries outside [0, 1] or
     off a unit diagonal (every row attends to itself). It holds ``adj`` and
     ``pe`` read-only (``ad.frozen``: a read-only copy of a writable table),
-    so ``attend`` checks and keys them once; it keeps ``params`` in layout
-    order and derives each floor's (params, dims) once."""
+    so ``attend`` checks them once and ``group_cache`` keys them by weak
+    records; it keeps ``params`` in layout order and each floor's (params, dims)."""
 
     config: StackConfig
     stats: NormStats
@@ -195,6 +233,7 @@ class GlgatModel:
     pe: np.ndarray | None  # (N, N, H_PE) or None
     params: dict[str, ad.DiffTensor]
     floors: tuple = field(init=False, repr=False)  # (params, dims) of each floor
+    group_cache: _GroupCache = field(init=False, repr=False, default_factory=_GroupCache)
 
     def __post_init__(self):
         self.adj = ad.frozen(self.adj)
@@ -303,18 +342,53 @@ def _block_forward(model: GlgatModel, params: dict, dims: LayerDims, x) -> ad.Di
     return ad.reuse(glgat_forward, params, dims, x, enc, model.adj, model.pe)
 
 
+def _group_floors(model: GlgatModel, grouped: np.ndarray) -> np.ndarray:
+    """Floors 1-2 of (..., 12, N, C) groups under ``no_grad()``, (..., 12, N,
+    W), through the model's group cache: the distinct groups it misses run
+    once each, stacked into one call of each floor. A call that runs any
+    leaves the cache holding its groups, the last of them up to
+    ``GROUP_CACHE_BYTES``."""
+    groups = grouped.reshape((-1,) + grouped.shape[-2:])
+    keys = [g.tobytes() for g in groups]
+    enc = model.params.get("vertex_encoding")
+    used = [*model.floors[0][0].values(), *model.floors[1][0].values()]
+    stamp = [t.data.tobytes() for t in used + ([] if enc is None else [enc])]
+    tables = [ad._weak_record(a) for a in (model.adj, model.pe) if a is not None]
+    seen, outs = model.group_cache.lookup(stamp, tables, keys)
+    missing = {key: i for i, (key, out) in enumerate(zip(keys, outs)) if out is None}
+    if missing:  # a lone group runs twice: np.matmul rounds a one-row bank product otherwise
+        h = ad.constant(groups[list(missing.values()) * (2 if len(missing) == 1 else 1)])
+        for floor in model.floors[:2]:
+            h = _block_forward(model, *floor, h)
+        computed = dict(zip(missing, map(np.copy, h.data)))
+        outs = [computed[key] if out is None else out for key, out in zip(keys, outs)]
+        entries, held = {}, 0
+        for key, out in reversed(dict(zip(keys, outs)).items()):
+            held += len(key) + out.nbytes
+            if held > GROUP_CACHE_BYTES:
+                break
+            entries[key] = out
+        model.group_cache.store(seen, entries)
+    out = np.array(outs)
+    return out.reshape(grouped.shape[:-1] + out.shape[-1:])
+
+
 def model_forward(model: GlgatModel, inputs: np.ndarray) -> ad.DiffTensor:
     """Predict raw-scale speeds, (..., N, 12), from (..., 12, N, 2K+1) windows
-    of K features, K being the length of the model's statistics."""
+    of K features, K being the length of the model's statistics. Under
+    ``no_grad()`` floors 1-2 go through the group cache, with the same bytes."""
     cfg, k = model.config, model.stats.mean.size
     if inputs.shape[-1] != input_channels(k) or inputs.shape[-2] != cfg.n:
         raise ConfigError(
             f"input shape {inputs.shape} does not match N={cfg.n}, "
             f"{input_channels(k)} channels for K={k}"
         )
-    grouped = ad.constant(group_timesteps(inputs))  # (..., 12, N, 3(2K+1))
-    h = _block_forward(model, *model.floors[0], grouped)
-    h = _block_forward(model, *model.floors[1], h)  # (..., 12, N, W)
+    grouped = group_timesteps(inputs)  # (..., 12, N, 3(2K+1))
+    if ad.recording():
+        h = _block_forward(model, *model.floors[0], ad.constant(grouped))
+        h = _block_forward(model, *model.floors[1], h)  # (..., 12, N, W)
+    else:
+        h = ad.constant(_group_floors(model, grouped))
     h = ad.swap_axes(h, -3, -2)  # (..., N, 12, W)
     h = ad.reshape(h, h.shape[:-2] + (cfg.flatten_width,))  # time-flatten
     for floor in model.floors[2:]:

@@ -260,12 +260,9 @@ def stack_inputs(samples: Windows) -> np.ndarray:
 
 def stack_targets(samples: Windows):
     """Targets and masks of the first feature in model layout (S, N, Q)."""
-    steps = samples.target_steps()
-    targets, masks = samples.data[steps, :, 0], samples.mask[steps, :, 0]  # (S, Q, N)
-    return (
-        np.ascontiguousarray(targets.transpose(0, 2, 1)),
-        np.ascontiguousarray(masks.transpose(0, 2, 1)),
-    )
+    steps = samples.target_steps()[:, None, :]  # (S, 1, Q)
+    vertices = np.arange(samples.data.shape[1])[:, None]  # (N, 1)
+    return samples.data[steps, vertices, 0], samples.mask[steps, vertices, 0]
 
 
 def predict(model: GlgatModel, inputs, batch_size: int = 64) -> np.ndarray:

@@ -6,7 +6,6 @@ import contextlib
 import importlib.util
 import math
 import sys
-import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -907,7 +906,7 @@ def test_reuse_recomputes_after_a_write_to_any_array_argument():
     assert last.data.tolist() == [2.0, 7.0, 4.0]  # 2 * 2 + 3 at the written entry
 
 
-# ---------------------------------------------------------- attend's memo
+# ---------------------------------------------------------- attend's units
 
 
 def _group_sequence(rng, groups, n=48):
@@ -925,7 +924,7 @@ def _group_sequence(rng, groups, n=48):
     weights = rng.uniform(0.0, 1.0, (2, 1, n, n))
     weights[rng.uniform(size=weights.shape) < 0.3] = 0.0
     weights[..., 0] = 1.0
-    assert 8 * 4 * n * n >= ad._MEMO_MIN_UNIT_BYTES
+    assert 8 * 4 * n * n >= ad._UNIT_FLOOR_BYTES
     return q, k, v, _read_only(weights), _read_only(table), (2, 2)
 
 
@@ -940,16 +939,14 @@ def _window(operands, start, width):
     return q[span], k[span], v[span], weights, table, heads
 
 
-def _fresh(*operands):
-    """attend() under no_grad() with this thread's memo emptied first."""
-    ad._slice_memo().clear()
+def _unrecorded(*operands):
     with ad.no_grad():
         return ad.attend(*operands).data
 
 
 @pytest.fixture
 def computed_units(monkeypatch):
-    """A list that gains an entry for every unit attend's memo path computes."""
+    """A list that gains an entry for every unit attend's unit loop computes."""
     units = []
     blocks = ad._attend_blocks
 
@@ -958,102 +955,7 @@ def computed_units(monkeypatch):
         return blocks(*args, **kwargs)
 
     monkeypatch.setattr(ad, "_attend_blocks", counting)
-    ad._slice_memo().clear()
     return units
-
-
-def test_attend_memo_over_shifted_windows_gives_the_bytes_of_a_fresh_call(computed_units):
-    rng = np.random.default_rng(60)
-    operands = _group_sequence(rng, groups=12)
-    windows = [_window(operands, start, 4) for start in range(8)]
-    with ad.no_grad():
-        outs = [ad.attend(*window).data for window in windows]
-    assert len(computed_units) == 4 + 7  # one new group per shift
-    for window, out in zip(windows, outs):
-        assert out.tobytes() == ad.attend(*window).data.tobytes()  # recorded: no memo
-    assert outs[-1].tobytes() == _fresh(*windows[-1]).tobytes()
-
-
-def test_attend_memo_recomputes_after_a_write_to_weights_or_bias(computed_units):
-    """The bias is the pairwise term: a write to the pairwise queries or a
-    new table changes it. The memo keys on the bytes of the queries and
-    keeps its entries for the read-only weights and table they were
-    computed with, which refuse writes, so new ones are altered copies."""
-    rng = np.random.default_rng(61)
-    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
-    q[:, 7, 12:] = 0.0
-    q[:, 7, 12] = 1.0  # row 7's first matrix scores (7, j) by table[7, j, 0] exactly
-
-    def call():
-        return ad.attend(q, k, v, weights, table, heads)
-
-    with ad.no_grad():
-        call()
-        call()
-        assert len(computed_units) == 4
-        weights = weights.copy()
-        weights[1, 0, 3, 5] *= 0.5  # an altered copy: every unit is recomputed
-        weights = _read_only(weights)
-        call()
-        assert len(computed_units) == 8
-        q[2, :, 12:] += 1.0  # in place: the pairwise queries of that group alone
-        call()
-        assert len(computed_units) == 9
-        table = table.copy()
-        table[7, 9, 0] = np.nextafter(table[7, 9, 0], np.inf)  # one ulp: every unit
-        table = _read_only(table)
-        call()
-        assert len(computed_units) == 13
-        table = table.copy()
-        table[3] += 1.0  # every unit
-        table = _read_only(table)
-        call()
-        assert len(computed_units) == 17
-        q[1, :, 12:] = 0.0
-        call()
-        assert len(computed_units) == 18
-        q[1, 0, 12] = -0.0  # pairwise queries equal as floats, not as bytes, miss too
-        out = call().data
-        assert len(computed_units) == 19
-    assert out.tobytes() == _fresh(q, k, v, weights, table, heads).tobytes()
-
-
-@pytest.mark.parametrize("writable", ["weights", "table"])
-def test_attend_memo_is_bypassed_by_writable_weights_or_tables(writable, computed_units):
-    """A writable array can change under the memo's entries, so a call
-    given one computes every unit and stores none, with the bytes of a
-    recorded call."""
-    rng = np.random.default_rng(70)
-    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
-    if writable == "weights":
-        weights = weights.copy()
-    else:
-        table = table.copy()
-    expected = ad.attend(q, k, v, weights, table, heads).data.tobytes()  # recorded
-    del computed_units[:]
-    with ad.no_grad():
-        for _ in range(2):
-            assert ad.attend(q, k, v, weights, table, heads).data.tobytes() == expected
-            assert not ad._slice_memo().entries and ad._slice_memo().held == 0
-    assert len(computed_units) == 2 * 4
-
-
-def test_attend_memo_recomputes_every_unit_for_a_table_of_another_owner(computed_units):
-    """Entries belong to the owner of the table's memory and its layout, not
-    to its bytes: a read-only copy with the same bytes empties the memo and
-    recomputes every unit, while a new view of the same table is served."""
-    rng = np.random.default_rng(71)
-    q, k, v, weights, table, heads = _group_sequence(rng, groups=4)
-    memo = ad._slice_memo()
-    with ad.no_grad():
-        first = ad.attend(q, k, v, weights, table, heads).data
-        view = ad.attend(q, k, v, weights, table[:], heads).data
-        assert len(computed_units) == 4 and len(memo.entries) == 4
-        copy = _read_only(table.copy())
-        again = ad.attend(q, k, v, weights, copy, heads).data
-        assert len(computed_units) == 8 and len(memo.entries) == 4
-        assert memo.tables[1][0]() is copy
-    assert first.tobytes() == view.tobytes() == again.tobytes()
 
 
 def test_a_weak_record_whose_owner_died_matches_no_record():
@@ -1071,22 +973,9 @@ def test_a_weak_record_whose_owner_died_matches_no_record():
     assert not ad._same_owner(record, ad._weak_record(other))
 
 
-def test_attend_memo_computes_a_repeated_unit_of_one_call_once(computed_units):
-    rng = np.random.default_rng(62)
-    q, k, v, weights, table, heads = _group_sequence(rng, groups=5)
-    for a in (q, k, v):
-        a[3] = a[1]  # unit 3 repeats unit 1, its pairwise queries too
-    q[4, :, :12], k[4], v[4] = q[0, :, :12], k[0], v[0]  # unit 4 repeats unit 0 but its bias
-    with ad.no_grad():
-        out = ad.attend(q, k, v, weights, table, heads).data
-    assert len(computed_units) == 4  # the repeat of unit 1 is a memo hit
-    assert out.tobytes() == ad.attend(q, k, v, weights, table, heads).data.tobytes()
-    assert out[3].tobytes() == out[1].tobytes()
-
-
-def test_attend_memo_serves_units_without_a_bias(computed_units):
-    """A GAT floor passes no table, so no bias; from N=91 one (N, N) unit reaches the
-    memo's floor, and a repeated call takes every unit from the memo."""
+def test_attend_goes_unit_by_unit_without_a_bias(computed_units):
+    """A GAT floor passes no table, so no bias; from N=91 one (N, N) unit
+    reaches the unit floor, and a unit gives its bytes in any call."""
     rng = np.random.default_rng(63)
     n = 96
     q, k_t, v = (rng.standard_normal(s) for s in ((3, n, 4), (3, 4, n), (3, n, 5)))
@@ -1094,32 +983,29 @@ def test_attend_memo_serves_units_without_a_bias(computed_units):
     weights = (rng.uniform(size=(n, n)) > 0.3).astype(float)
     np.fill_diagonal(weights, 1.0)
     weights = _read_only(weights)
-    assert 8 * n * n >= ad._MEMO_MIN_UNIT_BYTES > 8 * 90 * 90
-    with ad.no_grad():
-        first = ad.attend(q, k, v, weights).data
-        again = ad.attend(q, k, v, weights).data
-    assert len(computed_units) == 3  # the second call was all hits
-    assert first.tobytes() == again.tobytes() == ad.attend(q, k, v, weights).data.tobytes()
-    assert first.tobytes() == _fresh(q, k, v, weights).tobytes()
+    assert 8 * n * n >= ad._UNIT_FLOOR_BYTES > 8 * 90 * 90
+    first = _unrecorded(q, k, v, weights)
+    assert len(computed_units) == 3
+    assert first.tobytes() == ad.attend(q, k, v, weights).data.tobytes()
+    assert first[1:].tobytes() == _unrecorded(q[1:], k[1:], v[1:], weights).tobytes()
 
 
-def test_attend_memo_units_are_the_operands_leading_axes(computed_units):
+def test_attend_units_are_the_operands_leading_axes(computed_units):
     """Weights shared by every head leave the head axes to the units too,
     but the pairwise term spans only the operands' leading axes, so a unit
     is one group with all its heads: from N=91 one (N, N) slice alone would
-    reach the memo's floor."""
+    reach the unit floor."""
     rng = np.random.default_rng(66)
     q, k, v, weights, table, heads = _group_sequence(rng, groups=2, n=96)
     weights = weights[0, 0]
-    with ad.no_grad():
-        out = ad.attend(q, k, v, weights, table, heads).data
+    out = _unrecorded(q, k, v, weights, table, heads)
     assert len(computed_units) == 2
     assert out.tobytes() == ad.attend(q, k, v, weights, table, heads).data.tobytes()
 
 
 @pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.no_grad], ids=["recorded", "no_grad"])
-def test_attend_units_give_their_bytes_in_any_call_above_the_memo_floor(mode):
-    """From the memo's floor the pairwise term is one product per unit, so
+def test_attend_units_give_their_bytes_in_any_call_above_the_unit_floor(mode):
+    """From the unit floor the pairwise term is one product per unit, so
     three groups give the bytes of the same groups inside a twelve-group
     call, recorded and under no_grad() alike. At N=207 a product over all
     twelve groups (24 rows per vertex) rounds about 1.5% of the entries of
@@ -1132,37 +1018,10 @@ def test_attend_units_give_their_bytes_in_any_call_above_the_memo_floor(mode):
     alone = ad._rowwise(q_pe[5], table.transpose(0, 2, 1))
     assert alone.tobytes() != whole[5].tobytes()  # a size where one product per call differs
     with mode():
-        ad._slice_memo().clear()
         all_groups = ad.attend(*operands).data
-        ad._slice_memo().clear()
         three = ad.attend(*_window(operands, 5, 3)).data
     assert three.tobytes() == all_groups[5:8].tobytes()
-    assert all_groups.tobytes() == _fresh(*operands).tobytes()  # no_grad() equals recorded
-
-
-def test_attend_memo_serves_consecutive_windows_under_a_cap_bias_copies_overflowed(
-    monkeypatch, computed_units
-):
-    """An entry holds a unit's keys and output, 27 KiB here, and no copy of
-    its 36 KiB pairwise term: four units fit a cap of 4.5 entries, so each
-    window shifted by one group computes one unit. Read-only weights and
-    table add no bytes to the memo."""
-    rng = np.random.default_rng(68)
-    operands = _group_sequence(rng, groups=10)
-    for table in operands[3:5]:
-        table.flags.writeable = False
-    entry = 8 * (2 * 2 * 48 * 3 * 2 + 2 * 48 * 4 + 2 * 2 * 48 * 5 * 2)  # q, k, q_pe, v, out
-    bias = 8 * 2 * 48 * 48
-    monkeypatch.setattr(ad, "_MEMO_BYTES", int(4.5 * entry))
-    assert 4 * bias > ad._MEMO_BYTES
-    windows = [_window(operands, start, 4) for start in range(7)]
-    expected = [ad.attend(*window).data.tobytes() for window in windows]  # recorded
-    del computed_units[:]
-    with ad.no_grad():
-        got = [ad.attend(*window).data.tobytes() for window in windows]
-        assert ad._slice_memo().held == 4 * entry
-    assert len(computed_units) == 4 + 6
-    assert got == expected
+    assert all_groups.tobytes() == _unrecorded(*operands).tobytes()  # no_grad() equals recorded
 
 
 def test_attend_scans_read_only_weights_once(monkeypatch):
@@ -1188,82 +1047,6 @@ def test_attend_scans_read_only_weights_once(monkeypatch):
         ad.attend(q, k, v, writable, table, heads)
     assert ad.frozen(weights) is weights
     assert not ad.frozen(writable).flags.writeable and writable.flags.writeable
-
-
-def test_recorded_attend_never_consults_the_memo(monkeypatch):
-    def no_memo():
-        raise AssertionError("the memo was consulted")
-
-    monkeypatch.setattr(ad, "_slice_memo", no_memo)
-    rng = np.random.default_rng(63)
-    q, k, v, weights, table, heads = _group_sequence(rng, groups=3)
-    tensors = [ad.parameter(a) for a in (q, k, v)]
-    ad.reduce_sum(ad.attend(*tensors, weights, table, heads)).backward()
-    assert all(t.grad is not None for t in tensors)
-    with ad.no_grad(), pytest.raises(AssertionError, match="consulted"):
-        ad.attend(q, k, v, weights, table, heads)
-
-
-def _memo_bytes(memo) -> int:
-    """The bytes of keys and outputs ``memo`` holds, counted from its
-    entries."""
-    held = 0
-    for key, (out, _) in memo.entries.items():
-        held += sum(len(k) for k in key if isinstance(k, bytes)) + out.nbytes
-    return held
-
-
-def test_attend_memo_holds_at_most_its_byte_cap(monkeypatch, computed_units):
-    rng = np.random.default_rng(64)
-    operands = _group_sequence(rng, groups=10)
-    windows = [_window(operands, start, 4) for start in range(6)]
-    expected = [ad.attend(*window).data.tobytes() for window in windows]  # recorded
-    memo = ad._slice_memo()
-    with ad.no_grad():
-        ad.attend(*windows[0])
-        entry = _memo_bytes(memo) // 4
-        two_and_a_half = int(2.5 * entry)
-        for cap in (ad._MEMO_BYTES, two_and_a_half, 1000):
-            monkeypatch.setattr(ad, "_MEMO_BYTES", cap)
-            memo.clear()
-            for window, want in zip(windows, expected):
-                assert ad.attend(*window).data.tobytes() == want
-                assert _memo_bytes(memo) == memo.held <= cap
-        assert memo.held == 0  # one entry alone exceeds 1000 bytes
-        monkeypatch.setattr(ad, "_MEMO_BYTES", two_and_a_half)
-        ad.attend(*windows[0])
-        del computed_units[:]
-        ad.attend(*_window(operands, 2, 2))  # the call's last two units were kept
-    assert not computed_units
-
-
-def test_attend_memo_is_per_thread_and_gives_each_thread_the_same_bytes():
-    rng = np.random.default_rng(65)
-    operands = _group_sequence(rng, groups=10)
-    expected = [_fresh(*_window(operands, s, 4)).tobytes() for s in range(7)]
-    ad._slice_memo().clear()
-    results = {}
-
-    def run(name):
-        with ad.no_grad():
-            results[name] = [ad.attend(*_window(operands, s, 4)).data.tobytes() for s in range(7)]
-        results[name, "held"] = ad._slice_memo().held
-
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert results.pop((0, "held")) > 0 and results.pop((1, "held")) > 0
-    assert results == {0: expected, 1: expected}
-    assert ad._slice_memo().held == 0  # the threads kept their own
 
 
 # -------------------------------------------------------------- errors

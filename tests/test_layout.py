@@ -159,9 +159,9 @@ def test_no_backward_rule_holds_a_tensor(step_tapes):
 
 def test_autodiff_keeps_one_per_thread_state():
     """autodiff.py creates exactly one ``threading.local``: the switch of
-    ``no_grad()``, the results of ``reuse_scope()`` and the memo of
-    ``attend`` are all read from one per-thread object, in the calling
-    thread."""
+    ``no_grad()``, the results of ``reuse_scope()`` and the weights
+    ``attend`` last scanned are all read from one per-thread object, in the
+    calling thread."""
     tree = ast.parse((SRC / "autodiff.py").read_text())
     made = [
         node.lineno

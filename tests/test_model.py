@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -962,18 +964,18 @@ def test_reuse_keys_on_bytes_not_identity(monkeypatch, tiny):
     assert again.tobytes() == first.tobytes()
 
 
-def test_reuse_only_inside_its_scope_and_no_grad(monkeypatch, tiny):
-    _, _, _, splits, model = tiny
+def test_reuse_only_inside_its_scope_and_no_grad(monkeypatch):
+    _, _, _, splits, model = pipeline()  # read-only tables, so the group cache serves
     x = splits.train[0].input
     floors = count_floors(monkeypatch)
     with ad.reuse_scope():  # recorded calls never reuse
         gmodel.model_forward(model, x)
         out = gmodel.model_forward(model, x)
     assert out.requires_grad
-    with ad.no_grad():  # no scope, no reuse
+    with ad.no_grad():  # no scope, no reuse: floors 4-6 run again
         gmodel.model_forward(model, x)
         gmodel.model_forward(model, x)
-    assert len(floors) == 20
+    assert len(floors) == 10 + 5 + 3  # the second call's floors 1-2 come from the group cache
 
 
 def test_nothing_survives_a_gradient_check(monkeypatch):
@@ -1017,4 +1019,197 @@ def test_nothing_survives_a_gradient_check(monkeypatch):
     with ad.no_grad():
         gmodel.model_forward(model, xs[:1])
         gmodel.model_forward(model, xs[:1])
-    assert len(floors) == 10
+    assert len(floors) == 5 + 3  # the second call's floors 1-2 come from the group cache
+
+
+# ----------------------------------------------------------- the group cache
+
+
+def count_groups(monkeypatch) -> list:
+    """The number of time groups each run of a model's floor 1 takes."""
+    groups = []
+    real = gmodel._block_forward
+
+    def counted(model, params, dims, x):
+        if params is model.floors[0][0]:
+            groups.append(math.prod(x.shape[:-2]))
+        return real(model, params, dims, x)
+
+    monkeypatch.setattr(gmodel, "_block_forward", counted)
+    return groups
+
+
+def same_record(model):
+    """A model of ``model``'s record, tensors shared, with an empty group cache."""
+    return gmodel.GlgatModel(model.config, model.stats, model.adj, model.pe, model.params)
+
+
+def unrecorded(model, x) -> np.ndarray:
+    with ad.no_grad():
+        return gmodel.model_forward(model, x).data
+
+
+def cache_bytes(model) -> int:
+    return sum(len(key) + out.nbytes for key, out in model.group_cache.entries.items())
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation3"])
+def test_group_cache_over_shifted_windows_gives_the_bytes_of_a_fresh_model(monkeypatch, variant):
+    _, _, _, splits, model = pipeline(variant=variant)
+    xs = np.stack([s.input for s in splits.test[:8]])
+    groups = count_groups(monkeypatch)
+    outs = [unrecorded(model, xs[i : i + 1]) for i in range(8)]
+    assert groups == [12] + [3] * 7  # a window shares 9 groups with the one before
+    for i, out in enumerate(outs):
+        assert out.tobytes() == unrecorded(same_record(model), xs[i : i + 1]).tobytes()
+        assert out.tobytes() == gmodel.model_forward(model, xs[i : i + 1]).data.tobytes()
+
+
+def test_group_cache_recomputes_after_a_write_to_a_parameter_or_an_input(monkeypatch):
+    """Entries hold for the bytes of floors 1-2's parameters and of the
+    vertex encoding: an in-place write to any of them recomputes every
+    group, and a write to a deeper floor none. An input that differs in its
+    bytes alone (-0.0 for 0.0) recomputes the one group it is in, which
+    runs twice so that its bank products round as in a larger call."""
+    _, _, _, splits, model = pipeline()
+    x = splits.train[0].input.copy()
+    x[0, 0, 0] = 0.0  # step 0 lies in group 0 alone
+    groups = count_groups(monkeypatch)
+    first = unrecorded(model, x)
+    assert unrecorded(model, x).tobytes() == first.tobytes()
+    assert groups == [12]
+    for name in ("layer1.w_q_local", "layer2.b_v", "vertex_encoding", "layer4.w_k"):
+        del groups[:]
+        model.params[name].data.reshape(-1)[1] += 0.25  # in place, through the same tensor
+        out = unrecorded(model, x)
+        assert groups == ([] if name == "layer4.w_k" else [12])
+        assert out.tobytes() == unrecorded(same_record(model), x).tobytes() != first.tobytes()
+        first = out
+    del groups[:]
+    x[0, 0, 0] = -0.0  # equal as a float, not as bytes
+    out = unrecorded(model, x)
+    assert groups == [2]
+    assert out.tobytes() == unrecorded(same_record(model), x).tobytes()
+
+
+def test_group_cache_recomputes_every_group_for_a_table_of_another_owner(monkeypatch):
+    """Entries belong to the read-only tables they were computed with, known
+    by weak records: a read-only copy with the same bytes recomputes every
+    group, with the same bytes."""
+    _, _, _, splits, model = pipeline()
+    x = splits.train[0].input
+    groups = count_groups(monkeypatch)
+    first = unrecorded(model, x)
+    for name in ("adj", "pe"):
+        setattr(model, name, ad.frozen(getattr(model, name).copy()))
+        assert unrecorded(model, x).tobytes() == first.tobytes()
+    assert groups == [12, 12, 12]
+
+
+@pytest.mark.parametrize("table", ["adj", "pe"])
+def test_group_cache_is_bypassed_by_writable_tables(monkeypatch, table):
+    """A writable table can change under the entries, so every call with one
+    recomputes every group, with the bytes of a recorded call."""
+    _, _, _, splits, model = pipeline()
+    x = splits.train[0].input
+    setattr(model, table, getattr(model, table).copy())
+    expected = gmodel.model_forward(model, x).data.tobytes()
+    groups = count_groups(monkeypatch)
+    for _ in range(2):
+        assert unrecorded(model, x).tobytes() == expected
+    assert groups == [12, 12]
+
+
+def test_group_cache_computes_a_repeated_group_of_one_call_once(monkeypatch):
+    """Consecutive windows in one call share groups, which run once: eight
+    windows hold 33 distinct groups of 96 (17 at stride 1, and each
+    window's two padded ones), and a repeated window adds none."""
+    _, _, _, splits, model = pipeline()
+    xs = np.stack([s.input for s in splits.test[:8]])
+    xs = np.concatenate([xs, xs[2:3]])
+    groups = count_groups(monkeypatch)
+    out = unrecorded(model, xs)
+    assert groups == [33]
+    assert out.tobytes() == gmodel.model_forward(model, xs).data.tobytes()
+    assert out[8].tobytes() == out[2].tobytes()
+
+
+def test_recorded_model_forward_never_consults_the_group_cache(monkeypatch):
+    def no_cache(*args):
+        raise AssertionError("the group cache was consulted")
+
+    _, _, _, splits, model = pipeline()
+    x = splits.train[0].input
+    monkeypatch.setattr(gmodel._GroupCache, "lookup", no_cache)
+    ad.reduce_sum(gmodel.model_forward(model, x)).backward()
+    assert all(t.grad is not None for t in model.params.values())
+    with ad.no_grad(), pytest.raises(AssertionError, match="consulted"):
+        gmodel.model_forward(model, x)
+
+
+def test_group_cache_holds_at_most_its_byte_cap(monkeypatch):
+    """The cache keeps the last groups of the last call that fit its cap.
+    With 5.5 entries' worth, a shifted window finds 3 of its groups among
+    the last 5 of the window before; with less than one entry, none."""
+    _, _, _, splits, model = pipeline()
+    xs = np.stack([s.input for s in splits.test[:6]])
+    expected = [gmodel.model_forward(model, xs[i : i + 1]).data.tobytes() for i in range(6)]
+    unrecorded(model, xs[:1])
+    entry = cache_bytes(model) // 12
+    groups = count_groups(monkeypatch)
+    for cap, computed in ((gmodel.GROUP_CACHE_BYTES, 3), (int(5.5 * entry), 9), (entry - 1, 12)):
+        monkeypatch.setattr(gmodel, "GROUP_CACHE_BYTES", cap)
+        fresh = same_record(model)
+        del groups[:]
+        for i, want in enumerate(expected):
+            assert unrecorded(fresh, xs[i : i + 1]).tobytes() == want
+            assert cache_bytes(fresh) <= cap
+        assert groups == [12] + [computed] * 5
+    assert not fresh.group_cache.entries
+
+
+def test_group_cache_serves_consecutive_windows_under_a_cap(monkeypatch):
+    """An entry is a group's input bytes and its floor-2 output, and nothing
+    of the model's tables. Under a cap of 5.5 entries the cache holds
+    exactly the last 5 groups of each call, so each window shifted by one
+    step finds the 3 unpadded groups it shares with the window before and
+    computes the other 9, with the bytes of a recorded call."""
+    _, _, _, splits, model = pipeline()
+    xs = np.stack([s.input for s in splits.test[:6]])
+    expected = [gmodel.model_forward(model, xs[i : i + 1]).data.tobytes() for i in range(6)]
+    unrecorded(model, xs[:1])
+    entry = cache_bytes(model) // 12
+    assert all(len(key) + out.nbytes == entry for key, out in model.group_cache.entries.items())
+    monkeypatch.setattr(gmodel, "GROUP_CACHE_BYTES", int(5.5 * entry))
+    fresh = same_record(model)
+    groups = count_groups(monkeypatch)
+    for i, want in enumerate(expected):
+        assert unrecorded(fresh, xs[i : i + 1]).tobytes() == want
+        assert len(fresh.group_cache.entries) == 5
+        assert cache_bytes(fresh) == 5 * entry
+    assert groups == [12] + [9] * 5
+
+
+def test_group_cache_gives_threads_sharing_a_model_the_same_bytes():
+    _, _, _, splits, model = pipeline()
+    xs = np.stack([s.input for s in splits.test[:10]])
+    expected = {i: unrecorded(same_record(model), xs[i : i + 1]).tobytes() for i in range(10)}
+    results = {}
+
+    def run(name):
+        order = range(10) if name % 2 else reversed(range(10))
+        results[name] = {i: unrecorded(model, xs[i : i + 1]).tobytes() for i in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(name,)) for name in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {name: expected for name in range(4)}
+    assert {i: unrecorded(model, xs[i : i + 1]).tobytes() for i in range(10)} == expected

@@ -566,42 +566,46 @@ def test_predict_over_windows_matches_their_stacked_inputs(setup, count):
     assert gtrain.predict(model, windows).tobytes() == stacked.tobytes()
 
 
-def test_predict_does_not_depend_on_what_was_predicted_before(monkeypatch):
-    """At N=64 each time group of floors 1-2 holds 128 KiB of scores, so
-    attend's memo serves the groups that consecutive windows share. Single
-    windows in order, and a chunked predict after them, give the bytes of
-    the same calls made with the memo emptied first."""
-    graph, series, _ = gdata.generate_synthetic(n=64, t=480, seed=13)
+@pytest.mark.parametrize("n", [15, 64])
+def test_predict_does_not_depend_on_what_was_predicted_before(n):
+    """Under no_grad() floors 1-2 go through the model's group cache, below
+    attend's unit floor at N=15 and above it at N=64 (128 KiB of scores per
+    group). Single windows in order, and a chunked predict after them, give
+    the bytes of a fresh model's calls. Any subset of time groups, a lone
+    one included, gets from floors 1-2 the bytes it gets inside a recorded
+    call over all of them, and a subset of windows the forecasts of a
+    recorded call over that subset."""
+    graph, series, _ = gdata.generate_synthetic(n=n, t=480, seed=13)
     splits = gdata.split_and_window(series, p=12, q=12)
     cfg = gmodel.StackConfig(
-        n=64, group_width=4, h_head=2, h_temporal=2, h_deep=4, h_pe=10, h_e=4
+        n=n, group_width=4, h_head=2, h_temporal=2, h_deep=4, h_pe=10, h_e=4
     )
-    assert 8 * cfg.h_adj * cfg.h_head * 64 * 64 >= ad._MEMO_MIN_UNIT_BYTES
+    assert (8 * cfg.h_adj * cfg.h_head * n * n >= ad._UNIT_FLOOR_BYTES) == (n == 64)
     train_series = series.slice(0, splits.split_sizes[0])
     model = gmodel.prepare_model(cfg, graph, train_series, splits.stats, seed=0)
+
+    def fresh():  # the same record, with an empty cache
+        return gmodel.GlgatModel(model.config, model.stats, model.adj, model.pe, model.params)
+
     windows = splits.test[:70]
     assert len(windows) == 70
-    computed = []
-    blocks = ad._attend_blocks
-
-    def counting(*args, **kwargs):
-        computed.append(None)
-        return blocks(*args, **kwargs)
-
-    monkeypatch.setattr(ad, "_attend_blocks", counting)
-
-    def fresh(inputs, batch_size):
-        ad._slice_memo().clear()
-        return gtrain.predict(model, inputs, batch_size=batch_size)
-
-    ad._slice_memo().clear()
     singles = [gtrain.predict(model, windows[k : k + 1], batch_size=1) for k in range(20)]
     chunked = gtrain.predict(model, windows, batch_size=64)
-    with_memo = len(computed)
     for k, single in enumerate(singles):
-        assert single.tobytes() == fresh(windows[k : k + 1], 1).tobytes()
-    assert chunked.tobytes() == fresh(windows, 64).tobytes()
-    assert with_memo < len(computed) - with_memo  # the memo was used
+        assert single.tobytes() == gtrain.predict(fresh(), windows[k : k + 1]).tobytes()
+    assert chunked.tobytes() == gtrain.predict(fresh(), windows).tobytes()
+
+    x = gtrain.stack_inputs(windows)
+    grouped = gmodel.group_timesteps(x)
+    h = ad.constant(grouped)
+    for floor in model.floors[:2]:  # recorded: every group of every window in one call
+        h = gmodel._block_forward(model, *floor, h)
+    subset = [3, 17, 40, 41, 69]
+    with ad.no_grad():
+        for part in (np.s_[subset], np.s_[subset, 2:9], np.s_[40, 5:6]):
+            assert gmodel._group_floors(fresh(), grouped[part]).tobytes() == h.data[part].tobytes()
+    forecast = gmodel.model_forward(model, x[subset]).data  # recorded: no cache
+    assert gtrain.predict(fresh(), x[subset]).tobytes() == forecast.tobytes()
 
 
 def test_predict_rejects_non_finite_forecasts(setup):

@@ -16,13 +16,17 @@ sha1``:
 - ``n15.arrays``: that file's bytes after its header line, so that a change
   of the header alone changes ``n15.checkpoint`` and not this line;
 - ``n15.forecast``: that model's batched forecasts of the test windows;
+- ``n15.streaming``: its forecasts of the first eight test windows, one
+  window per call (so the model's group cache serves the repeated time
+  groups, in floors whose attention makes its pairwise term in one
+  product per call);
 - ``n15.reload``: the same forecasts from the model loaded back from that
   file, which must equal ``n15.forecast``;
 - ``n15.grad``: every parameter gradient of one recorded step over four
   training windows, in checkpoint order;
 - ``n207.streaming`` and ``n207.batched``: an untrained seeded model's
   forecasts of eight consecutive test windows, one window per call (so
-  ``attend``'s memo serves the repeated time groups) and in one call;
+  the model's group cache serves the repeated time groups) and in one call;
 - ``n207.grad``: one recorded step's gradients over one window;
 - ``n325.streaming``: as at N=207, for the full variant.
 
@@ -87,11 +91,14 @@ def step_gradients(model, windows) -> str:
     return sha1(*(t.grad for t in model.named_params().values()))
 
 
+def streamed(model, windows) -> str:
+    return sha1(*(predict(model, windows[i : i + 1]) for i in range(len(windows))))
+
+
 def forecasts(label: str, n: int, t: int, variant: str, gradients: bool) -> None:
     splits, model = setup(n, t, 7, variant)
     windows = splits.test[:STREAMED_WINDOWS]
-    streamed = [predict(model, windows[i : i + 1]) for i in range(len(windows))]
-    print(f"{label}.streaming {variant} {sha1(*streamed)}", flush=True)
+    print(f"{label}.streaming {variant} {streamed(model, windows)}", flush=True)
     if gradients:
         print(f"{label}.batched {variant} {sha1(predict(model, windows))}")
         print(f"{label}.grad {variant} {step_gradients(model, splits.train[:1])}", flush=True)
@@ -109,6 +116,7 @@ def main() -> None:
             print(f"n15.checkpoint {variant} {sha1(np.frombuffer(blob, np.uint8))}")
             print(f"n15.arrays {variant} {sha1(np.frombuffer(body, np.uint8))}")
             print(f"n15.forecast {variant} {sha1(predict(model, splits.test))}")
+            print(f"n15.streaming {variant} {streamed(model, splits.test[:STREAMED_WINDOWS])}")
             print(f"n15.reload {variant} {sha1(predict(load_checkpoint(path), splits.test))}")
             print(f"n15.grad {variant} {step_gradients(model, splits.train[:4])}", flush=True)
     for variant in LARGE_VARIANTS:
