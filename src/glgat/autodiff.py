@@ -31,10 +31,9 @@ score-shaped arrays its backward reads, and a call inside ``no_grad()``
 keeps none.
 
 The only module state is one per-thread object, ``_recording``. It holds
-the switch of ``no_grad()`` and the results held by ``reuse_scope()``,
-both restored when their block exits, and the weak record
-(``_weak_record``) of the read-only weights last scanned, which later
-calls with the same weights skip the scan for. A graph belongs to
+the switch of ``no_grad()``, restored when its block exits, and the weak
+record (``_weak_record``) of the read-only weights last scanned, which
+later calls with the same weights skip the scan for. A graph belongs to
 whichever thread built it, and independent graphs over shared read-only
 leaves may run concurrently.
 """
@@ -76,21 +75,11 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# per thread: off (no_grad), reused (reuse_scope) and scanned (attend)
+# per thread: off (no_grad) and scanned (attend)
 _recording = threading.local()
 
 
 @contextlib.contextmanager
-def _thread_setting(name: str, value):
-    """Give this thread's ``name`` the value ``value`` for the block."""
-    previous = getattr(_recording, name, None)
-    setattr(_recording, name, value)
-    try:
-        yield
-    finally:
-        setattr(_recording, name, previous)
-
-
 def no_grad():
     """Evaluate without building a graph, for values no gradient is taken of.
 
@@ -100,51 +89,18 @@ def no_grad():
     ``require_finite``. Leaves built inside the block are not scanned
     either.
     """
-    return _thread_setting("off", True)
+    previous = getattr(_recording, "off", False)
+    _recording.off = True
+    try:
+        yield
+    finally:
+        _recording.off = previous
 
 
 def recording() -> bool:
     """Whether operations on this thread record a graph: false inside
     ``no_grad()``."""
     return not getattr(_recording, "off", False)
-
-
-def reuse_scope():
-    """Let ``reuse`` hand back earlier results for the length of the block.
-
-    Meant for evaluations that repeat one input with one tensor changed,
-    such as the perturbed calls of a gradient check. Each ``params`` object
-    keeps only its last call and result; all of them are dropped when the
-    block exits.
-    """
-    return _thread_setting("reused", {})
-
-
-def reuse(fn, params, *args) -> DiffTensor:
-    """``fn(params, *args)``, or the result that call gave last time.
-
-    Inside ``reuse_scope()`` and ``no_grad()`` together, the earlier result
-    for ``params``, a dict of tensors, is returned when ``fn`` is the same
-    function and every tensor in ``params`` and every array or tensor in
-    ``args`` holds the same shape, dtype and bytes as when it was computed;
-    other arguments must compare equal. Identity does not count, so an
-    in-place write or a swapped-in array forces a recompute. ``fn`` must
-    depend on nothing but its arguments; ``params`` is kept alive while its
-    result is held. Anywhere else this is ``fn(params, *args)``.
-    """
-    held = getattr(_recording, "reused", None)
-    if held is None or not getattr(_recording, "off", False):
-        return fn(params, *args)
-    key = [fn]
-    for a in (*params.values(), *args):
-        a = a.data if isinstance(a, DiffTensor) else a
-        key.append((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a)
-    last = held.get(id(params))
-    if last is not None and last[1] == key:
-        return last[2]
-    out = fn(params, *args)
-    held[id(params)] = (params, key, out)
-    return out
 
 
 def require_finite(data: np.ndarray, what: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DiffTensor, NonFiniteError, no_grad, reuse_scope
+from .autodiff import DiffTensor, NonFiniteError, no_grad
 
 
 @dataclass
@@ -80,13 +80,12 @@ def check_gradients(
         It is called once, recorded, for the analytic gradient, and then
         once for every perturbed value, so a closure that changes between
         calls is seen each time. The perturbed calls run under
-        ``no_grad()`` and ``autodiff.reuse_scope()``: a model floor whose
-        parameters and every array it is called with (input, vertex
-        encoding, adjacency, pairwise table) hold the same bytes as when
-        it last ran in this check returns that output again, so each
-        perturbed value equals a fresh ``no_grad()`` call of ``fn`` bit for
-        bit. Only the final value of a perturbed call is checked for NaN or
-        Inf: an intermediate Inf that a later operation turns finite is not
+        ``no_grad()``: a model's group cache then serves floors 1-2 unless
+        the perturbed tensor is one of their parameters or the vertex
+        encoding, floors 4-6 run on every call, and each perturbed value
+        equals a fresh ``no_grad()`` call of ``fn`` bit for bit. Only the
+        final value of a perturbed call is checked for NaN or Inf: an
+        intermediate Inf that a later operation turns finite is not
         reported there. The recorded call checks every operation.
     tensors:
         Named leaf tensors with ``requires_grad=True`` to check.
@@ -126,52 +125,51 @@ def check_gradients(
     max_rel = 0.0
     max_abs = 0.0
 
-    with reuse_scope():
-        for name, t in tensors.items():
-            flat_indices = np.arange(t.size)
-            if max_entries_per_tensor is not None and t.size > max_entries_per_tensor:
-                if rng is None:
-                    raise ValueError("gradcheck: sampling requires an rng")
-                flat_indices = rng.choice(t.size, size=max_entries_per_tensor, replace=False)
-            flat = t.data.ravel()
-            for fi in flat_indices:
-                fi = int(fi)
-                original = flat[fi]
-                try:
-                    flat[fi] = original + h
-                    f_plus = _value(fn)
-                    flat[fi] = original - h
-                    f_minus = _value(fn)
-                finally:  # a raising fn leaves no perturbed entry behind
-                    flat[fi] = original
+    for name, t in tensors.items():
+        flat_indices = np.arange(t.size)
+        if max_entries_per_tensor is not None and t.size > max_entries_per_tensor:
+            if rng is None:
+                raise ValueError("gradcheck: sampling requires an rng")
+            flat_indices = rng.choice(t.size, size=max_entries_per_tensor, replace=False)
+        flat = t.data.ravel()
+        for fi in flat_indices:
+            fi = int(fi)
+            original = flat[fi]
+            try:
+                flat[fi] = original + h
+                f_plus = _value(fn)
+                flat[fi] = original - h
+                f_minus = _value(fn)
+            finally:  # a raising fn leaves no perturbed entry behind
+                flat[fi] = original
 
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                ana = float(analytic[name].ravel()[fi])
-                abs_err = abs(ana - numeric)
-                denom = max(abs(ana), abs(numeric))
-                rel_err = abs_err / denom if denom > 0.0 else 0.0
-                if rel_err <= rel_tol:
-                    ok = True
-                elif abs(ana) < small and abs(numeric) < small:
-                    ok = abs_err <= abs_tol
-                else:
-                    ok = False
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            ana = float(analytic[name].ravel()[fi])
+            abs_err = abs(ana - numeric)
+            denom = max(abs(ana), abs(numeric))
+            rel_err = abs_err / denom if denom > 0.0 else 0.0
+            if rel_err <= rel_tol:
+                ok = True
+            elif abs(ana) < small and abs(numeric) < small:
+                ok = abs_err <= abs_tol
+            else:
+                ok = False
 
-                checked += 1
-                max_rel = max(max_rel, rel_err)
-                max_abs = max(max_abs, abs_err)
-                if not ok:
-                    failures.append(
-                        EntryCheck(
-                            tensor=name,
-                            index=tuple(int(i) for i in np.unravel_index(fi, t.shape)),
-                            analytic=ana,
-                            numeric=numeric,
-                            abs_err=abs_err,
-                            rel_err=rel_err,
-                            ok=ok,
-                        )
+            checked += 1
+            max_rel = max(max_rel, rel_err)
+            max_abs = max(max_abs, abs_err)
+            if not ok:
+                failures.append(
+                    EntryCheck(
+                        tensor=name,
+                        index=tuple(int(i) for i in np.unravel_index(fi, t.shape)),
+                        analytic=ana,
+                        numeric=numeric,
+                        abs_err=abs_err,
+                        rel_err=rel_err,
+                        ok=ok,
                     )
+                )
 
     return GradCheckReport(
         passed=not failures,

@@ -334,12 +334,11 @@ def group_timesteps(x: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(model: GlgatModel, params: dict, dims: LayerDims, x) -> ad.DiffTensor:
-    """One floor; inside ``ad.reuse_scope()`` its last output is reused while
-    the floor is called with the same bytes."""
+    """One floor of the model on ``x``."""
     enc = model.params.get("vertex_encoding")
     if model.config.uses_gat:
-        return ad.reuse(gat_forward, params, x, enc, model.adj)
-    return ad.reuse(glgat_forward, params, dims, x, enc, model.adj, model.pe)
+        return gat_forward(params, x, enc, model.adj)
+    return glgat_forward(params, dims, x, enc, model.adj, model.pe)
 
 
 def _group_floors(model: GlgatModel, grouped: np.ndarray) -> np.ndarray:

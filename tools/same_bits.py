@@ -24,6 +24,10 @@ sha1``:
   file, which must equal ``n15.forecast``;
 - ``n15.grad``: every parameter gradient of one recorded step over four
   training windows, in checkpoint order;
+- ``n15.gradcheck``: every value the loss closure of ``check_gradients``
+  returns over two training windows, the recorded call's and each
+  perturbed one's (two sampled entries per tensor, rng seed 0), so that
+  the floors a perturbed call takes from the group cache are covered;
 - ``n207.streaming`` and ``n207.batched``: an untrained seeded model's
   forecasts of eight consecutive test windows, one window per call (so
   the model's group cache serves the repeated time groups) and in one call;
@@ -45,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from glgat.data import generate_synthetic, split_and_window  # noqa: E402
+from glgat.gradcheck import check_gradients  # noqa: E402
 from glgat.model import (  # noqa: E402
     N_GROUPS,
     VARIANTS,
@@ -91,6 +96,18 @@ def step_gradients(model, windows) -> str:
     return sha1(*(t.grad for t in model.named_params().values()))
 
 
+def checked_values(model, windows) -> str:
+    inputs, targets = stack_inputs(windows), stack_targets(windows)
+    values = []
+
+    def fn():
+        values.append(batch_smooth_l1(model_forward(model, inputs), *targets))
+        return values[-1]
+
+    check_gradients(fn, model.named_params(), max_entries_per_tensor=2, rng=np.random.default_rng(0))
+    return sha1(*(v.data for v in values))
+
+
 def streamed(model, windows) -> str:
     return sha1(*(predict(model, windows[i : i + 1]) for i in range(len(windows))))
 
@@ -118,7 +135,8 @@ def main() -> None:
             print(f"n15.forecast {variant} {sha1(predict(model, splits.test))}")
             print(f"n15.streaming {variant} {streamed(model, splits.test[:STREAMED_WINDOWS])}")
             print(f"n15.reload {variant} {sha1(predict(load_checkpoint(path), splits.test))}")
-            print(f"n15.grad {variant} {step_gradients(model, splits.train[:4])}", flush=True)
+            print(f"n15.grad {variant} {step_gradients(model, splits.train[:4])}")
+            print(f"n15.gradcheck {variant} {checked_values(model, splits.train[:2])}", flush=True)
     for variant in LARGE_VARIANTS:
         forecasts("n207", 207, 700, variant, gradients=True)
     forecasts("n325", 325, 700, "full", gradients=False)
